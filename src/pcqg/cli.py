@@ -16,7 +16,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -34,6 +34,7 @@ from .decoupling import (
     support_residual,
 )
 from .dynsu2 import (
+    SUITES,
     DynParams,
     antipode_block_check,
     antipode_check,
@@ -71,29 +72,9 @@ EXIT_USAGE = 2
 # two independent Haar constructions must agree to this absolute tolerance
 HAAR_AGREEMENT_TOL = 1e-8
 NORM_SLACK = 1e-12
-
-_CONFIG_FIELDS = (
-    "q",
-    "x",
-    "c",
-    "c2",
-    "y",
-    "window",
-    "truncation",
-    "grid",
-    "half",
-    "index",
-    "max_len",
-    "anchor",
-    "tol",
-    "seed",
-    "word",
-    "form",
-    "method",
-    "suite",
-    "path",
-    "fmt",
-)
+# a reduced word must match the original in both pi_c oracles to this
+# absolute tolerance (acceptance criterion 8)
+REDUCE_ORACLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -123,11 +104,8 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        kwargs = {}
-        for name in _CONFIG_FIELDS:
-            if hasattr(args, name):
-                kwargs[name] = getattr(args, name)
-        return cls(**kwargs)
+        names = (f.name for f in fields(cls))
+        return cls(**{n: getattr(args, n) for n in names if hasattr(args, n)})
 
 
 def _json_default(obj):
@@ -306,16 +284,9 @@ def cmd_dyn_build(args) -> int:
     return _finish(args, "dyn build", payload, tolerances={"norm_slack": NORM_SLACK})
 
 
-# ort_*/id2_*/slide_* are the definitional relations; adjoint_* restates the
-# star relations in the uniform right-hand form, extcom_* are consequences.
-DEFINING_PREFIXES = ("ort_", "id2_", "slide_")
-
-
 def cmd_dyn_verify(args) -> int:
     b = _pi_c_bundle(args)
-    checks = verify_dynsu2_relations(b, tol=args.tol)
-    if args.suite == "defining":
-        checks = [r for r in checks if r.label.startswith(DEFINING_PREFIXES)]
+    checks = verify_dynsu2_relations(b, tol=args.tol, suite=args.suite)
     payload = {"relation_count": len(checks), "basis_size": b.window.size}
     return _finish(args, "dyn verify", payload, checks=checks, tolerances={"tol": args.tol})
 
@@ -340,16 +311,14 @@ def cmd_dyn_reduce(args) -> int:
     b1 = _pi_c_bundle(args)
     b2 = _pi_c_bundle(args, c=args.c2)
     rep = reduce_and_check(letters, (b1, b2), max_len=args.max_len)
-    payload = {
-        "word": args.word,
-        "letters": list(letters),
-        "steps": rep["steps"],
-        "terms": rep["terms"],
-        "oracle_residuals": rep["oracle_residuals"],
-        "idempotent": rep["idempotent"],
-        "passed": bool(rep["ok"]),
-    }
-    return _finish(args, "dyn reduce", payload)
+    ok = rep.pop("ok")
+    passed = ok and rep["idempotent"] and all(
+        r < REDUCE_ORACLE_TOL for r in rep["oracle_residuals"]
+    )
+    payload = {"word": args.word, "letters": list(letters), **rep, "passed": passed}
+    return _finish(
+        args, "dyn reduce", payload, tolerances={"oracle_tol": REDUCE_ORACLE_TOL}
+    )
 
 
 def cmd_dyn_xsym(args) -> int:
@@ -629,9 +598,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_dyn(p)
     p.add_argument(
         "--suite",
-        choices=("defining", "full"),
+        choices=tuple(SUITES),
         default="defining",
-        help="defining lists the 14 definitional relations; full adds the derived forms",
+        help="defining: the 14 checks ort_*, id2_* and slide_*; "
+        "full: all 22, adding adjoint_* and extcom_*",
     )
     _add_tol(p)
     _add_out(p)

@@ -256,10 +256,6 @@ class WindowSet:
     limited_low: bool  # forced step beyond k = +N (values below the window)
     limited_high: bool  # forced step beyond k = -N (values above the window)
 
-    @property
-    def points(self) -> tuple[int, ...]:
-        return self.exponents
-
 
 def brute_force_csets(
     c: float,

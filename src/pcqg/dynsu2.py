@@ -8,16 +8,24 @@ every generator as a weighted shift with all weights of modulus < 1;
 pi_c at two different c values is the oracle for every symbolic claim
 in this module (rewriting rules, antipode, coproduct compatibility).
 
-Relation families verified here:
-  * the six orthogonality lines of the generator matrix (row/column
+The relations are written once, as symbolic term lists in
+defining_relations, which both the operator battery and the antipode
+check read.  The table holds
+  * ort_*: the six orthogonality lines of the generator matrix (row/column
     sums and crosses),
-  * the four star-elimination identities and their uniform right-hand
-    form,
-  * coefficient-function sliding for each generator,
-  * the four extended commutation identities, checked in a normalized
+  * id2_*: the four star-elimination identities in the uniform right-hand
+    form u* = sign * partner * f, taken from RuleSet.star_rules,
+  * extcom_*: the four extended commutation identities, in a normalized
     form (both sides divided by tau(lambda)tau(rho)) so every operand
     stays O(1) on any window; the literal form differs by an invertible
     positive diagonal and is equivalent.
+The battery (battery_relations) reports the star entries as adjoint_*
+and derives two more families from the table and the letters:
+  * id2_*: the display form of each star identity, its function slid from
+    the right end to the left end by the word's net displacement,
+  * slide_*: coefficient-function sliding f0 u = u f0(shifted) for each
+    generator, with a generic test function f0.
+Suite "defining" is ort + id2 + slide (14 checks), "full" is all 22.
 """
 
 from __future__ import annotations
@@ -41,22 +49,25 @@ from .windowed import (
     shift_op,
 )
 from .words import (
+    EPS_NU,
+    LETTERS,
+    STARRED,
     CoeffFn,
     RuleSet,
     Term,
     dirac_projection,
     letter_displacement,
+    monomial_signature,
+    push_right,
     reduce_word,
+    star_step,
 )
 
 GEN_NAMES = ("alpha", "beta", "gamma", "delta")
-NAME_TO_EPSNU = {
-    "alpha": (-1, -1),
-    "beta": (-1, +1),
-    "gamma": (+1, -1),
-    "delta": (+1, +1),
-}
-LETTER_TO_NAME = {"a": "alpha", "b": "beta", "g": "gamma", "d": "delta"}
+LETTER_TO_NAME = dict(zip(LETTERS, GEN_NAMES))
+NAME_TO_EPSNU = {LETTER_TO_NAME[ch]: en for ch, en in EPS_NU.items()}
+EPSNU_TO_NAME = {en: name for name, en in NAME_TO_EPSNU.items()}
+ONE = CoeffFn.one()
 
 
 @dataclass(frozen=True)
@@ -66,6 +77,8 @@ class DynParams:
     c: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.q, self.x, self.c)):
+            raise ValueError("q, x and c must be finite")
         if not 0 < self.q < 1:
             raise ValueError("q must be in (0,1)")
         if self.x <= 0:
@@ -152,142 +165,141 @@ def build_pi_c(params: DynParams, window: Optional[Window] = None) -> PiCBundle:
     return PiCBundle(params=params, window=window, ops=ops)
 
 
-# -- relation battery -------------------------------------------------------
+# -- the relation table and the battery ---------------------------------------
 
 
-def _sfn(eps: int, q: float):
-    return lambda v: math.sqrt(weight_w(v, eps, q))
+def letter_operator(ch: str, b) -> WindowedOperator:
+    """The bundle's operator for one letter, starred letters as adjoints."""
+    op = b.u(LETTER_TO_NAME[ch[0]])
+    return op.adjoint() if ch.endswith("*") else op
 
 
-def verify_dynsu2_relations(b, tol: float = 1e-10) -> list[RelationResidual]:
-    """All defining-relation residuals on the bundle's interior.
+def defining_relations(q: float) -> dict[str, list[tuple[complex, Term]]]:
+    """The fourteen defining relations as symbolic term lists (sum = 0).
 
-    Works on anything exposing q, u(name), mul_fn, margins, and
-    exact_boundaries; in particular both pi_c bundles and compressed
-    coproduct-image bundles.
+    The star identities (id2_*) are read off RuleSet.star_rules in the
+    uniform right-hand form u* = sign * partner * f.  Extended-commutation
+    lines appear in the normalized form; coefficient functions are already
+    pushed to the right end of each word (the adjoint pairs have net
+    displacement zero, so the functions pass through unchanged).
     """
-    q = b.q
-    A, B, G, D = (b.u(n) for n in GEN_NAMES)
-    As, Bs, Gs, Ds = (op.adjoint() for op in (A, B, G, D))
-    ident = identity_op(b.window)
-    sp, sm = _sfn(+1, q), _sfn(-1, q)
+    kappa = q - 1.0 / q
+
+    def T(letters, fn=ONE):
+        return Term(tuple(letters), fn)
+
+    rel = {
+        "ort_row_1": [(1, T(["a", "a*"])), (1, T(["b", "b*"])), (-1, T([]))],
+        "ort_row_2": [(1, T(["g", "g*"])), (1, T(["d", "d*"])), (-1, T([]))],
+        "ort_row_cross": [(1, T(["a", "g*"])), (1, T(["b", "d*"]))],
+        "ort_col_1": [(1, T(["a*", "a"])), (1, T(["g*", "g"])), (-1, T([]))],
+        "ort_col_2": [(1, T(["b*", "b"])), (1, T(["d*", "d"])), (-1, T([]))],
+        "ort_col_cross": [(1, T(["a*", "b"])), (1, T(["g*", "d"]))],
+    }
+    for star, (sign, partner, fn) in RuleSet(q).star_rules.items():
+        rel["id2_" + LETTER_TO_NAME[star[0]]] = [
+            (1, T([star])),
+            (-sign, T([partner], fn)),
+        ]
+
+    def extcom(ch, er, el, num):
+        # w_er(rho) u* u - w_el(lambda) u u* = kappa num / (tau(lambda) tau(rho))
+        w_r = CoeffFn(lambda l, r: weight_w(r, er, q), f"w{er:+d}(R)")
+        w_l = CoeffFn(lambda l, r: weight_w(l, el, q), f"w{el:+d}(L)")
+        rhs = CoeffFn(lambda l, r: kappa * num(l, r) / (tau(l) * tau(r)), f"rhs_{ch}")
+        return [(1, T([ch + "*", ch], w_r)), (-1, T([ch, ch + "*"], w_l)), (-1, T([], rhs))]
+
+    rel["extcom_alpha"] = extcom("a", +1, -1, lambda l, r: l * r - 1 / (l * r))
+    rel["extcom_beta"] = extcom("b", -1, -1, lambda l, r: l / r - r / l)
+    rel["extcom_gamma"] = extcom("g", +1, +1, lambda l, r: r / l - l / r)
+    rel["extcom_delta"] = extcom("d", -1, +1, lambda l, r: 1 / (l * r) - l * r)
+    return rel
+
+
+# Battery families in report order, and the families each suite runs:
+# ort_*, id2_* and slide_* are the definitional relations; adjoint_*
+# restates the star identities in the uniform right-hand form, extcom_*
+# are consequences.
+SUITES = {
+    "defining": ("ort", "id2", "slide"),
+    "full": ("ort", "id2", "adjoint", "slide", "extcom"),
+}
+
+# A battery term (z, left, t) stands for z * left * t: an optional
+# coefficient function in front of the term's letters.
+BatteryTerm = tuple[complex, Optional[CoeffFn], Term]
+
+
+def _coeff_to_left(t: Term, q: float) -> tuple[Optional[CoeffFn], Term]:
+    """Slide t's coefficient from the right end of its word to the left end."""
+    if t.coeff is ONE:
+        return None, t
+    dl = sum(letter_displacement(ch)[0] for ch in t.letters)
+    dr = sum(letter_displacement(ch)[1] for ch in t.letters)
+    return t.coeff.shifted(-dl, -dr, q), Term(t.letters, ONE)
+
+
+def battery_relations(q: float, suite: str = "full") -> dict[str, list[BatteryTerm]]:
+    """The suite's relations, labelled and in report order.
+
+    ort_*, adjoint_* and extcom_* are the table entries as written; id2_*
+    is the display form of each star identity (function slid to the left
+    end); slide_* is f0 u - u f0(shifted) for a generic test function f0.
+    """
+    families = {name: {} for name in SUITES["full"]}
+    for name, terms in defining_relations(q).items():
+        family, gen = name.split("_", 1)
+        plain = [(z, None, t) for z, t in terms]
+        if family == "id2":
+            families["adjoint"]["adjoint_" + gen] = plain
+            plain = [(z, *_coeff_to_left(t, q)) for z, t in terms]
+        families[family][name] = plain
+    f0 = CoeffFn(lambda l, r: tau(l) + 2.0 * tau(q * r) + l * r, "f0")
+    for ch, name in LETTER_TO_NAME.items():
+        moved = f0.shifted(*letter_displacement(ch), q)
+        families["slide"]["slide_" + name] = [
+            (1, f0, Term((ch,), ONE)),
+            (-1, None, Term((ch,), moved)),
+        ]
+    return {
+        label: terms
+        for family in SUITES[suite]
+        for label, terms in families[family].items()
+    }
+
+
+def verify_dynsu2_relations(
+    b, tol: float = 1e-10, suite: str = "full"
+) -> list[RelationResidual]:
+    """Residuals of the suite's relations on the bundle's interior.
+
+    Works on anything exposing q, window, u(name), mul_fn, margins, and
+    exact_boundaries; in particular pi_c bundles, compressed coproduct-image
+    bundles and pi_ST bundles.  Each term is evaluated as the operator word
+    left function, letters, coefficient function (no diagonal for a unit
+    function), so required_margins sees every intermediate shift.
+    """
+    ops = {ch: letter_operator(ch, b) for ch in LETTERS + STARRED}
     margins = b.margins()
     exact = b.exact_boundaries()
 
-    def check(label, terms):
-        return relation_residual(
-            terms, margins, label=label, tol=tol, exact_boundaries=exact
+    def word(left, t):
+        out = [b.mul_fn(left)] if left is not None else []
+        out += [ops[ch] for ch in t.letters]
+        if t.coeff is not ONE:
+            out.append(b.mul_fn(t.coeff))
+        return out or [identity_op(b.window)]
+
+    return [
+        relation_residual(
+            [(z, word(left, t)) for z, left, t in terms],
+            margins,
+            label=label,
+            tol=tol,
+            exact_boundaries=exact,
         )
-
-    def m(f):
-        return b.mul_fn(f)
-
-    out = [
-        check("ort_row_1", [(1, [A, As]), (1, [B, Bs]), (-1, [ident])]),
-        check("ort_row_2", [(1, [G, Gs]), (1, [D, Ds]), (-1, [ident])]),
-        check("ort_row_cross", [(1, [A, Gs]), (1, [B, Ds])]),
-        check("ort_col_1", [(1, [As, A]), (1, [Gs, G]), (-1, [ident])]),
-        check("ort_col_2", [(1, [Bs, B]), (1, [Ds, D]), (-1, [ident])]),
-        check("ort_col_cross", [(1, [As, B]), (1, [Gs, D])]),
+        for label, terms in battery_relations(b.q, suite).items()
     ]
-
-    # star identities, display form (functions left for alpha/beta rows)
-    out += [
-        check(
-            "id2_alpha",
-            [(1, [As]), (-1, [m(lambda l, r: sp(l) / sp(r)), D])],
-        ),
-        check(
-            "id2_beta",
-            [(1, [Bs]), (1, [m(lambda l, r: sp(l) / sm(r)), G])],
-        ),
-        check(
-            "id2_gamma",
-            [(1, [Gs]), (1, [B, m(lambda l, r: sm(r) / sp(l))])],
-        ),
-        check(
-            "id2_delta",
-            [(1, [Ds]), (-1, [A, m(lambda l, r: sp(r) / sp(l))])],
-        ),
-    ]
-
-    # the same four in the uniform right-hand form
-    out += [
-        check(
-            "adjoint_alpha",
-            [(1, [As]), (-1, [D, m(lambda l, r: sm(r) / sm(l))])],
-        ),
-        check(
-            "adjoint_beta",
-            [(1, [Bs]), (1, [G, m(lambda l, r: sp(r) / sm(l))])],
-        ),
-        check(
-            "adjoint_gamma",
-            [(1, [Gs]), (1, [B, m(lambda l, r: sm(r) / sp(l))])],
-        ),
-        check(
-            "adjoint_delta",
-            [(1, [Ds]), (-1, [A, m(lambda l, r: sp(r) / sp(l))])],
-        ),
-    ]
-
-    # function sliding: f u = u f(shifted), with a generic test function
-    def f0(l, r):
-        return tau(l) + 2.0 * tau(q * r) + l * r
-
-    for name, (eps, nu) in NAME_TO_EPSNU.items():
-        U = b.u(name)
-        shifted = lambda l, r, e=eps, n=nu: f0(q**-e * l, q**-n * r)
-        out.append(
-            check(
-                f"slide_{name}",
-                [(1, [m(f0), U]), (-1, [U, m(shifted)])],
-            )
-        )
-
-    # extended commutation, normalized by tau(lambda) tau(rho)
-    kappa = q - 1.0 / q
-
-    def rhs(sign_fn):
-        return m(lambda l, r: kappa * sign_fn(l, r) / (tau(l) * tau(r)))
-
-    wp = lambda v: weight_w(v, +1, q)
-    wm = lambda v: weight_w(v, -1, q)
-    out += [
-        check(
-            "extcom_alpha",
-            [
-                (1, [m(lambda l, r: wp(r)), As, A]),
-                (-1, [m(lambda l, r: wm(l)), A, As]),
-                (-1, [rhs(lambda l, r: l * r - 1.0 / (l * r))]),
-            ],
-        ),
-        check(
-            "extcom_beta",
-            [
-                (1, [m(lambda l, r: wm(r)), Bs, B]),
-                (-1, [m(lambda l, r: wm(l)), B, Bs]),
-                (-1, [rhs(lambda l, r: l / r - r / l)]),
-            ],
-        ),
-        check(
-            "extcom_gamma",
-            [
-                (1, [m(lambda l, r: wp(r)), Gs, G]),
-                (-1, [m(lambda l, r: wp(l)), G, Gs]),
-                (-1, [rhs(lambda l, r: r / l - l / r)]),
-            ],
-        ),
-        check(
-            "extcom_delta",
-            [
-                (1, [m(lambda l, r: wm(r)), Ds, D]),
-                (-1, [m(lambda l, r: wp(l)), D, Ds]),
-                (-1, [rhs(lambda l, r: 1.0 / (l * r) - l * r)]),
-            ],
-        ),
-    ]
-    return out
 
 
 def generator_norm_bounds(b) -> dict:
@@ -379,12 +391,6 @@ def uncompressed_unitarity_gap(
     legops1 = build_pi_c(b1.params, leg).ops
     legops2 = build_pi_c(b2.params, leg).ops
 
-    def name_of(e, m):
-        for k, v in NAME_TO_EPSNU.items():
-            if v == (e, m):
-                return k
-        raise KeyError
-
     # matching projection: middle exponents equal
     dim = leg.size * leg.size
     P = np.zeros((dim, dim))
@@ -402,7 +408,8 @@ def uncompressed_unitarity_gap(
         U = np.zeros((dim, dim), dtype=complex)
         for mu in (-1, +1):
             U += np.kron(
-                legops1[name_of(eps, mu)].matrix, legops2[name_of(mu, nu)].matrix
+                legops1[EPSNU_TO_NAME[eps, mu]].matrix,
+                legops2[EPSNU_TO_NAME[mu, nu]].matrix,
             )
         U = U @ P
         row += U @ U.conj().T
@@ -426,11 +433,16 @@ def uncompressed_unitarity_gap(
 def term_operator(t: Term, b: PiCBundle) -> WindowedOperator:
     out = b.mul_fn(t.coeff)
     for ch in reversed(t.letters):
-        base = LETTER_TO_NAME[ch[0]]
-        op = b.u(base)
-        if ch.endswith("*"):
-            op = op.adjoint()
-        out = op @ out
+        out = letter_operator(ch, b) @ out
+    return out
+
+
+def _terms_operator(terms: list[tuple[complex, Term]], b: PiCBundle) -> WindowedOperator:
+    """The operator of sum(z * term)."""
+    out = None
+    for z, t in terms:
+        op = z * term_operator(t, b)
+        out = op if out is None else out + op
     return out
 
 
@@ -448,25 +460,16 @@ S_LETTER = {"a": "a*", "b": "g*", "g": "b*", "d": "d*"}
 
 def star_eliminate(terms: list[tuple[complex, Term]], rules: RuleSet):
     """Replace starred letters via the adjoint identities; no reordering."""
-    q = rules.q
-    work = [(z, t) for z, t in terms]
+    work = list(terms)
     out = []
     while work:
         z, t = work.pop()
-        for i, ch in enumerate(t.letters):
-            if ch.endswith("*"):
-                sign, rep, fn = rules.star_rules[ch]
-                tail = t.letters[i + 1 :]
-                fn2 = fn
-                for c2 in tail:
-                    dl, dr = letter_displacement(c2)
-                    fn2 = fn2.shifted(dl, dr, q)
-                work.append(
-                    (z * sign, Term(t.letters[:i] + (rep,) + tail, fn2 * t.coeff))
-                )
-                break
-        else:
+        step = star_step(t, rules)
+        if step is None:
             out.append((z, t))
+        else:
+            sign, t2 = step
+            work.append((z * sign, t2))
     return out
 
 
@@ -482,149 +485,26 @@ def s_transform(terms: list[tuple[complex, Term]], q: float):
         if not t.is_star_free():
             raise ValueError("star-eliminate before applying the antipode")
         new_letters = tuple(S_LETTER[ch] for ch in reversed(t.letters))
-        fn = t.coeff.swapped()
-        for ch in new_letters:
-            dl, dr = letter_displacement(ch)
-            fn = fn.shifted(dl, dr, q)
-        out.append((z, Term(new_letters, fn)))
+        out.append((z, Term(new_letters, push_right(t.coeff.swapped(), new_letters, q))))
     return out
 
 
-def defining_relations(q: float) -> dict[str, list[tuple[complex, Term]]]:
-    """The fourteen defining relations as symbolic term lists (sum = 0).
-
-    Extended-commutation lines appear in the normalized form; coefficient
-    functions are already pushed to the right end of each word (the
-    adjoint pairs have net displacement zero, so the functions pass
-    through unchanged).
-    """
-    one = CoeffFn.one()
-    sp, sm = _sfn(+1, q), _sfn(-1, q)
-
-    def T(letters, fn=None):
-        return Term(tuple(letters), fn if fn is not None else one)
-
-    def cf(fn, label):
-        return CoeffFn(fn, label)
-
-    wp = lambda v: weight_w(v, +1, q)
-    wm = lambda v: weight_w(v, -1, q)
-    kappa = q - 1.0 / q
-
-    rel = {
-        "ort_row_1": [(1, T(["a", "a*"])), (1, T(["b", "b*"])), (-1, T([]))],
-        "ort_row_2": [(1, T(["g", "g*"])), (1, T(["d", "d*"])), (-1, T([]))],
-        "ort_row_cross": [(1, T(["a", "g*"])), (1, T(["b", "d*"]))],
-        "ort_col_1": [(1, T(["a*", "a"])), (1, T(["g*", "g"])), (-1, T([]))],
-        "ort_col_2": [(1, T(["b*", "b"])), (1, T(["d*", "d"])), (-1, T([]))],
-        "ort_col_cross": [(1, T(["a*", "b"])), (1, T(["g*", "d"]))],
-        "id2_alpha": [
-            (1, T(["a*"])),
-            (-1, T(["d"], cf(lambda l, r: sm(r) / sm(l), "s-(R)/s-(L)"))),
-        ],
-        "id2_beta": [
-            (1, T(["b*"])),
-            (1, T(["g"], cf(lambda l, r: sp(r) / sm(l), "s+(R)/s-(L)"))),
-        ],
-        "id2_gamma": [
-            (1, T(["g*"])),
-            (1, T(["b"], cf(lambda l, r: sm(r) / sp(l), "s-(R)/s+(L)"))),
-        ],
-        "id2_delta": [
-            (1, T(["d*"])),
-            (-1, T(["a"], cf(lambda l, r: sp(r) / sp(l), "s+(R)/s+(L)"))),
-        ],
-        "extcom_alpha": [
-            (1, T(["a*", "a"], cf(lambda l, r: wp(r), "w+(R)"))),
-            (-1, T(["a", "a*"], cf(lambda l, r: wm(l), "w-(L)"))),
-            (
-                -1,
-                T(
-                    [],
-                    cf(
-                        lambda l, r: kappa * (l * r - 1 / (l * r)) / (tau(l) * tau(r)),
-                        "rhs_a",
-                    ),
-                ),
-            ),
-        ],
-        "extcom_beta": [
-            (1, T(["b*", "b"], cf(lambda l, r: wm(r), "w-(R)"))),
-            (-1, T(["b", "b*"], cf(lambda l, r: wm(l), "w-(L)"))),
-            (
-                -1,
-                T(
-                    [],
-                    cf(
-                        lambda l, r: kappa * (l / r - r / l) / (tau(l) * tau(r)),
-                        "rhs_b",
-                    ),
-                ),
-            ),
-        ],
-        "extcom_gamma": [
-            (1, T(["g*", "g"], cf(lambda l, r: wp(r), "w+(R)"))),
-            (-1, T(["g", "g*"], cf(lambda l, r: wp(l), "w+(L)"))),
-            (
-                -1,
-                T(
-                    [],
-                    cf(
-                        lambda l, r: kappa * (r / l - l / r) / (tau(l) * tau(r)),
-                        "rhs_g",
-                    ),
-                ),
-            ),
-        ],
-        "extcom_delta": [
-            (1, T(["d*", "d"], cf(lambda l, r: wm(r), "w-(R)"))),
-            (-1, T(["d", "d*"], cf(lambda l, r: wp(l), "w+(L)"))),
-            (
-                -1,
-                T(
-                    [],
-                    cf(
-                        lambda l, r: kappa * (1 / (l * r) - l * r) / (tau(l) * tau(r)),
-                        "rhs_d",
-                    ),
-                ),
-            ),
-        ],
-    }
-    return rel
+def _antipode(terms: list[tuple[complex, Term]], rules: RuleSet):
+    return s_transform(star_eliminate(terms, rules), rules.q)
 
 
-def antipode_check(
-    b: PiCBundle,
-    tol: float = 1e-10,
-    letter_map: Optional[dict] = None,
-    swap_functions: bool = True,
-) -> list[RelationResidual]:
+def antipode_check(b: PiCBundle, tol: float = 1e-10) -> list[RelationResidual]:
     """Antipode consistency in pi_c.
 
     Every defining relation is star-eliminated, S-transformed (word
     reversal plus the letter swap; coefficient arguments swapped) and the
-    resulting identity is evaluated in pi_c.  letter_map overrides the
-    generator swap, swap_functions=False skips the argument swap on
-    coefficient functions (wrong localization swap); both are
-    negative-control knobs.
+    resulting identity is evaluated in pi_c.
     """
-    q = b.params.q
-    rules = RuleSet(q)
-    smap = letter_map if letter_map is not None else S_LETTER
-    out = []
-    for name, terms in defining_relations(q).items():
-        flat = star_eliminate(terms, rules)
-        transformed = []
-        for z, t in flat:
-            new_letters = tuple(smap[ch] for ch in reversed(t.letters))
-            fn = t.coeff.swapped() if swap_functions else t.coeff
-            for ch in new_letters:
-                dl, dr = letter_displacement(ch)
-                fn = fn.shifted(dl, dr, q)
-            transformed.append((z, Term(new_letters, fn)))
-        out.append(terms_residual(transformed, b, label=f"S[{name}]", tol=tol))
-    return out
+    rules = RuleSet(b.params.q)
+    return [
+        terms_residual(_antipode(terms, rules), b, label=f"S[{name}]", tol=tol)
+        for name, terms in defining_relations(rules.q).items()
+    ]
 
 
 def antipode_block_check(b: PiCBundle, tol: float = 1e-12) -> RelationResidual:
@@ -637,18 +517,12 @@ def antipode_block_check(b: PiCBundle, tol: float = 1e-12) -> RelationResidual:
     q, x = b.params.q, b.params.x
     rules = RuleSet(q)
     worst = 0.0
-    for name, (eps, nu) in NAME_TO_EPSNU.items():
-        letter = {v: k for k, v in LETTER_TO_NAME.items()}[name]
+    for letter, (eps, nu) in EPS_NU.items():
         for (i, j) in ((0, 0), (1, -1), (-2, 3)):
             src = Term((letter,), dirac_projection(i, j, q, x))
-            flat = star_eliminate([(1.0, src)], rules)
-            transformed = s_transform(flat, q)
-            lhs = None
-            for z, t in transformed:
-                op = z * term_operator(t, b)
-                lhs = op if lhs is None else lhs + op
+            lhs = _terms_operator(_antipode([(1.0, src)], rules), b)
             # swapped-block adjoint: u_{nu,eps} localized at (j, i)
-            sw_name = {v: k for k, v in NAME_TO_EPSNU.items()}[(nu, eps)]
+            sw_name = EPSNU_TO_NAME[nu, eps]
             rhs = (b.u(sw_name) @ b.mul_fn(dirac_projection(j, i, q, x))).adjoint()
             worst = max(worst, float(np.abs(lhs.matrix - rhs.matrix).max()))
     return RelationResidual(
@@ -665,19 +539,13 @@ def antipode_square_check(b: PiCBundle, tol: float = 1e-12) -> RelationResidual:
     q, x = b.params.q, b.params.x
     rules = RuleSet(q)
     worst = 0.0
-    for name, (eps, nu) in NAME_TO_EPSNU.items():
-        letter = {v: k for k, v in LETTER_TO_NAME.items()}[name]
+    for letter, (eps, nu) in EPS_NU.items():
         for (i, j) in ((0, 0), (2, -1)):
             src = Term((letter,), dirac_projection(i, j, q, x))
-            once = s_transform(star_eliminate([(1.0, src)], rules), q)
-            twice = s_transform(star_eliminate(once, rules), q)
-            lhs = None
-            for z, t in twice:
-                op = z * term_operator(t, b)
-                lhs = op if lhs is None else lhs + op
+            lhs = _terms_operator(_antipode(_antipode([(1.0, src)], rules), rules), b)
             yv, zv = x * q**i, x * q**j
             scalar = (tau(yv) * tau(q**-nu * zv)) / (tau(q**-eps * yv) * tau(zv))
-            rhs = scalar * (b.u(name) @ b.mul_fn(dirac_projection(i, j, q, x)))
+            rhs = scalar * (letter_operator(letter, b) @ b.mul_fn(dirac_projection(i, j, q, x)))
             worst = max(worst, float(np.abs(lhs.matrix - rhs.matrix).max()))
     return RelationResidual(
         label="antipode_square", residual=worst, margins=b.margins(), tol=tol
@@ -718,8 +586,7 @@ def x_symmetry_check(
 
     out = []
     for name, (eps, nu) in NAME_TO_EPSNU.items():
-        mirrored = {v: k for k, v in NAME_TO_EPSNU.items()}[(-eps, -nu)]
-        diff = T @ b1.u(name).matrix @ Tinv - b2.u(mirrored).matrix
+        diff = T @ b1.u(name).matrix @ Tinv - b2.u(EPSNU_TO_NAME[-eps, -nu]).matrix
         out.append(
             RelationResidual(
                 label=f"xsym_{name}",
@@ -779,11 +646,8 @@ def reduce_and_check(
         }
     residuals = []
     for b in b_pair:
-        orig = term_operator(Term(tuple(letters), CoeffFn.one()), b)
-        red = None
-        for t in rep.terms:
-            op = term_operator(t, b)
-            red = op if red is None else red + op
+        orig = term_operator(Term(tuple(letters), ONE), b)
+        red = _terms_operator([(1.0, t) for t in rep.terms], b)
         margin = max(len(letters), 2)
         r = relation_residual(
             [(1.0, [orig]), (-1.0, [red])],
@@ -797,8 +661,6 @@ def reduce_and_check(
         again = reduce_word(t.letters, rules, coeff=t.coeff, max_len=max(len(t.letters), 1))
         if len(again.terms) != 1 or again.terms[0].letters != t.letters:
             idempotent = False
-    from .words import monomial_signature
-
     return {
         "ok": True,
         "steps": rep.steps,

@@ -18,8 +18,8 @@ the word being tested.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -99,10 +99,6 @@ class Window:
         ns = self.exponents_of(index)
         return tuple(LatticePoint(ax.spec, n) for ax, n in zip(self.axes, ns))
 
-    def iter_exponents(self) -> Iterable[tuple[int, ...]]:
-        for i in range(self.size):
-            yield self.exponents_of(i)
-
     def to_json_dict(self) -> dict:
         return {
             "axes": [
@@ -120,10 +116,6 @@ class Window:
 
 def window_1d(spec: LatticeSpec, n_min: int, n_max: int) -> Window:
     return Window((WindowAxis(spec, n_min, n_max),))
-
-
-def window_product(*axes: WindowAxis) -> Window:
-    return Window(tuple(axes))
 
 
 @dataclass(frozen=True)
@@ -184,9 +176,6 @@ class WindowedOperator:
         return WindowedOperator(
             self.window, self.matrix.conj().T, self.shift_degree, disp
         )
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
 
     def _check_window(self, other: "WindowedOperator"):
         if self.window != other.window:
@@ -340,9 +329,9 @@ def relation_residual(
     """
     if not terms:
         raise ValueError("no terms")
-    window = terms[0][1][0].window if terms[0][1] else None
-    if window is None:
-        raise ValueError("empty word in first term")
+    if not all(word for _, word in terms):
+        raise ValueError("empty word")
+    window = terms[0][1][0].window
     for _, word in terms:
         for op in word:
             if op.window != window:
@@ -370,8 +359,8 @@ def relation_residual(
 
     total = np.zeros((window.size, window.size), dtype=complex)
     for coeff, word in terms:
-        m = np.eye(window.size, dtype=complex)
-        for op in word:
+        m = word[0].matrix
+        for op in word[1:]:
             m = m @ op.matrix
         total += coeff * m
 

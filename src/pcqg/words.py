@@ -61,7 +61,8 @@ class CoeffFn:
 
     @staticmethod
     def one() -> "CoeffFn":
-        return CoeffFn(lambda lv, rv: 1.0, "1")
+        """The unit function; always the same object, so `is` detects it."""
+        return _ONE
 
     def scaled(self, z: complex) -> "CoeffFn":
         if z == 1:
@@ -94,8 +95,8 @@ class CoeffFn:
         f = self.fn
         return CoeffFn(lambda lv, rv: f(rv, lv), f"{self.label}[swap]")
 
-    def is_zero_fn(self) -> bool:
-        return False
+
+_ONE = CoeffFn(lambda lv, rv: 1.0, "1")
 
 
 def _fmt_scalar(z: complex) -> str:
@@ -222,11 +223,11 @@ class RuleSet:
         # head elimination: ad and da -> unit term + bg term
         self.ad_unit = cf(lambda lv, rv: sm(lv) / sm(rv), "s-(L)/s-(R)")
         self.ad_bg = cf(lambda lv, rv: sp(rv) / sm(rv), "s+(R)/s-(R)")
-        self.da_unit = cf(lambda lv, rv: sp(rv) / sp(lv), "s+(R)/s+(L)")
+        self.da_unit = self.star_rules["d*"][2]  # the d* function s+(R)/s+(L)
         self.da_bg = cf(lambda lv, rv: sm(lv) / sp(lv), "s-(L)/s+(L)")
 
 
-def _push_right(
+def push_right(
     coeff: CoeffFn, through: tuple[str, ...], q: float
 ) -> CoeffFn:
     """Move a coefficient function right through the given letters."""
@@ -287,17 +288,30 @@ def _collect(done: dict) -> list[Term]:
     return [Term(k, v) for k, v in sorted(done.items())]
 
 
-def _apply_one(t: Term, rules: RuleSet, q: float) -> Optional[list[Term]]:
-    """One leftmost rewrite; None when the term is already normal."""
+def star_step(t: Term, rules: RuleSet) -> Optional[tuple[complex, Term]]:
+    """Replace the leftmost starred letter by its adjoint identity.
+
+    Returns the rule's sign and the new term, whose coefficient carries the
+    rule's function pushed to the right end; None for a star-free term.
+    """
     ls = t.letters
-    # stars first
     for i, ch in enumerate(ls):
         if ch.endswith("*"):
             sign, rep, fn = rules.star_rules[ch]
             tail = ls[i + 1 :]
-            new_letters = ls[:i] + (rep,) + tail
-            new_coeff = (_push_right(fn, tail, q) * t.coeff).scaled(sign)
-            return [Term(new_letters, new_coeff)]
+            new_coeff = push_right(fn, tail, rules.q) * t.coeff
+            return sign, Term(ls[:i] + (rep,) + tail, new_coeff)
+    return None
+
+
+def _apply_one(t: Term, rules: RuleSet, q: float) -> Optional[list[Term]]:
+    """One leftmost rewrite; None when the term is already normal."""
+    # stars first
+    star = star_step(t, rules)
+    if star is not None:
+        sign, new = star
+        return [Term(new.letters, new.coeff.scaled(sign))]
+    ls = t.letters
     # adjacent-pair rules
     for i in range(len(ls) - 1):
         pair = ls[i] + ls[i + 1]
@@ -305,22 +319,22 @@ def _apply_one(t: Term, rules: RuleSet, q: float) -> Optional[list[Term]]:
         if pair in rules.swap_rules:
             swapped, fn = rules.swap_rules[pair]
             new_letters = ls[:i] + (swapped[0], swapped[1]) + tail
-            new_coeff = _push_right(fn, tail, q) * t.coeff
+            new_coeff = push_right(fn, tail, q) * t.coeff
             return [Term(new_letters, new_coeff)]
         if pair == "gb":
             t1 = Term(
                 ls[:i] + ("b", "g") + tail,
-                _push_right(rules.gb_swap, tail, q) * t.coeff,
+                push_right(rules.gb_swap, tail, q) * t.coeff,
             )
-            t2 = Term(ls[:i] + tail, _push_right(rules.gb_unit, tail, q) * t.coeff)
+            t2 = Term(ls[:i] + tail, push_right(rules.gb_unit, tail, q) * t.coeff)
             return [t1, t2]
         if pair in ("ad", "da"):
             unit_fn = rules.ad_unit if pair == "ad" else rules.da_unit
             bg_fn = rules.ad_bg if pair == "ad" else rules.da_bg
-            t1 = Term(ls[:i] + tail, _push_right(unit_fn, tail, q) * t.coeff)
+            t1 = Term(ls[:i] + tail, push_right(unit_fn, tail, q) * t.coeff)
             t2 = Term(
                 ls[:i] + ("b", "g") + tail,
-                _push_right(bg_fn, tail, q) * t.coeff,
+                push_right(bg_fn, tail, q) * t.coeff,
             )
             return [t1, t2]
     return None
@@ -363,5 +377,5 @@ def parse_word(text: str, q: float, x: float) -> tuple[tuple[str, ...], CoeffFn]
             continue
         raise ValueError(f"unexpected character {ch!r} in word")
     for fn, pos in pending:
-        coeff = coeff * _push_right(fn, tuple(letters[pos:]), q)
+        coeff = coeff * push_right(fn, tuple(letters[pos:]), q)
     return tuple(letters), coeff

@@ -5,7 +5,23 @@ import os
 
 import pytest
 
+from pcqg import dynsu2
 from pcqg.cli import main
+from pcqg.words import RuleSet
+
+GENS = ("alpha", "beta", "gamma", "delta")
+ORT = ["ort_row_1", "ort_row_2", "ort_row_cross", "ort_col_1", "ort_col_2", "ort_col_cross"]
+
+
+def _family(prefix):
+    return [f"{prefix}_{g}" for g in GENS]
+
+
+DEFINING_LABELS = ORT + _family("id2") + _family("slide")
+FULL_LABELS = ORT + _family("id2") + _family("adjoint") + _family("slide") + _family("extcom")
+ANTIPODE_LABELS = [
+    f"S[{name}]" for name in ORT + _family("id2") + _family("extcom")
+] + ["antipode_square", "antipode_block"]
 
 
 def _run(capsys, argv):
@@ -65,9 +81,31 @@ def test_dyn_verify_suites(capsys):
     code, rep = _run_json(capsys, base)
     assert code == 0
     assert rep["relation_count"] == 14
+    assert [c["label"] for c in rep["checks"]] == DEFINING_LABELS
     code, rep = _run_json(capsys, base + ["--suite", "full"])
     assert code == 0
     assert rep["relation_count"] == 22
+    assert [c["label"] for c in rep["checks"]] == FULL_LABELS
+
+
+def test_dyn_antipode_labels(capsys):
+    code, rep = _run_json(capsys, ["dyn", "antipode", "--window", "13"])
+    assert code == 0
+    assert [c["label"] for c in rep["checks"]] == ANTIPODE_LABELS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dyn", "verify", "--c", "nan"],
+        ["dyn", "verify", "--x", "nan"],
+        ["dyn", "reduce", "--word", "ab", "--c2", "nan"],
+    ],
+)
+def test_non_finite_parameters_are_usage_errors(capsys, argv):
+    code = main(argv + ["--window", "13"])
+    capsys.readouterr()
+    assert code == 2
 
 
 def test_dyn_verify_rejects_even_window(capsys):
@@ -85,6 +123,34 @@ def test_dyn_reduce(capsys):
     assert code == 0
     assert rep["idempotent"] is True
     assert all(r < 1e-9 for r in rep["oracle_residuals"])
+    assert rep["tolerances"]["oracle_tol"] == 1e-9
+
+
+def test_dyn_reduce_fails_when_oracle_disagrees(capsys, monkeypatch):
+    init = RuleSet.__init__
+
+    def faulty_init(self, q):
+        init(self, q)
+        swapped, fn = self.swap_rules["ba"]
+        self.swap_rules["ba"] = (swapped, fn.scaled(1.001))
+
+    monkeypatch.setattr(RuleSet, "__init__", faulty_init)
+    code, rep = _run_json(capsys, ["dyn", "reduce", "--word", "ba", "--window", "13"])
+    assert code == 1
+    assert rep["passed"] is False
+    assert rep["idempotent"] is True
+    assert max(rep["oracle_residuals"]) > 1e-4
+
+
+def test_dyn_reduce_budget_exceeded_is_a_failed_check(capsys, monkeypatch):
+    real = dynsu2.reduce_word
+    monkeypatch.setattr(
+        dynsu2, "reduce_word", lambda *a, **kw: real(*a, **{**kw, "step_budget": 0})
+    )
+    code, rep = _run_json(capsys, ["dyn", "reduce", "--word", "ba", "--window", "13"])
+    assert code == 1
+    assert rep["passed"] is False
+    assert rep["error"] == "step budget exceeded"
 
 
 def test_irreps_enumerate_off_spectrum(capsys):

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from pcqg import dynsu2
 from pcqg.dynsu2 import (
     DynParams,
     GEN_NAMES,
@@ -31,7 +32,8 @@ from pcqg.dynsu2 import (
     x_symmetry_check,
 )
 from pcqg.lattice import tau
-from pcqg.windowed import WindowedOperator
+from pcqg.windowed import WindowedOperator, required_margins
+from pcqg.words import CoeffFn
 
 
 def bundle(q=0.5, x=1.0, c=0.0, half=10):
@@ -48,6 +50,11 @@ def test_params_validation():
         build_pi_c(DynParams(q=0.5, c=2.0))
     with pytest.raises(ValueError):
         build_pi_c(DynParams(q=0.5, c=-2.3))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            DynParams(q=0.5, x=bad)
+        with pytest.raises(ValueError):
+            DynParams(q=0.5, c=bad)
 
 
 def test_frozen_corner_weights():
@@ -101,6 +108,41 @@ def test_relation_battery(c, x):
     assert len(set(labels)) == RELATION_COUNT
     bad = [str(r) for r in rs if not r.passed]
     assert not bad, bad
+
+
+def test_defining_suite_is_a_subset_of_full():
+    b = bundle(half=6)
+    full = {r.label: r.residual for r in verify_dynsu2_relations(b)}
+    defining = verify_dynsu2_relations(b, suite="defining")
+    assert len(defining) == 14
+    assert all(r.label.startswith(("ort_", "id2_", "slide_")) for r in defining)
+    assert all(full[r.label] == r.residual for r in defining)
+
+
+class _NoMarginBundle(PiCBundle):
+    def margins(self, pad: int = 2):
+        return super().margins(0)
+
+
+def test_battery_validates_word_excursions(monkeypatch):
+    """Words keep their letters apart, so required_margins sees each shift."""
+    b = bundle(half=4)
+    bare = _NoMarginBundle(params=b.params, window=b.window, ops=b.ops)
+    with pytest.raises(ValueError, match="truncation artifacts"):
+        verify_dynsu2_relations(bare)
+    # the row and column sums u u* and u* u return to their start: only the
+    # intermediate shift needs a margin, and a pre-multiplied word hides it
+    needed = {}
+    real = dynsu2.relation_residual
+
+    def spy(terms, margin, **kw):
+        needed[kw["label"]] = required_margins(terms, b.window)
+        return real(terms, margin, **kw)
+
+    monkeypatch.setattr(dynsu2, "relation_residual", spy)
+    verify_dynsu2_relations(b)
+    for label in ("ort_row_1", "ort_row_2", "ort_col_1", "ort_col_2"):
+        assert max(max(sides) for sides in needed[label]) == 1, label
 
 
 def test_relation_battery_other_q():
@@ -212,17 +254,19 @@ def test_antipode_square_modular_scalar():
     assert abs(scalar - 1.0) > 0.5
 
 
-def test_antipode_negative_control():
+def test_antipode_negative_control(monkeypatch):
     """Swapping generators without the star is not an antipode."""
     b = bundle()
     wrong = {"a": "a", "b": "g", "g": "b", "d": "d"}
-    rs = antipode_check(b, letter_map=wrong)
+    monkeypatch.setattr(dynsu2, "S_LETTER", wrong)
+    rs = antipode_check(b)
     assert max(r.residual for r in rs) > 0.01
 
 
-def test_antipode_wrong_localization_control():
+def test_antipode_wrong_localization_control(monkeypatch):
     """Keeping coefficient functions unswapped breaks the transport."""
-    rs = antipode_check(bundle(), swap_functions=False)
+    monkeypatch.setattr(CoeffFn, "swapped", lambda self: self)
+    rs = antipode_check(bundle())
     assert max(r.residual for r in rs) > 0.01
 
 
