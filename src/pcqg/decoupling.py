@@ -29,6 +29,7 @@ from .windowed import (
     identity_op,
     mul_op,
     relation_residual,
+    tensor_op,
 )
 
 __all__ = [
@@ -430,15 +431,6 @@ class PiSTBundle:
         }
 
 
-def _tensor(a: WindowedOperator, b: WindowedOperator, window: Window) -> WindowedOperator:
-    return WindowedOperator(
-        window,
-        np.kron(a.matrix, b.matrix),
-        tuple(a.shift_degree) + tuple(b.shift_degree),
-        tuple(a.displacement) + tuple(b.displacement),
-    )
-
-
 def build_pi_ST(pair: IrrepPair, truncation: int = 24) -> PiSTBundle:
     """Assemble the four generators from pi_S (x) pi_T.
 
@@ -461,10 +453,10 @@ def build_pi_ST(pair: IrrepPair, truncation: int = 24) -> PiSTBundle:
     id_S = identity_op(rep_S.window)
     id_T = identity_op(rep_T.window)
     lifted = {
-        "E1": _tensor(rep_S.E, id_T, win),
-        "F1": _tensor(rep_S.F, id_T, win),
-        "E2": _tensor(id_S, rep_T.E, win),
-        "F2": _tensor(id_S, rep_T.F, win),
+        "E1": tensor_op(rep_S.E, id_T, win),
+        "F1": tensor_op(rep_S.F, id_T, win),
+        "E2": tensor_op(id_S, rep_T.E, win),
+        "F2": tensor_op(id_S, rep_T.F, win),
     }
 
     q = pair.q
@@ -559,17 +551,19 @@ def support_residual(st: PiSTBundle, tol: float = 1e-12) -> RelationResidual:
     For every window point (r, s), the product of the copy-1 projection at
     r and the copy-2 projection at s must be exactly the diagonal matrix
     unit there: the gradings lambda rho = r^2 and lambda/rho = s^2 separate
-    points of the product window.
+    points of the product window.  Each copy's projections are built once
+    per axis exponent.
     """
     images = build_phi_images(st)
+    ax_S, ax_T = st.window.axes
+    unit_1 = {n: images.unit_1(ax_S.spec.value(n)) for n in ax_S.exponents()}
+    unit_2 = {n: images.unit_2(ax_T.spec.value(n)) for n in ax_T.exponents()}
     worst = 0.0
-    n = st.window.size
-    for i in range(n):
-        pS, pT = st.window.points_of(i)
-        got = (images.unit_1(pS.value) @ images.unit_2(pT.value)).matrix
-        want = np.zeros((n, n))
-        want[i, i] = 1.0
-        worst = max(worst, float(np.max(np.abs(got - want))))
+    for i, (pS, pT) in enumerate(st.window.points):
+        want = np.zeros(st.window.shape)
+        want.flat[i] = 1.0
+        got = unit_1[pS.n] @ unit_2[pT.n]
+        worst = max(worst, (got - WindowedOperator(st.window, {(0, 0): want})).max_abs())
     return RelationResidual(
         label="support_grading",
         residual=worst,

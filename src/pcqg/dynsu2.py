@@ -47,6 +47,8 @@ from .windowed import (
     op_norm_bound,
     relation_residual,
     shift_op,
+    tensor_op,
+    zero_op,
 )
 from .words import (
     EPS_NU,
@@ -383,48 +385,25 @@ def uncompressed_unitarity_gap(
     (the matched-middle support projection), not the identity, so
     dropping the middle-index restriction is detectably wrong.
     """
-    q = b1.params.q
-    spec = LatticeSpec(q=q, base=b1.params.x)
+    spec = LatticeSpec(q=b1.params.q, base=b1.params.x)
     ax = WindowAxis(spec, -half, half)
     leg = Window((ax, ax))
-    n = ax.size
+    raw = Window((ax,) * 4)
     legops1 = build_pi_c(b1.params, leg).ops
     legops2 = build_pi_c(b2.params, leg).ops
 
     # matching projection: middle exponents equal
-    dim = leg.size * leg.size
-    P = np.zeros((dim, dim))
-    for i in range(leg.size):
-        (_, vi) = leg.exponents_of(i)
-        for j in range(leg.size):
-            (wj, _) = leg.exponents_of(j)
-            if vi == wj:
-                k = i * leg.size + j
-                P[k, k] = 1.0
-
+    P = mul_op(lambda y, v, w, z: 1.0 if v.n == w.n else 0.0, raw)
     eps = -1
-    row = np.zeros((dim, dim), dtype=complex)
+    row = zero_op(raw)
     for nu in (-1, +1):
-        U = np.zeros((dim, dim), dtype=complex)
+        U = zero_op(raw)
         for mu in (-1, +1):
-            U += np.kron(
-                legops1[EPSNU_TO_NAME[eps, mu]].matrix,
-                legops2[EPSNU_TO_NAME[mu, nu]].matrix,
-            )
+            U = U + tensor_op(legops1[EPSNU_TO_NAME[eps, mu]], legops2[EPSNU_TO_NAME[mu, nu]], raw)
         U = U @ P
-        row += U @ U.conj().T
+        row = row + U @ U.adjoint()
     # compare only away from the leg-window edges (margin 1 per axis)
-    keep = []
-    for i in range(leg.size):
-        yi, vi = leg.exponents_of(i)
-        for j in range(leg.size):
-            wj, zj = leg.exponents_of(j)
-            if all(abs(t) <= half - 1 for t in (yi, vi, wj, zj)):
-                keep.append(i * leg.size + j)
-    keep = np.array(keep)
-    d_match = np.abs(row - P)[np.ix_(keep, keep)].max()
-    d_ident = np.abs(row - np.eye(dim))[np.ix_(keep, keep)].max()
-    return float(d_match), float(d_ident)
+    return (row - P).max_abs(1), (row - identity_op(raw)).max_abs(1)
 
 
 # -- symbolic term evaluation (shared by antipode and rewriter checks) ------
@@ -524,7 +503,7 @@ def antipode_block_check(b: PiCBundle, tol: float = 1e-12) -> RelationResidual:
             # swapped-block adjoint: u_{nu,eps} localized at (j, i)
             sw_name = EPSNU_TO_NAME[nu, eps]
             rhs = (b.u(sw_name) @ b.mul_fn(dirac_projection(j, i, q, x))).adjoint()
-            worst = max(worst, float(np.abs(lhs.matrix - rhs.matrix).max()))
+            worst = max(worst, (lhs - rhs).max_abs())
     return RelationResidual(
         label="antipode_block", residual=worst, margins=b.margins(), tol=tol
     )
@@ -546,7 +525,7 @@ def antipode_square_check(b: PiCBundle, tol: float = 1e-12) -> RelationResidual:
             yv, zv = x * q**i, x * q**j
             scalar = (tau(yv) * tau(q**-nu * zv)) / (tau(q**-eps * yv) * tau(zv))
             rhs = scalar * (letter_operator(letter, b) @ b.mul_fn(dirac_projection(i, j, q, x)))
-            worst = max(worst, float(np.abs(lhs.matrix - rhs.matrix).max()))
+            worst = max(worst, (lhs - rhs).max_abs())
     return RelationResidual(
         label="antipode_square", residual=worst, margins=b.margins(), tol=tol
     )
@@ -569,28 +548,25 @@ def x_symmetry_check(
     half = (b1.window.axes[0].size - 1) // 2
     params2 = DynParams(q=params.q, x=1.0 / params.x, c=params.c)
     b2 = build_pi_c(params2, default_window(params2, half=half))
-    n = b1.window.size
 
-    V = np.zeros((n, n))
-    for k in range(n):
-        ny, nz = b1.window.exponents_of(k)
-        V[b2.window.index_of((-ny, -nz)), k] = 1.0
-    dvals = np.ones(n)
+    # T delta_p = sign(-p) delta_{-p}: on grids, a displacement d becomes -d
+    # and the grid is read at -p; both windows are symmetric about 0
+    mirror = tuple(slice(None, None, -1) for _ in b1.window.axes)
+    signs = np.ones(b2.window.shape)
     if signed:
-        for k in range(n):
-            a, c2 = b2.window.exponents_of(k)
-            dvals[k] = (-1.0) ** ((c2 - a) // 2)
-    D = np.diag(dvals)
-    T = D @ V
-    Tinv = V.T @ D
+        a, c2 = np.indices(b2.window.shape) - half
+        signs = (-1.0) ** ((c2 - a) // 2)
+    sign_op = WindowedOperator(b2.window, {(0, 0): signs})
 
     out = []
     for name, (eps, nu) in NAME_TO_EPSNU.items():
-        diff = T @ b1.u(name).matrix @ Tinv - b2.u(EPSNU_TO_NAME[-eps, -nu]).matrix
+        flipped = {tuple(-k for k in d): g[mirror] for d, g in b1.u(name).grids.items()}
+        mirrored = WindowedOperator(b2.window, flipped)
+        diff = sign_op @ mirrored @ sign_op - b2.u(EPSNU_TO_NAME[-eps, -nu])
         out.append(
             RelationResidual(
                 label=f"xsym_{name}",
-                residual=float(np.abs(diff).max()),
+                residual=diff.max_abs(),
                 margins=b1.margins(0),
                 tol=tol,
             )
@@ -612,9 +588,9 @@ def lattice_rebase_check(b1: PiCBundle, tol: float = 1e-12) -> RelationResidual:
     b2 = build_pi_c(DynParams(params.q, params.q * params.x, params.c), win2)
     worst = 0.0
     for name in GEN_NAMES:
-        worst = max(
-            worst, float(np.abs(b1.u(name).matrix - b2.u(name).matrix).max())
-        )
+        # same shape and point values, so b2's grids read on b1's window
+        rebased = WindowedOperator(b1.window, b2.u(name).grids)
+        worst = max(worst, (b1.u(name) - rebased).max_abs())
     return RelationResidual(
         label="rebase", residual=worst, margins=b1.margins(0), tol=tol
     )

@@ -281,6 +281,32 @@ def standard_groupoids() -> dict:
 # -- instances ---------------------------------------------------------------
 
 
+def _finite_array(value, field: str, shape=None) -> np.ndarray:
+    """value as a float array of the given shape, every entry finite."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{field}: {exc}") from None
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{field}: shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{field}: non-finite value")
+    return arr
+
+
+def _coo_tensor(rows, dim: int, field: str) -> np.ndarray:
+    """A (dim, dim, dim) tensor from [i, j, k, value] rows."""
+    arr = _finite_array(rows, field)
+    if arr.size and arr.shape[1:] != (4,):
+        raise ValueError(f"{field}: rows must be [i, j, k, value]")
+    idx, values = arr.reshape(-1, 4)[:, :3], arr.reshape(-1, 4)[:, 3]
+    if ((idx < 0) | (idx >= dim) | (idx != np.floor(idx))).any():
+        raise ValueError(f"{field}: index outside 0..{dim - 1}")
+    out = np.zeros((dim, dim, dim))
+    out[tuple(idx.astype(int).T)] = values
+    return out
+
+
 @dataclass(frozen=True)
 class FinitePQG:
     """Structure constants of a finite-dimensional instance.
@@ -376,27 +402,30 @@ class FinitePQG:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FinitePQG":
+        """Load an instance dump, rejecting malformed fields with ValueError."""
+        fields = ("objects", "basis", "mult", "star", "units", "coproduct")
+        missing = [k for k in fields if k not in d]
+        if missing:
+            raise ValueError(f"instance file lacks {', '.join(missing)}")
         objects = tuple(d["objects"])
         basis = tuple(d["basis"])
         dim, n = len(basis), len(objects)
         obj_index = {o: i for i, o in enumerate(objects)}
-        mult = np.zeros((dim, dim, dim))
-        for i, j, k, v in d["mult"]:
-            mult[i, j, k] = v
-        cop = np.zeros((dim, dim, dim))
-        for i, j, k, v in d["coproduct"]:
-            cop[i, j, k] = v
         units = np.zeros((n, n, dim))
+        if not isinstance(d["units"], dict):
+            raise ValueError("units: expected an object keyed by 'k|l'")
         for key, vec in d["units"].items():
-            k, l = key.split("|")
-            units[obj_index[k], obj_index[l]] = vec
+            k, _, l = key.partition("|")
+            if k not in obj_index or l not in obj_index:
+                raise ValueError(f"units: key {key!r} does not name two known objects")
+            units[obj_index[k], obj_index[l]] = _finite_array(vec, f"units[{key!r}]", (dim,))
         return cls(
             objects=objects,
             basis=basis,
-            mult=mult,
-            star=np.asarray(d["star"], dtype=float),
+            mult=_coo_tensor(d["mult"], dim, "mult"),
+            star=_finite_array(d["star"], "star", (dim, dim)),
             units=units,
-            coproduct=cop,
+            coproduct=_coo_tensor(d["coproduct"], dim, "coproduct"),
         )
 
 

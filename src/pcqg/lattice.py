@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "tau",
@@ -98,7 +99,7 @@ class LatticePoint:
     spec: LatticeSpec
     n: int
 
-    @property
+    @cached_property
     def value(self) -> float:
         return self.spec.value(self.n)
 

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .cset import CSetDescriptor, SetKind, classify_irreducible_csets
 from .lattice import LatticePoint, LatticeSpec, tau
 from .windowed import (
@@ -243,12 +241,12 @@ def relation_conditioning(rep: UqRep) -> float:
     proportional to it.
     """
     mags = [
-        np.max(np.abs((rep.F @ rep.E).matrix)),
-        np.max(np.abs((rep.K @ rep.K).matrix)),
-        np.max(np.abs((rep.Kinv @ rep.Kinv).matrix)),
-        np.max(np.abs((rep.K @ rep.E).matrix)),
+        (rep.F @ rep.E).max_abs(),
+        (rep.K @ rep.K).max_abs(),
+        (rep.Kinv @ rep.Kinv).max_abs(),
+        (rep.K @ rep.E).max_abs(),
     ]
-    return float(max(1.0, *mags))
+    return max(1.0, *mags)
 
 
 def verify_uqsu11_relations(rep: UqRep, tol: float = 1e-10) -> list[RelationResidual]:

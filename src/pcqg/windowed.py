@@ -13,20 +13,31 @@ an *algebraic* end, where a shift genuinely terminates (weight 0), needs
 no margin at all; an *artificial* cut, where an infinite lattice was
 truncated, needs a margin covering the worst intermediate excursion of
 the word being tested.
+
+Every operator is a finite sum of weighted shifts, stored as a dict
+{displacement: weight grid of the window's shape}.  A product shifts one
+grid and multiplies it with the other: O(#shifts * n) time and O(n) memory
+per shift on a basis of size n.  The dense n x n matrix is a view built on
+request, for export and tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .lattice import LatticePoint, LatticeSpec
 
-# Dense storage throughout; refuse windows whose basis would not fit.
-MAX_BASIS_SIZE = 4096
+# A grid holds 16 bytes per basis vector; windows past 2^18 points (512 x 512)
+# are refused before anything is allocated.
+MAX_BASIS_SIZE = 1 << 18
+# Dense views are n x n; refuse them past this basis size.
+MAX_DENSE_SIZE = 4096
 
 DEFAULT_TOL = 1e-10
 
@@ -56,11 +67,11 @@ class Window:
     axes: tuple[WindowAxis, ...]
 
     def __post_init__(self):
-        if not 1 <= len(self.axes) <= 3:
-            raise ValueError("window must have 1 to 3 axes")
+        if not self.axes:
+            raise ValueError("window needs at least one axis")
         if self.size > MAX_BASIS_SIZE:
             raise ValueError(
-                f"window basis size {self.size} exceeds dense limit {MAX_BASIS_SIZE}"
+                f"window basis size {self.size} exceeds limit {MAX_BASIS_SIZE}"
             )
 
     @property
@@ -75,6 +86,12 @@ class Window:
     def size(self) -> int:
         return math.prod(ax.size for ax in self.axes)
 
+    @cached_property
+    def points(self) -> list[tuple[LatticePoint, ...]]:
+        """The lattice points of every basis vector, in basis order."""
+        axes = ([LatticePoint(ax.spec, n) for n in ax.exponents()] for ax in self.axes)
+        return list(itertools.product(*axes))
+
     def index_of(self, exponents: Sequence[int]) -> int:
         idx = 0
         for ax, n in zip(self.axes, exponents):
@@ -83,21 +100,11 @@ class Window:
             idx = idx * ax.size + (n - ax.n_min)
         return idx
 
-    def contains(self, exponents: Sequence[int]) -> bool:
-        return all(
-            ax.n_min <= n <= ax.n_max for ax, n in zip(self.axes, exponents)
-        )
-
     def exponents_of(self, index: int) -> tuple[int, ...]:
-        out = []
-        for ax in reversed(self.axes):
-            index, r = divmod(index, ax.size)
-            out.append(ax.n_min + r)
-        return tuple(reversed(out))
+        return tuple(p.n for p in self.points[index])
 
     def points_of(self, index: int) -> tuple[LatticePoint, ...]:
-        ns = self.exponents_of(index)
-        return tuple(LatticePoint(ax.spec, n) for ax, n in zip(self.axes, ns))
+        return self.points[index]
 
     def to_json_dict(self) -> dict:
         return {
@@ -118,75 +125,132 @@ def window_1d(spec: LatticeSpec, n_min: int, n_max: int) -> Window:
     return Window((WindowAxis(spec, n_min, n_max),))
 
 
-@dataclass(frozen=True)
-class WindowedOperator:
-    """Dense matrix over a window basis, with shift metadata.
+def _region(d: Sequence[int], shape: Sequence[int], margin: int = 0) -> tuple[slice, ...]:
+    """Slices of the points p with p and p + d both `margin` inside the window."""
+    return tuple(
+        slice(margin + max(0, -k), max(0, n - margin - max(0, k)))
+        for k, n in zip(d, shape)
+    )
 
-    shift_degree[a] bounds the per-axis |exponent displacement| of any
-    nonzero entry.  displacement[a] is the exact common displacement on
-    axis a when every nonzero entry shares one (weighted shifts and their
-    products), else None; margin validation uses it to track excursions.
+
+def _positions(d: Sequence[int], window: Window):
+    """Dense (row, column) indices of a displacement-d grid, and its slices."""
+    idx = np.arange(window.size).reshape(window.shape)
+    src = _region(d, window.shape)
+    return (idx[_region(tuple(-k for k in d), window.shape)], idx[src]), src
+
+
+def _shifted(grid: np.ndarray, d: Sequence[int]) -> np.ndarray:
+    """out[p] = grid[p + d], zero where p + d leaves the window."""
+    out = np.zeros_like(grid)
+    out[_region(d, grid.shape)] = grid[_region(tuple(-k for k in d), grid.shape)]
+    return out
+
+
+class WindowedOperator:
+    """A finite sum of weighted shifts over a window basis.
+
+    grids maps a displacement d (one exponent step per axis) to a complex
+    array of the window's shape: grid[p] is the coefficient of delta_{p+d}
+    in the image of delta_p, and is zero wherever p + d leaves the window.
+
+    shift_degree[a] is the largest |d[a]| over the stored displacements;
+    displacement[a] is the d[a] they all share, else None.  Margin
+    validation reads both to track a word's excursions.
+
+    WindowedOperator(window, matrix, shift_degree, displacement) splits a
+    dense n x n matrix by displacement (exactly: every entry lands in one
+    grid), and rejects entries that the given metadata excludes.
     """
 
-    window: Window
-    matrix: np.ndarray
-    shift_degree: tuple[int, ...]
-    displacement: tuple[Optional[int], ...] = None  # type: ignore[assignment]
+    def __init__(self, window: Window, data, shift_degree=None, displacement=None):
+        self.window = window
+        if isinstance(data, np.ndarray):
+            data = _split(window, data)
+        self.grids = {
+            tuple(d): np.asarray(g, dtype=complex) for d, g in data.items()
+        }
+        for d, g in self.grids.items():
+            if len(d) != window.dim or g.shape != window.shape:
+                raise ValueError("grid does not match the window")
+        given = list(zip(shift_degree or (), displacement or (None,) * window.dim))
+        if any(abs(d[a]) > deg or want not in (None, d[a])
+               for d in self.grids for a, (deg, want) in enumerate(given)):
+            raise ValueError("matrix has entries outside the given shift metadata")
 
-    def __post_init__(self):
-        if self.matrix.shape != (self.window.size, self.window.size):
-            raise ValueError("matrix shape does not match window basis")
-        if self.displacement is None:
-            object.__setattr__(
-                self, "displacement", tuple(None for _ in self.shift_degree)
-            )
+    @property
+    def shift_degree(self) -> tuple[int, ...]:
+        keys = list(self.grids) or [(0,) * self.window.dim]
+        return tuple(max(abs(k) for k in ks) for ks in zip(*keys))
+
+    @property
+    def displacement(self) -> tuple[Optional[int], ...]:
+        keys = list(self.grids) or [(0,) * self.window.dim]
+        return tuple(ks[0] if len(set(ks)) == 1 else None for ks in zip(*keys))
 
     # -- algebra ---------------------------------------------------------
 
     def __matmul__(self, other: "WindowedOperator") -> "WindowedOperator":
         self._check_window(other)
-        deg = tuple(a + b for a, b in zip(self.shift_degree, other.shift_degree))
-        disp = tuple(
-            (a + b) if (a is not None and b is not None) else None
-            for a, b in zip(self.displacement, other.displacement)
-        )
-        return WindowedOperator(self.window, self.matrix @ other.matrix, deg, disp)
+        out: dict = {}
+        for db, gb in other.grids.items():
+            for da, ga in self.grids.items():
+                d = tuple(a + b for a, b in zip(da, db))
+                g = gb * _shifted(ga, db)
+                out[d] = out[d] + g if d in out else g
+        return WindowedOperator(self.window, out)
 
     def __add__(self, other: "WindowedOperator") -> "WindowedOperator":
         self._check_window(other)
-        deg = tuple(max(a, b) for a, b in zip(self.shift_degree, other.shift_degree))
-        disp = tuple(
-            a if a == b else None
-            for a, b in zip(self.displacement, other.displacement)
-        )
-        return WindowedOperator(self.window, self.matrix + other.matrix, deg, disp)
+        out = dict(self.grids)
+        for d, g in other.grids.items():
+            out[d] = out[d] + g if d in out else g
+        return WindowedOperator(self.window, out)
 
     def __sub__(self, other: "WindowedOperator") -> "WindowedOperator":
         return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "WindowedOperator":
-        return WindowedOperator(
-            self.window, self.matrix * scalar, self.shift_degree, self.displacement
-        )
+        return WindowedOperator(self.window, {d: g * scalar for d, g in self.grids.items()})
 
     __rmul__ = __mul__
 
     def adjoint(self) -> "WindowedOperator":
-        disp = tuple(-d if d is not None else None for d in self.displacement)
+        flipped = {tuple(-k for k in d): g for d, g in self.grids.items()}
         return WindowedOperator(
-            self.window, self.matrix.conj().T, self.shift_degree, disp
+            self.window, {d: _shifted(g.conj(), d) for d, g in flipped.items()}
         )
 
     def _check_window(self, other: "WindowedOperator"):
         if self.window != other.window:
             raise ValueError("operators live on different windows")
 
-    # -- export ----------------------------------------------------------
+    def max_abs(self, margin: int = 0) -> float:
+        """Largest |entry| whose row and column lie `margin` inside the window."""
+        inner = (g[_region(d, g.shape, margin)] for d, g in self.grids.items())
+        return max((float(np.abs(g).max(initial=0.0)) for g in inner), default=0.0)
+
+    # -- dense view and export -------------------------------------------
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n matrix, built on each access."""
+        n = self.window.size
+        if n > MAX_DENSE_SIZE:
+            raise ValueError(
+                f"window basis size {n} exceeds dense limit {MAX_DENSE_SIZE}"
+            )
+        m = np.zeros((n, n), dtype=complex)
+        for d, g in self.grids.items():
+            pos, src = _positions(d, self.window)
+            m[pos] = g[src]
+        return m
 
     def entries(self, tol: float = 0.0):
-        rows, cols = np.nonzero(np.abs(self.matrix) > tol)
+        m = self.matrix
+        rows, cols = np.nonzero(np.abs(m) > tol)
         for r, c in zip(rows.tolist(), cols.tolist()):
-            v = self.matrix[r, c]
+            v = m[r, c]
             yield r, c, v.real, v.imag
 
     def to_json_dict(self) -> dict:
@@ -196,35 +260,33 @@ class WindowedOperator:
         }
 
 
-def identity_op(window: Window) -> WindowedOperator:
+def _split(window: Window, m: np.ndarray) -> dict:
+    """The grids of a dense matrix, one per displacement of a nonzero entry."""
     n = window.size
-    return WindowedOperator(
-        window,
-        np.eye(n, dtype=complex),
-        tuple(0 for _ in window.axes),
-        tuple(0 for _ in window.axes),
-    )
+    if m.shape != (n, n):
+        raise ValueError("matrix shape does not match window basis")
+    coords = np.indices(window.shape).reshape(window.dim, n).T
+    rows, cols = np.nonzero(m)
+    grids = {}
+    for d in np.unique(coords[rows] - coords[cols], axis=0).tolist():
+        pos, src = _positions(d, window)
+        grids[tuple(d)] = np.zeros(window.shape, dtype=complex)
+        grids[tuple(d)][src] = m[pos]
+    return grids
+
+
+def identity_op(window: Window) -> WindowedOperator:
+    return WindowedOperator(window, {(0,) * window.dim: np.ones(window.shape)})
 
 
 def zero_op(window: Window) -> WindowedOperator:
-    n = window.size
-    return WindowedOperator(
-        window,
-        np.zeros((n, n), dtype=complex),
-        tuple(0 for _ in window.axes),
-        tuple(0 for _ in window.axes),
-    )
+    return WindowedOperator(window, {(0,) * window.dim: np.zeros(window.shape)})
 
 
 def mul_op(f: Callable[..., complex], window: Window) -> WindowedOperator:
     """Diagonal operator from a function of the window's lattice points."""
-    n = window.size
-    m = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        m[i, i] = f(*window.points_of(i))
-    return WindowedOperator(
-        window, m, tuple(0 for _ in window.axes), tuple(0 for _ in window.axes)
-    )
+    grid = np.array([f(*pts) for pts in window.points], dtype=complex)
+    return WindowedOperator(window, {(0,) * window.dim: grid.reshape(window.shape)})
 
 
 def shift_op(
@@ -234,23 +296,25 @@ def shift_op(
 ) -> WindowedOperator:
     """Weighted shift: delta_p -> weight(p) delta_{p+displacement}.
 
-    Images falling outside the window are dropped (truncation).
+    Images falling outside the window are dropped (truncation); weight is
+    evaluated only where the image stays inside.
     """
     displacement = tuple(int(d) for d in displacement)
     if len(displacement) != window.dim:
         raise ValueError("displacement arity does not match window dim")
-    n = window.size
-    m = np.zeros((n, n), dtype=complex)
-    for src in range(n):
-        ns = window.exponents_of(src)
-        tgt_ns = tuple(a + d for a, d in zip(ns, displacement))
-        if not window.contains(tgt_ns):
-            continue
-        w = weight(*window.points_of(src))
-        if w != 0:
-            m[window.index_of(tgt_ns), src] = w
+    (_, inside), src = _positions(displacement, window)
+    grid = np.zeros(window.shape, dtype=complex)
+    grid[src] = np.array(
+        [weight(*window.points[i]) for i in inside.ravel().tolist()], dtype=complex
+    ).reshape(inside.shape)
+    return WindowedOperator(window, {displacement: grid})
+
+
+def tensor_op(a: WindowedOperator, b: WindowedOperator, window: Window) -> WindowedOperator:
+    """a (x) b on a window whose axes are a's followed by b's."""
+    pairs = itertools.product(a.grids.items(), b.grids.items())
     return WindowedOperator(
-        window, m, tuple(abs(d) for d in displacement), displacement
+        window, {da + db: np.multiply.outer(ga, gb) for (da, ga), (db, gb) in pairs}
     )
 
 
@@ -357,32 +421,29 @@ def relation_residual(
                     f"{need}; would test truncation artifacts"
                 )
 
-    total = np.zeros((window.size, window.size), dtype=complex)
-    for coeff, word in terms:
-        m = word[0].matrix
-        for op in word[1:]:
-            m = m @ op.matrix
-        total += coeff * m
-
-    interior = []
-    for i in range(window.size):
-        ns = window.exponents_of(i)
-        ok = True
-        for axis, (ax, n) in enumerate(zip(window.axes, ns)):
-            if n - ax.n_min < margins[axis][0] or ax.n_max - n < margins[axis][1]:
-                ok = False
-                break
-        if ok:
-            interior.append(i)
-    if not interior:
+    if any(lo + hi >= ax.size for ax, (lo, hi) in zip(window.axes, margins)):
         raise ValueError("margins leave no interior basis vectors")
+    interior = tuple(slice(lo, ax.size - hi) for ax, (lo, hi) in zip(window.axes, margins))
 
-    cols = total[:, interior]
-    residual = float(np.max(np.linalg.norm(cols, axis=0)))
+    total = None
+    for coeff, word in terms:
+        m = word[0]
+        for op in word[1:]:
+            m = m @ op
+        total = coeff * m if total is None else total + coeff * m
+
+    # Column norms over the interior; summing in sorted displacement order
+    # adds each column's entries in row order, as a dense column norm does.
+    sq = np.zeros(window.shape)[interior]
+    for d in sorted(total.grids):
+        g = total.grids[d][interior]
+        sq = sq + (g.conj() * g).real
+    residual = float(np.sqrt(sq.max()))
     return RelationResidual(label=label, residual=residual, margins=margins, tol=tol)
 
 
 def op_norm_bound(a: WindowedOperator) -> float:
-    if a.window.size == 0:
-        return 0.0
+    """Operator norm: max |weight| of a single shift, else the top singular value."""
+    if len(a.grids) <= 1:
+        return a.max_abs()
     return float(np.linalg.svd(a.matrix, compute_uv=False)[0])

@@ -108,6 +108,13 @@ def test_non_finite_parameters_are_usage_errors(capsys, argv):
     assert code == 2
 
 
+def test_dyn_verify_past_the_dense_size(capsys):
+    # 101 x 101 = 10201 basis vectors, beyond what a dense n x n matrix allowed
+    code, rep = _run_json(capsys, ["dyn", "verify", "--window", "101", "--suite", "full"])
+    assert code == 0
+    assert rep["basis_size"] == 10201 and rep["relation_count"] == 22
+
+
 def test_dyn_verify_rejects_even_window(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dyn", "verify", "--window", "20"])
@@ -246,6 +253,49 @@ def test_fdqg_reps_instance_file(fixture_dir, capsys):
     code, rep = _run_json(capsys, ["fdqg", "reps", str(fixture_dir / "z2_alg.json")])
     assert code == 0
     assert rep["space_dims"] == {"trivial": 1}
+
+
+def _set_mult_index(d):
+    d["mult"][0][0] = 7
+
+
+def _unknown_unit_object(d):
+    key = sorted(d["units"])[0]
+    d["units"]["nowhere|" + key.split("|")[1]] = d["units"].pop(key)
+
+
+def _drop_units(d):
+    del d["units"]
+
+
+def _negative_coproduct_index(d):
+    d["coproduct"][0][1] = -1
+
+
+def _nan_constant(d):
+    d["mult"][0][3] = float("nan")
+
+
+@pytest.mark.parametrize("mode", ["check", "haar"])
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (_set_mult_index, "mult"),
+        (_unknown_unit_object, "units"),
+        (_drop_units, "units"),
+        (_negative_coproduct_index, "coproduct"),
+        (_nan_constant, "mult"),
+    ],
+)
+def test_malformed_instance_is_usage_error(fixture_dir, tmp_path, capsys, mode, mutate, field):
+    data = json.loads((fixture_dir / "pair2_fn.json").read_text())
+    mutate(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main(["fdqg", mode, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and field in err
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -40,8 +40,17 @@ def test_window_ordering():
 
 
 def test_window_size_guard():
-    with pytest.raises(ValueError):
-        window_1d(SPEC, 0, 5000)
+    # refused before any grid or point table is allocated
+    with pytest.raises(ValueError, match="exceeds limit"):
+        window_1d(SPEC, 0, 10**9)
+    with pytest.raises(ValueError, match="exceeds limit"):
+        Window((WindowAxis(SPEC, 0, 10**5),) * 3)
+    # past the dense size, operators still work but the dense view is refused
+    w = window_1d(SPEC, 0, 5000)
+    ident = identity_op(w)
+    assert op_norm_bound(ident @ ident.adjoint()) == 1.0
+    with pytest.raises(ValueError, match="dense limit"):
+        ident.matrix
 
 
 def test_mul_op_unit_and_dirac():
