@@ -11,6 +11,7 @@ Modules:
     fdpcqg     finite groupoids, finite-dimensional instances, axiom checks,
                invariant integrals
     corep      bigraded corepresentations of finite instances
+    coo        sparse COO tensors and contractions over their nonzero entries
     cli        command line entry point
 
 Set PCQG_THREADS to cap the BLAS thread pools before numpy loads.

@@ -389,6 +389,8 @@ def _load_instance(args):
     """Instance from a JSON file: either an instance dump or a groupoid."""
     with open(args.path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{args.path}: expected a JSON object")
     if "arrows" in data:
         gpd = FiniteGroupoid.from_json_dict(data)
         if args.form == "algebra":

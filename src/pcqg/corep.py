@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coo import coo, coo_max_diff, join, sum_duplicates
 from .fdpcqg import CheckResult, FiniteGroupoid, FinitePQG
 
 __all__ = [
@@ -135,7 +136,8 @@ def verify_rep(X: BigradedRep, tol: float = 1e-10, unitary: bool = True) -> list
     """Comultiplication compatibility, block support, and optionally unitarity.
 
     Streams over coefficient slices so large tensor-product spaces stay
-    within memory; block projections act as index masks, not dense matmuls.
+    within memory; the block-support check contracts only the nonzero
+    coefficients, with the slot grades as index masks.
     """
     G = X.G
     d, N = G.dim, X.space_dim
@@ -151,18 +153,23 @@ def verify_rep(X: BigradedRep, tol: float = 1e-10, unitary: bool = True) -> list
 
     row_grade = np.array([b[0] for b in X.blocks])
     col_grade = np.array([b[1] for b in X.blocks])
-    res = 0.0
-    for k in range(n):
-        for m in range(n):
-            lm = G.left_mult_matrix(G.units[k, m])
-            for l in range(n):
-                for nn in range(n):
-                    proj = G.right_mult_matrix(G.units[l, nn]) @ lm
-                    left = np.einsum("ci,iuv->cuv", proj, X.coeffs, optimize=True)
-                    rmask = (row_grade == k) & (col_grade == l)
-                    cmask = (row_grade == m) & (col_grade == nn)
-                    right = X.coeffs * rmask[None, :, None] * cmask[None, None, :]
-                    res = max(res, float(np.abs(left - right).max(initial=0.0)))
+    # co2: proj[k, m, l, nn] = right_mult(1^l_nn) @ left_mult(1^k_m), every
+    # corner in one batched product over the unit stack, applied to the
+    # nonzero coefficients.  Each coefficient must be fixed by the projection
+    # of its own corner and killed by all others.
+    lm = np.einsum("kmi,ijc->kmcj", G.units, G.mult)
+    rm = np.einsum("lnj,ijc->lnci", G.units, G.mult)
+    proj_idx, proj_val = coo((rm[None, None] @ lm[:, :, None, None]).reshape(n**4, d, d))
+    x_idx, x_val = coo(X.coeffs)
+    p, q = join(proj_idx[:, 2], x_idx[:, 0])
+    shape = (n**4, d, N, N)
+    left = sum_duplicates(
+        np.column_stack([proj_idx[p, :2], x_idx[q, 1:]]), proj_val[p] * x_val[q], shape
+    )
+    # slot u of grade (k, l) and slot v of grade (m, nn) sit in corner (k, m, l, nn)
+    u, v = x_idx[:, 1], x_idx[:, 2]
+    corner = np.ravel_multi_index((row_grade[u], row_grade[v], col_grade[u], col_grade[v]), (n,) * 4)
+    res = coo_max_diff(left, (np.column_stack([corner, x_idx]), x_val), shape)
     out.append(CheckResult("co2", res <= tol, res))
 
     if unitary:

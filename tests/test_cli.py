@@ -7,6 +7,7 @@ import pytest
 
 from pcqg import dynsu2
 from pcqg.cli import main
+from pcqg.fdpcqg import symmetric_groupoid, transitive_groupoid
 from pcqg.words import RuleSet
 
 GENS = ("alpha", "beta", "gamma", "delta")
@@ -255,6 +256,23 @@ def test_fdqg_reps_instance_file(fixture_dir, capsys):
     assert rep["space_dims"] == {"trivial": 1}
 
 
+def test_fdqg_past_the_dense_size(tmp_path, capsys):
+    # transitive(3 objects, S3), d = 54: D1 has 2916-row column sets, too big
+    # for dense SVDs in test time
+    gpd = transitive_groupoid(["a", "b", "c"], symmetric_groupoid(3))
+    path = tmp_path / "transitive3_s3.groupoid.json"
+    path.write_text(json.dumps(gpd.to_json_dict()))
+    for form in ("functions", "algebra"):
+        code, rep = _run_json(capsys, ["fdqg", "check", str(path), "--form", form])
+        assert code == 0
+        assert rep["dim"] == 54 and rep["failed_axioms"] == []
+        d1 = next(c for c in rep["checks"] if c["label"] == "D1")
+        assert d1["detail"] == "ranks 972/972/972"
+    code, rep = _run_json(capsys, ["fdqg", "haar", str(path), "--method", "solve"])
+    assert code == 0
+    assert rep["solve_diagnostics"]["rank"] == rep["solve_diagnostics"]["n_unknowns"] == 54
+
+
 def _set_mult_index(d):
     d["mult"][0][0] = 7
 
@@ -276,6 +294,26 @@ def _nan_constant(d):
     d["mult"][0][3] = float("nan")
 
 
+def _drop_inverse(d):
+    del d["inverse"]
+
+
+def _drop_compose(d):
+    del d["compose"]
+
+
+def _drop_arrow_id(d):
+    del d["arrows"][0]["id"]
+
+
+def _drop_arrow_src(d):
+    del d["arrows"][1]["src"]
+
+
+# these mutate the groupoid file, the others the instance dump
+GROUPOID_MUTATIONS = (_drop_inverse, _drop_compose, _drop_arrow_id, _drop_arrow_src)
+
+
 @pytest.mark.parametrize("mode", ["check", "haar"])
 @pytest.mark.parametrize(
     "mutate, field",
@@ -285,10 +323,15 @@ def _nan_constant(d):
         (_drop_units, "units"),
         (_negative_coproduct_index, "coproduct"),
         (_nan_constant, "mult"),
+        (_drop_inverse, "inverse"),
+        (_drop_compose, "compose"),
+        (_drop_arrow_id, "'id'"),
+        (_drop_arrow_src, "'src'"),
     ],
 )
 def test_malformed_instance_is_usage_error(fixture_dir, tmp_path, capsys, mode, mutate, field):
-    data = json.loads((fixture_dir / "pair2_fn.json").read_text())
+    source = "pair2.groupoid.json" if mutate in GROUPOID_MUTATIONS else "pair2_fn.json"
+    data = json.loads((fixture_dir / source).read_text())
     mutate(data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -296,6 +339,15 @@ def test_malformed_instance_is_usage_error(fixture_dir, tmp_path, capsys, mode, 
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("text", ["5", "[]", '"arrows"'])
+def test_non_object_file_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = main(["fdqg", "check", str(path)])
+    assert code == 2
+    assert "expected a JSON object" in capsys.readouterr().err
 
 
 def test_missing_file_is_usage_error(capsys):
