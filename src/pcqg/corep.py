@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coo import coo, coo_max_diff, join, sum_duplicates
+from .coo import coo, coo_max_diff, coo_product
 from .fdpcqg import CheckResult, FiniteGroupoid, FinitePQG
 
 __all__ = [
@@ -161,11 +161,12 @@ def verify_rep(X: BigradedRep, tol: float = 1e-10, unitary: bool = True) -> list
     rm = np.einsum("lnj,ijc->lnci", G.units, G.mult)
     proj_idx, proj_val = coo((rm[None, None] @ lm[:, :, None, None]).reshape(n**4, d, d))
     x_idx, x_val = coo(X.coeffs)
-    p, q = join(proj_idx[:, 2], x_idx[:, 0])
-    shape = (n**4, d, N, N)
-    left = sum_duplicates(
-        np.column_stack([proj_idx[p, :2], x_idx[q, 1:]]), proj_val[p] * x_val[q], shape
+    r, c, val = coo_product(
+        (proj_idx[:, 0] * d + proj_idx[:, 1], proj_idx[:, 2], proj_val),
+        (x_idx[:, 0], x_idx[:, 1] * N + x_idx[:, 2], x_val),
     )
+    left = np.column_stack([r // d, r % d, c // N, c % N]), val
+    shape = (n**4, d, N, N)
     # slot u of grade (k, l) and slot v of grade (m, nn) sit in corner (k, m, l, nn)
     u, v = x_idx[:, 1], x_idx[:, 2]
     corner = np.ravel_multi_index((row_grade[u], row_grade[v], col_grade[u], col_grade[v]), (n,) * 4)

@@ -13,13 +13,14 @@ form (cocommutative, group-like basis).
 
 The checks work along the grading by the unit projections 1^k_l, with
 Delta(1^k_l) = sum_m 1^k_m (x) 1^m_l, so their cost follows the nonzero
-structure constants rather than d^4 or d^6: the d^4-sized identities are
-contracted from COO index/value arrays (`coo`); the density axiom D1 splits
-its three d^2-row column sets into the connected components of their joint
-nonzero pattern and takes one SVD per block, with ranks cut at RANK_CUTOFF
-times the largest singular value over all blocks (the s_max of one dense
-SVD), so a dense instance is simply one block; and the Haar linear system
-is filled by broadcasting over (k, l, i, j).
+structure constants rather than d^4 or d^6.  The d^4-sized identities are
+contracted from COO index/value arrays (`coo`), each pairwise contraction
+one dense product per connected block of the operands' nonzero pattern.
+The density axiom D1 splits its three d^2-row column sets into the connected
+components of their joint nonzero pattern and takes one SVD per block, with
+ranks cut at RANK_CUTOFF times the largest singular value over all blocks
+(the s_max of one dense SVD).  A dense instance is simply one block.  The
+Haar linear system is filled by broadcasting over (k, l, i, j).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coo import coo, coo_einsum, coo_max_diff
+from .coo import components, coo, coo_einsum, coo_max_diff, rank_within
 
 __all__ = [
     "AXIOM_LABELS",
@@ -615,33 +616,6 @@ def _orth_basis(columns: np.ndarray) -> np.ndarray:
 # -- block-split column spans ---------------------------------------------------
 
 
-def _rank_within(group: np.ndarray) -> np.ndarray:
-    """Position of each element among the elements of its group, in index order."""
-    order = np.argsort(group, kind="stable")
-    count = np.bincount(group)
-    out = np.empty_like(group)
-    out[order] = np.arange(group.size) - np.repeat(np.cumsum(count) - count, count)
-    return out
-
-
-def _row_components(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Component of each row, rows linked through a shared column.
-
-    r and c are the compressed row and column ids of the nonzero entries.
-    Minimum-label propagation with pointer jumping, vectorized over entries.
-    """
-    label = np.arange(r.max() + 1)
-    while True:
-        col_min = np.full(c.max() + 1, label.size)
-        np.minimum.at(col_min, c, label[r])
-        new = label.copy()
-        np.minimum.at(new, r, col_min[c])
-        new = new[new]
-        if np.array_equal(new, label):
-            return np.unique(label, return_inverse=True)[1]
-        label = new
-
-
 def _split_spans(col_sets: list, pairs: tuple) -> tuple:
     """Ranks of several column sets and their worst span containment.
 
@@ -663,19 +637,20 @@ def _split_spans(col_sets: list, pairs: tuple) -> tuple:
         return [0] * n_sets, 0.0
     _, r = np.unique(rows, return_inverse=True)
     _, c = np.unique(cols * n_sets + which, return_inverse=True)
-    comp = _row_components(r, c)
+    comp = components(r, c)
     size = np.bincount(comp)
-    local_row = _rank_within(comp)
+    local_row = rank_within(comp)
     col_group = np.empty(c.max() + 1, dtype=int)
     col_group[c] = comp[r] * n_sets + which
-    local_col = _rank_within(col_group)
+    local_col = rank_within(col_group)
     width = np.bincount(col_group, minlength=size.size * n_sets).reshape(-1, n_sets)
     entry_comp = comp[r]
 
     groups = []
-    for height in np.unique(size):
-        members = size == height
-        slot = np.cumsum(members) - 1
+    heights, kind = np.unique(size, return_inverse=True)
+    slot = rank_within(kind)
+    for g, height in enumerate(heights):
+        members = kind == g
         blocks = []
         for s in range(n_sets):
             block = np.zeros((members.sum(), height, max(1, width[members, s].max())))
@@ -719,7 +694,9 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     reported as a separate fact, never inferred from the other checks.
 
     The d^4-sized identities (assoc, delta_multiplicative, C) and the D1
-    column sets are contracted from the nonzero structure constants.  D1
+    column sets are contracted from the nonzero structure constants, block
+    by block; dense constants make a single block, as large as the dense
+    contraction's intermediates.  D1
     splits its three d^2-row column sets along the connected components of
     their joint nonzero pattern -- for a groupoid the unit grading makes
     every block a single row -- and takes one SVD per block, cutting ranks
@@ -754,7 +731,12 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
         "delta_multiplicative",
         coo_max_diff(
             coo_einsum("ijm,mab->ijab", m_coo, c_coo, dim=d),
-            coo_einsum("ixy,xza,jzw,ywb->ijab", c_coo, m_coo, c_coo, m_coo, dim=d),
+            coo_einsum(
+                "iyza,jzyb->ijab",
+                coo_einsum("ixy,xza->iyza", c_coo, m_coo, dim=d),
+                coo_einsum("jzw,ywb->jzyb", c_coo, m_coo, dim=d),
+                dim=d,
+            ),
             (d,) * 4,
         ),
     )

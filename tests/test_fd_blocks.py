@@ -11,6 +11,7 @@ past ORACLE_MAX_DIM before allocating anything.
 import numpy as np
 import pytest
 
+from pcqg.coo import coo, coo_einsum
 from pcqg.corep import trivial_rep, verify_rep
 from pcqg.fdpcqg import (
     RANK_CUTOFF,
@@ -287,8 +288,9 @@ for _name in ("z3", "union_z3_s3", "union_pair_z2", "s3x2"):
         INSTANCES[f"{_name}_{_form}_corner_rotated"] = _rotated(
             _build(ZOO[_name]), _corner_rotation(ZOO[_name], seed=len(_name))
         )
-# one global rotation: every D1 column set is a single component
-for _name, _seed in (("pair2", 1), ("union_pair_z2", 2)):
+# one global rotation: every column set is a single component, and every
+# contraction a single dense block product
+for _name, _seed in (("pair2", 1), ("union_pair_z2", 2), ("s3x2", 3)):
     _G = from_finite_groupoid_functions(ZOO[_name])
     INSTANCES[_name + "_fn_rotated"] = _rotated(_G, _random_orthogonal(np.random.default_rng(_seed), _G.dim))
 
@@ -384,6 +386,26 @@ def test_split_spans_matches_dense_svd(seed):
     ref_ranks, ref_worst = _dense_split_reference(sets, pairs, row0)
     assert ranks == ref_ranks
     assert abs(worst - ref_worst) <= 1e-12
+
+
+@pytest.mark.parametrize("density", [0.05, 0.3, 1.0])
+@pytest.mark.parametrize(
+    "subscripts",
+    ["ijx,xkl->ijkl", "ijx,xkl->ikl", "iyza,jzyb->ijab", "xy,axu,byv->uvab", "ijk,aju->ukai"],
+)
+def test_coo_einsum_matches_einsum(subscripts, density):
+    """Sparse operands split into many blocks, dense ones into a single block."""
+    rng = np.random.default_rng(len(subscripts) + int(100 * density))
+    d = 5
+    ops = [
+        rng.standard_normal((d,) * len(spec)) * (rng.random((d,) * len(spec)) < density)
+        for spec in subscripts.split("->")[0].split(",")
+    ]
+    idx, val = coo_einsum(subscripts, *(coo(t) for t in ops), dim=d)
+    assert len({tuple(i) for i in idx}) == len(idx)  # one entry per index
+    got = np.zeros((d,) * idx.shape[1])
+    got[tuple(idx.T)] = val
+    assert np.abs(got - np.einsum(subscripts, *ops)).max() <= 1e-12
 
 
 def test_oracle_refuses_large_instances():
