@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -544,7 +545,13 @@ def _add_dyn(p) -> None:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    parse_args fills a fresh namespace on every call, so reusing the parser
+    carries nothing from one invocation to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="pcqg",
         description="classification, representation, and axiom checks with JSON reports",

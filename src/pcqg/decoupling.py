@@ -92,14 +92,10 @@ class PhiImages:
         return self.bundle.mul_fn(_ratio_indicator(lambda l, p: l / p, r=s, q=self.q))
 
 
-def _ratio_indicator(coord, r: float, q: float) -> Callable[[float, float], float]:
+def _ratio_indicator(coord, r: float, q: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     lat = LatticeSpec(q=q)
     rr = r * r
-
-    def f(l: float, p: float) -> float:
-        return 1.0 if lat.exponent_of(coord(l, p) / rr) == 0 else 0.0
-
-    return f
+    return lambda l, p: lat.indicator(coord(l, p) / rr, 0)
 
 
 def build_phi_images(b) -> PhiImages:
@@ -116,18 +112,18 @@ def build_phi_images(b) -> PhiImages:
     def g(f):
         return b.mul_fn(f)
 
-    wa = g(lambda l, p: math.sqrt(tau(l) * tau(q * p)))
-    wb = g(lambda l, p: math.sqrt(tau(l) * tau(p / q)))
+    wa = g(lambda l, p: np.sqrt(tau(l) * tau(q * p)))
+    wb = g(lambda l, p: np.sqrt(tau(l) * tau(p / q)))
     return PhiImages(
         bundle=b,
         E1=(1.0 / kappa) * (b.u("alpha") @ wa),
         E2=(1.0 / kappa) * (b.u("beta") @ wb),
         F1=(1.0 / kappa) * (b.u("delta") @ wb),
         F2=(-1.0 / kappa) * (b.u("gamma") @ wa),
-        K1=g(lambda l, p: math.sqrt(l * p)),
-        K1inv=g(lambda l, p: 1.0 / math.sqrt(l * p)),
-        K2=g(lambda l, p: math.sqrt(l / p)),
-        K2inv=g(lambda l, p: math.sqrt(p / l)),
+        K1=g(lambda l, p: np.sqrt(l * p)),
+        K1inv=g(lambda l, p: 1.0 / np.sqrt(l * p)),
+        K2=g(lambda l, p: np.sqrt(l / p)),
+        K2inv=g(lambda l, p: np.sqrt(p / l)),
     )
 
 
@@ -408,9 +404,7 @@ class PiSTBundle:
         return self.ops[name]
 
     def mul_fn(self, f) -> WindowedOperator:
-        return mul_op(
-            lambda pS, pT: f(pS.value * pT.value, pS.value / pT.value), self.window
-        )
+        return mul_op(lambda r, s: f(r * s, r / s), self.window)
 
     def margins(self, pad: int = 3):
         (s_lo, s_hi), = self.rep_S.margins(pad)
@@ -461,14 +455,8 @@ def build_pi_ST(pair: IrrepPair, truncation: int = 24) -> PiSTBundle:
 
     q = pair.q
     kappa = 1.0 / q - q
-    ga = mul_op(
-        lambda pS, pT: 1.0 / math.sqrt(tau(pS.value * pT.value) * tau(q * pS.value / pT.value)),
-        win,
-    )
-    gb = mul_op(
-        lambda pS, pT: 1.0 / math.sqrt(tau(pS.value * pT.value) * tau(pS.value / (q * pT.value))),
-        win,
-    )
+    ga = mul_op(lambda r, s: 1.0 / np.sqrt(tau(r * s) * tau(q * r / s)), win)
+    gb = mul_op(lambda r, s: 1.0 / np.sqrt(tau(r * s) * tau(r / (q * s))), win)
     ops = {
         "alpha": kappa * (lifted["E1"] @ ga),
         "beta": kappa * (lifted["E2"] @ gb),
@@ -503,8 +491,8 @@ def round_trip_residuals(b, tol: float = 1e-10) -> list[RelationResidual]:
     images = build_phi_images(b)
     q = b.q
     kappa = 1.0 / q - q
-    ga = b.mul_fn(lambda l, p: 1.0 / math.sqrt(tau(l) * tau(q * p)))
-    gb = b.mul_fn(lambda l, p: 1.0 / math.sqrt(tau(l) * tau(p / q)))
+    ga = b.mul_fn(lambda l, p: 1.0 / np.sqrt(tau(l) * tau(q * p)))
+    gb = b.mul_fn(lambda l, p: 1.0 / np.sqrt(tau(l) * tau(p / q)))
     margins = b.margins()
     exact = b.exact_boundaries()
     rebuilt = {
@@ -530,8 +518,8 @@ def round_trip_residuals(b, tol: float = 1e-10) -> list[RelationResidual]:
 def grading_residuals(st: PiSTBundle, tol: float = 1e-12) -> list[RelationResidual]:
     """K-values against the tensor grading: K1 = r and K2 = s pointwise."""
     images = build_phi_images(st)
-    k1 = images.K1 - mul_op(lambda pS, pT: pS.value, st.window)
-    k2 = images.K2 - mul_op(lambda pS, pT: pT.value, st.window)
+    k1 = images.K1 - mul_op(lambda r, s: r, st.window)
+    k2 = images.K2 - mul_op(lambda r, s: s, st.window)
     every = frozenset({(0, "low"), (0, "high"), (1, "low"), (1, "high")})
     return [
         relation_residual(
@@ -555,15 +543,17 @@ def support_residual(st: PiSTBundle, tol: float = 1e-12) -> RelationResidual:
     per axis exponent.
     """
     images = build_phi_images(st)
-    ax_S, ax_T = st.window.axes
-    unit_1 = {n: images.unit_1(ax_S.spec.value(n)) for n in ax_S.exponents()}
-    unit_2 = {n: images.unit_2(ax_T.spec.value(n)) for n in ax_T.exponents()}
+    r_vals, s_vals = (g.ravel().tolist() for g in st.window.value_grids)
+    unit_1 = np.stack([images.unit_1(r).grids[(0, 0)] for r in r_vals])
+    unit_2 = np.stack([images.unit_2(s).grids[(0, 0)] for s in s_vals])
+    cols = np.arange(len(s_vals))
     worst = 0.0
-    for i, (pS, pT) in enumerate(st.window.points):
-        want = np.zeros(st.window.shape)
-        want.flat[i] = 1.0
-        got = unit_1[pS.n] @ unit_2[pT.n]
-        worst = max(worst, (got - WindowedOperator(st.window, {(0, 0): want})).max_abs())
+    for a, u1 in enumerate(unit_1):
+        # row a of the window: the products with every copy-2 projection,
+        # against the matrix units at (a, b)
+        want = np.zeros(unit_2.shape)
+        want[cols, a, cols] = 1.0
+        worst = max(worst, float(np.abs(u1 * unit_2 - want).max()))
     return RelationResidual(
         label="support_grading",
         residual=worst,

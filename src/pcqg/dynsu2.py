@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lattice import LatticeSpec, tau, weight_w
+from .lattice import LatticeSpec, power, tau, weight_w
 from .windowed import (
     RelationResidual,
     Window,
@@ -87,14 +87,16 @@ class DynParams:
             raise ValueError("x must be positive")
 
 
-def generator_weight(
-    eps: int, nu: int, yv: float, zv: float, c: float, q: float
-) -> float:
-    """Shift weight of u_{eps,nu} at the point (y, z), sign included."""
-    num = tau(yv**eps * zv**nu / q) + eps * nu * c
-    den = tau(yv**eps) * tau(zv**nu / q)
+def generator_weight(eps: int, nu: int, yv, zv, c: float, q: float):
+    """Shift weight of u_{eps,nu} at the points (y, z), sign included.
+
+    yv and zv are value grids (or scalars) that broadcast together.
+    """
+    ye, zn = power(yv, eps), power(zv, nu)
+    num = tau(ye * zn / q) + eps * nu * c
+    den = tau(ye) * tau(zn / q)
     theta = -1.0 if (eps, nu) == (-1, 1) else 1.0
-    return theta * math.sqrt(num / den)
+    return theta * np.sqrt(num / den)
 
 
 @dataclass(frozen=True)
@@ -126,15 +128,9 @@ class PiCBundle:
     def delta(self):
         return self.ops["delta"]
 
-    def mul_fn(self, f: Callable[[float, float], complex]) -> WindowedOperator:
-        """Diagonal operator of a function of the (lambda, rho) values."""
-        return mul_op(lambda p1, p2: f(p1.value, p2.value), self.window)
-
-    def projection(self, i: int, j: int) -> WindowedOperator:
-        """Unit projection onto the basis vector at exponents (i, j)."""
-        return mul_op(
-            lambda p1, p2: 1.0 if (p1.n, p2.n) == (i, j) else 0.0, self.window
-        )
+    def mul_fn(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> WindowedOperator:
+        """Diagonal operator of an array function of the (lambda, rho) values."""
+        return mul_op(f, self.window)
 
     def margins(self, pad: int = 2):
         return tuple((pad, pad) for _ in self.window.axes)
@@ -158,9 +154,7 @@ def build_pi_c(params: DynParams, window: Optional[Window] = None) -> PiCBundle:
     ops = {}
     for name, (eps, nu) in NAME_TO_EPSNU.items():
         ops[name] = shift_op(
-            lambda p1, p2, e=eps, n=nu: generator_weight(
-                e, n, p1.value, p2.value, c, q
-            ),
+            lambda lv, rv, e=eps, n=nu: generator_weight(e, n, lv, rv, c, q),
             (-eps, -nu),
             window,
         )
@@ -332,7 +326,7 @@ class DeltaImageBundle:
         return self.ops[name]
 
     def mul_fn(self, f) -> WindowedOperator:
-        return mul_op(lambda p1, p2, p3: f(p1.value, p3.value), self.window)
+        return mul_op(lambda y, v, z: f(y, z), self.window)
 
     def margins(self, pad: int = 2):
         return tuple((pad, pad) for _ in self.window.axes)
@@ -354,10 +348,8 @@ def build_delta_images(b1: PiCBundle, b2: PiCBundle, half: int = 4) -> DeltaImag
         total = None
         for mu in (-1, +1):
             piece = shift_op(
-                lambda p1, p2, p3, e=eps, m=mu, n=nu: generator_weight(
-                    e, m, p1.value, p2.value, c1, q
-                )
-                * generator_weight(m, n, p2.value, p3.value, c2, q),
+                lambda y, v, z, e=eps, m=mu, n=nu: generator_weight(e, m, y, v, c1, q)
+                * generator_weight(m, n, v, z, c2, q),
                 (-eps, -mu, -nu),
                 win,
             )
@@ -393,7 +385,8 @@ def uncompressed_unitarity_gap(
     legops2 = build_pi_c(b2.params, leg).ops
 
     # matching projection: middle exponents equal
-    P = mul_op(lambda y, v, w, z: 1.0 if v.n == w.n else 0.0, raw)
+    _, v, w, _ = raw.exponent_grids
+    P = WindowedOperator(raw, {(0,) * 4: np.broadcast_to(v == w, raw.shape)})
     eps = -1
     row = zero_op(raw)
     for nu in (-1, +1):

@@ -4,6 +4,10 @@ All lattice points are stored as integer exponents over a LatticeSpec; float
 values are derived. Membership tests work on the exponent scale, where a
 relative tolerance is meaningful regardless of how far out on the lattice a
 point sits.
+
+tau, weight_w and LatticeSpec.indicator accept numpy arrays as well as
+scalars: windowed operators evaluate them once on a window's value grids.
+A Python float argument gives a Python float back.
 """
 
 from __future__ import annotations
@@ -12,12 +16,15 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 __all__ = [
     "tau",
     "weight_w",
     "LatticeSpec",
     "LatticePoint",
     "lattice_contains",
+    "power",
     "EXPONENT_REL_TOL",
 ]
 
@@ -25,15 +32,35 @@ __all__ = [
 EXPONENT_REL_TOL = 1e-9
 
 
-def tau(v: float) -> float:
+def tau(v):
     """Sum of a positive real and its reciprocal, tau(v) = v + 1/v.
 
     Defined for v > 0 only; tau(v) >= 2 with equality iff v == 1, and
-    tau(v) == tau(1/v).
+    tau(v) == tau(1/v).  On an array, positivity is checked once over the
+    whole array.
     """
-    if v <= 0:
+    if isinstance(v, np.ndarray):
+        bad = v <= 0
+        if bad.any():
+            raise ValueError(f"tau requires a positive argument, got {v[bad].flat[0]}")
+    elif v <= 0:
         raise ValueError(f"tau requires a positive argument, got {v}")
     return v + 1.0 / v
+
+
+def power(v, k: int):
+    """v ** k for an integer k, rounded as Python rounds a float power.
+
+    numpy's power and reciprocal round differently from the C library pow
+    that Python's float ** calls (1 in about 1300 values of v ** -1), so
+    arrays are raised element by element.  Callers pass per-axis value
+    grids, which hold one entry per axis point, not per basis vector.
+    """
+    if k == 1:
+        return v
+    if not isinstance(v, np.ndarray):
+        return v**k
+    return np.array([x**k for x in v.ravel().tolist()]).reshape(v.shape)
 
 
 def weight_w(v: float, eps: int, q: float) -> float:
@@ -92,6 +119,17 @@ class LatticeSpec:
 
     def __contains__(self, v: float) -> bool:
         return self.exponent_of(v) is not None
+
+    def indicator(self, v, n: int, rel_tol: float = EXPONENT_REL_TOL):
+        """1.0 where v is the point with exponent n, else 0.0; numpy-aware.
+
+        Decided on the exponent scale, as exponent_of does, so values moved
+        by float multiplications (a shifted coefficient function) still hit
+        their point.  Nonpositive values are off the lattice.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.log(np.divide(v, self.base)) / math.log(self.q)
+        return np.where(np.abs(t - n / self.step_denominator) < rel_tol, 1.0, 0.0)
 
 
 @dataclass(frozen=True)

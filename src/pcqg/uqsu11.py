@@ -22,8 +22,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .cset import CSetDescriptor, SetKind, classify_irreducible_csets
-from .lattice import LatticePoint, LatticeSpec, tau
+from .lattice import LatticeSpec, tau
 from .windowed import (
     RelationResidual,
     Window,
@@ -115,7 +117,8 @@ class UqRep:
 
     def unit(self, n: int) -> WindowedOperator:
         """Rank-one diagonal projection onto the window point with exponent n."""
-        return mul_op(lambda p: 1.0 if p.n == n else 0.0, self.window)
+        (exps,) = self.window.exponent_grids
+        return WindowedOperator(self.window, {(0,): exps == n})
 
     def margins(self, pad: int = 2) -> tuple[tuple[int, int], ...]:
         return (
@@ -147,13 +150,16 @@ class UqRep:
         }
 
 
-def _radicand(r: float, c: float, q: float, eps: int, tol: float) -> float:
+def _radicand(r: np.ndarray, c: float, q: float, eps: int, tol: float) -> np.ndarray:
     v = tau(q**eps * r * r) + c
-    if v < -tol:
+    bad = v < -tol
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
         raise ValueError(
-            f"negative radicand {v} at r={r}, eps={eps}: input is not a c-set trace"
+            f"negative radicand {v.flat[i]} at r={r.flat[i]}, eps={eps}: "
+            "input is not a c-set trace"
         )
-    return max(v, 0.0)
+    return np.maximum(v, 0.0)
 
 
 def build_pi_T(cs: CompatibleSet, truncation: int = 10) -> UqRep:
@@ -198,13 +204,10 @@ def build_pi_T(cs: CompatibleSet, truncation: int = 10) -> UqRep:
     tol = 1e-10 * max(1.0, abs(c))
     scale = 1.0 / abs(q - 1.0 / q)
 
-    def e_weight(p: LatticePoint) -> float:
-        return math.sqrt(_radicand(p.value, c, q, +1, tol)) * scale
-
-    E = shift_op(e_weight, (+1,), win)
+    E = shift_op(lambda r: np.sqrt(_radicand(r, c, q, +1, tol)) * scale, (+1,), win)
     F = E.adjoint()
-    K = mul_op(lambda p: p.value, win)
-    Kinv = mul_op(lambda p: 1.0 / p.value, win)
+    K = mul_op(lambda r: r, win)
+    Kinv = mul_op(lambda r: 1.0 / r, win)
     return UqRep(
         y=cs.y,
         c=c,
@@ -318,17 +321,18 @@ def build_verma(y: float, q: float, n_max: int) -> UqRep:
     spec = LatticeSpec(q=q, base=y)
     win = window_1d(spec, 0, n_max)
 
-    def f_weight(p: LatticePoint) -> float:
-        n = p.n
-        if n == 0:
-            return 0.0
-        s = (q - 1.0 / q) ** -2
-        return s * (q**n - q**-n) * (q ** (n - 1) * y * y - q ** (1 - n) / (y * y))
+    # F moves e_n down to e_{n-1}, so its weight is read at n = 1..n_max;
+    # the q-powers are Python scalars, tabulated by exponent
+    s = (q - 1.0 / q) ** -2
+    f_weights = np.array([
+        s * (q**n - q**-n) * (q ** (n - 1) * y * y - q ** (1 - n) / (y * y))
+        for n in range(1, n_max + 1)
+    ])
 
-    E = shift_op(lambda p: 1.0, (+1,), win)
-    F = shift_op(f_weight, (-1,), win)
-    K = mul_op(lambda p: p.value, win)
-    Kinv = mul_op(lambda p: 1.0 / p.value, win)
+    E = shift_op(lambda r: 1.0, (+1,), win)
+    F = shift_op(lambda r: f_weights, (-1,), win)
+    K = mul_op(lambda r: r, win)
+    Kinv = mul_op(lambda r: 1.0 / r, win)
     # Casimir scalar of the lowest-weight module with K e_0 = y
     c = -tau(y * y / q)
     return UqRep(

@@ -19,6 +19,10 @@ Every operator is a finite sum of weighted shifts, stored as a dict
 grid and multiplies it with the other: O(#shifts * n) time and O(n) memory
 per shift on a basis of size n.  The dense n x n matrix is a view built on
 request, for export and tests.
+
+Weights and diagonals are array functions: mul_op and shift_op call them
+once, on the window's value grids (one broadcastable array per axis), never
+once per basis vector.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .lattice import LatticePoint, LatticeSpec
+from .lattice import LatticeSpec
 
 # A grid holds 16 bytes per basis vector; windows past 2^18 points (512 x 512)
 # are refused before anything is allocated.
@@ -78,7 +82,7 @@ class Window:
     def dim(self) -> int:
         return len(self.axes)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(ax.size for ax in self.axes)
 
@@ -86,11 +90,26 @@ class Window:
     def size(self) -> int:
         return math.prod(ax.size for ax in self.axes)
 
+    def _axis_grids(self, per_axis) -> tuple[np.ndarray, ...]:
+        """One read-only array per axis, shaped to broadcast over the window."""
+        out = []
+        for a, ax in enumerate(self.axes):
+            shape = [1] * self.dim
+            shape[a] = ax.size
+            g = np.array(per_axis(ax)).reshape(shape)
+            g.flags.writeable = False
+            out.append(g)
+        return tuple(out)
+
     @cached_property
-    def points(self) -> list[tuple[LatticePoint, ...]]:
-        """The lattice points of every basis vector, in basis order."""
-        axes = ([LatticePoint(ax.spec, n) for n in ax.exponents()] for ax in self.axes)
-        return list(itertools.product(*axes))
+    def value_grids(self) -> tuple[np.ndarray, ...]:
+        """Per axis, the lattice value of each exponent (LatticeSpec.value)."""
+        return self._axis_grids(lambda ax: [ax.spec.value(n) for n in ax.exponents()])
+
+    @cached_property
+    def exponent_grids(self) -> tuple[np.ndarray, ...]:
+        """Per axis, the integer exponents."""
+        return self._axis_grids(lambda ax: ax.exponents())
 
     def index_of(self, exponents: Sequence[int]) -> int:
         idx = 0
@@ -99,12 +118,6 @@ class Window:
                 raise KeyError(f"exponent {n} outside axis range")
             idx = idx * ax.size + (n - ax.n_min)
         return idx
-
-    def exponents_of(self, index: int) -> tuple[int, ...]:
-        return tuple(p.n for p in self.points[index])
-
-    def points_of(self, index: int) -> tuple[LatticePoint, ...]:
-        return self.points[index]
 
     def to_json_dict(self) -> dict:
         return {
@@ -283,30 +296,37 @@ def zero_op(window: Window) -> WindowedOperator:
     return WindowedOperator(window, {(0,) * window.dim: np.zeros(window.shape)})
 
 
-def mul_op(f: Callable[..., complex], window: Window) -> WindowedOperator:
-    """Diagonal operator from a function of the window's lattice points."""
-    grid = np.array([f(*pts) for pts in window.points], dtype=complex)
-    return WindowedOperator(window, {(0,) * window.dim: grid.reshape(window.shape)})
+def mul_op(f: Callable[..., np.ndarray], window: Window) -> WindowedOperator:
+    """Diagonal operator f(values) of the window's lattice values.
+
+    f is called once, on window.value_grids; it may return any array (or
+    scalar) that broadcasts to the window's shape.
+    """
+    grid = np.broadcast_to(f(*window.value_grids), window.shape).astype(complex)
+    return WindowedOperator(window, {(0,) * window.dim: grid})
 
 
 def shift_op(
-    weight: Callable[..., complex],
+    weight: Callable[..., np.ndarray],
     displacement: Sequence[int],
     window: Window,
 ) -> WindowedOperator:
     """Weighted shift: delta_p -> weight(p) delta_{p+displacement}.
 
-    Images falling outside the window are dropped (truncation); weight is
-    evaluated only where the image stays inside.
+    Images falling outside the window are dropped (truncation).  weight is
+    called once, on the value grids sliced to the points whose image stays
+    inside, and must broadcast to that region's shape.
     """
     displacement = tuple(int(d) for d in displacement)
     if len(displacement) != window.dim:
         raise ValueError("displacement arity does not match window dim")
-    (_, inside), src = _positions(displacement, window)
+    src = _region(displacement, window.shape)
+    values = (
+        g[(slice(None),) * a + (s,)]
+        for a, (g, s) in enumerate(zip(window.value_grids, src))
+    )
     grid = np.zeros(window.shape, dtype=complex)
-    grid[src] = np.array(
-        [weight(*window.points[i]) for i in inside.ravel().tolist()], dtype=complex
-    ).reshape(inside.shape)
+    grid[src] = weight(*values)
     return WindowedOperator(window, {displacement: grid})
 
 

@@ -2,10 +2,12 @@
 
 Letters are a, b, g, d (alpha, beta, gamma, delta), optionally starred.
 A term is a letter string times a coefficient function of (lambda, rho)
-kept at the right end; coefficient functions are stored as closures
-composed of tau, the one-step weights w_plus/w_minus, lattice shifts and
-Dirac projections, so moving them through letters is exact (no numeric
-drift from premature evaluation).
+kept at the right end.  Coefficient functions are array functions composed
+of tau, the one-step weights w_plus/w_minus, lattice shifts and Dirac
+projections: moving one through a letter composes a new function and
+evaluates nothing, so there is no numeric drift from premature evaluation.
+An operator is built by calling the composed function once, on the value
+grids of a window.
 
 The normal form is the spanning-set shape: a^k b^l g^m * f or
 d^k b^l g^m * f.  Rules are oriented: stars eliminated first, functions
@@ -17,11 +19,12 @@ representation as an oracle (two c values).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .lattice import tau, weight_w
+import numpy as np
+
+from .lattice import LatticeSpec, tau, weight_w
 
 LETTERS = ("a", "b", "g", "d")
 STARRED = tuple(ch + "*" for ch in LETTERS)
@@ -44,15 +47,18 @@ def letter_displacement(letter: str) -> tuple[int, int]:
 class CoeffFn:
     """Coefficient function of the two diagonal values, with a label.
 
-    fn takes the (lambda, rho) point values; label is a display string,
-    best-effort only.  Composition is by closure, so stacked shifts and
-    products stay exact at evaluation time.
+    fn takes the lambda and rho value grids (arrays that broadcast against
+    each other) and returns a grid of the same broadcast shape, or a scalar
+    for a constant; label is a display string, best-effort only.  const,
+    scaled, products, sums, shifts and swaps compose array functions, so a
+    stacked composition is evaluated once per operator, and pointwise it
+    does the same float operations a scalar evaluation would.
     """
 
-    fn: Callable[[float, float], complex]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     label: str
 
-    def __call__(self, lv: float, rv: float) -> complex:
+    def __call__(self, lv, rv):
         return self.fn(lv, rv)
 
     @staticmethod
@@ -109,14 +115,15 @@ def _fmt_scalar(z: complex) -> str:
 
 
 def dirac_projection(i: int, j: int, q: float, x: float) -> CoeffFn:
-    """Indicator of the single lattice point (x q^i, x q^j)."""
-    yv, zv = x * q**i, x * q**j
+    """Indicator of the single lattice point (x q^i, x q^j).
 
-    def fn(lv, rv):
-        ok = abs(lv - yv) <= 1e-9 * yv and abs(rv - zv) <= 1e-9 * zv
-        return 1.0 if ok else 0.0
-
-    return CoeffFn(fn, f"P({i},{j})")
+    The one projection helper: applied to a bundle through mul_fn it is the
+    unit projection onto the basis vector at exponents (i, j).  Membership
+    is decided on the exponent scale (LatticeSpec.indicator), so it still
+    holds after the function is pushed through letters.
+    """
+    lat = LatticeSpec(q=q, base=x)
+    return CoeffFn(lambda lv, rv: lat.indicator(lv, i) * lat.indicator(rv, j), f"P({i},{j})")
 
 
 @dataclass(frozen=True)
@@ -174,7 +181,7 @@ class RuleSet:
         self.q = q
 
         def s(eps):
-            return lambda v: math.sqrt(weight_w(v, eps, q))
+            return lambda v: np.sqrt(weight_w(v, eps, q))
 
         sp, sm = s(+1), s(-1)
 
@@ -195,14 +202,14 @@ class RuleSet:
             "ga": (
                 "ag",
                 cf(
-                    lambda lv, rv: math.sqrt(tau(lv / q) / tau(q * lv)),
+                    lambda lv, rv: np.sqrt(tau(lv / q) / tau(q * lv)),
                     "(t(L/q)/t(qL))^.5",
                 ),
             ),
             "bd": (
                 "db",
                 cf(
-                    lambda lv, rv: math.sqrt(tau(q * lv) / tau(lv / q)),
+                    lambda lv, rv: np.sqrt(tau(q * lv) / tau(lv / q)),
                     "(t(qL)/t(L/q))^.5",
                 ),
             ),

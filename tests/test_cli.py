@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from pcqg import dynsu2
+from pcqg import cli, dynsu2
 from pcqg.cli import main
 from pcqg.fdpcqg import symmetric_groupoid, transitive_groupoid
 from pcqg.words import RuleSet
@@ -121,6 +121,38 @@ def test_dyn_verify_rejects_even_window(capsys):
         main(["dyn", "verify", "--window", "20"])
     capsys.readouterr()
     assert exc.value.code == 2
+
+
+def test_parser_is_reused_without_carrying_state(capsys):
+    """In-process calls share one parser; reports stay those of fresh calls."""
+    argvs = [
+        ["dyn", "verify", "--window", "13", "--suite", "full", "--c", "0.4"],
+        ["dyn", "verify", "--window", "13"],
+        ["dyn", "reduce", "--word", "ab'g", "--window", "13", "--c2", "-0.7"],
+        ["uq", "verify", "--c", "-3.1"],
+        ["csets", "classify", "--c", "-2.5", "--format", "csv"],
+    ]
+
+    def fresh(argv):
+        cli._build_parser.cache_clear()
+        return _run(capsys, argv)
+
+    want = [fresh(argv) for argv in argvs]
+    assert cli._build_parser() is cli._build_parser()
+    for _ in range(2):
+        for argv, expected in zip(argvs + argvs[::-1], want + want[::-1]):
+            assert _run(capsys, argv) == expected
+    # a non-default suite does not leak into the next call's defaults
+    _run(capsys, ["dyn", "verify", "--window", "13", "--suite", "full"])
+    code, rep = _run_json(capsys, ["dyn", "verify", "--window", "13"])
+    assert code == 0 and rep["relation_count"] == 14 and rep["config"]["suite"] == "defining"
+    # a malformed call after a good one is still a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["dyn", "verify", "--window", "4"])
+    capsys.readouterr()
+    assert exc.value.code == 2
+    code, rep = _run_json(capsys, ["dyn", "verify", "--window", "13", "--c", "0.4", "--suite", "full"])
+    assert (code, json.dumps(rep, indent=2, sort_keys=True) + "\n") == want[0]
 
 
 def test_dyn_reduce(capsys):

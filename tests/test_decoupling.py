@@ -64,10 +64,8 @@ def test_phi_unit_projections_localize(pi_c_bundle):
     # copy-1 projection at r: diagonal indicator of lambda*rho = r^2
     r = Q ** 0.5
     p1 = images.unit_1(r).matrix
-    for i in range(win.size):
-        pl, pr = win.points_of(i)
-        want = 1.0 if pl.n + pr.n == 1 else 0.0
-        assert p1[i, i] == want
+    nl, nr = win.exponent_grids
+    assert np.array_equal(np.diag(p1).reshape(win.shape), np.where(nl + nr == 1, 1.0, 0.0))
     # joint projection picks the single point lambda = q, rho = 1
     joint = (images.unit_1(Q ** 0.5) @ images.unit_2(Q ** 0.5)).matrix
     expect = np.zeros_like(joint)
@@ -109,13 +107,13 @@ def test_casimir_omega_two_copies_match(pi_c_bundle):
     o2 = casimir_omega(images, copy=2)
     # both are diagonal; compare away from the truncation edge
     win = pi_c_bundle.window
-    d1 = np.diag(o1.matrix)
-    d2 = np.diag(o2.matrix)
-    for i in range(win.size):
-        ns = win.exponents_of(i)
-        if all(abs(n) <= 8 for n in ns):
-            assert abs(d1[i] - d2[i]) < 1e-10
-            assert abs(d1[i] - 0.0) < 1e-10  # c = 0 bundle
+    d1 = np.diag(o1.matrix).reshape(win.shape)
+    d2 = np.diag(o2.matrix).reshape(win.shape)
+    nl, nr = win.exponent_grids
+    inner = (abs(nl) <= 8) & (abs(nr) <= 8)
+    assert inner.sum() == 17 * 17
+    assert np.all(abs(d1 - d2)[inner] < 1e-10)
+    assert np.all(abs(d1)[inner] < 1e-10)  # c = 0 bundle
     with pytest.raises(ValueError):
         casimir_omega(images, copy=3)
 

@@ -33,7 +33,7 @@ from pcqg.dynsu2 import (
 )
 from pcqg.lattice import tau
 from pcqg.windowed import WindowedOperator, required_margins
-from pcqg.words import CoeffFn
+from pcqg.words import CoeffFn, dirac_projection
 
 
 def bundle(q=0.5, x=1.0, c=0.0, half=10):
@@ -187,12 +187,15 @@ def test_single_entry_faults_detected():
 
 def test_mul_and_projection():
     b = bundle(half=4)
-    p = b.projection(1, -2)
+    p = b.mul_fn(dirac_projection(1, -2, b.q, b.params.x))
     assert np.allclose(p.matrix @ p.matrix, p.matrix)
     assert np.count_nonzero(p.matrix) == 1
-    f = b.mul_fn(lambda l, r: tau(l) * r)
     i = b.window.index_of((1, -2))
-    lv, rv = (pt.value for pt in b.window.points_of(i))
+    assert p.matrix[i, i] == 1.0
+    f = b.mul_fn(lambda l, r: tau(l) * r)
+    lam, rho = b.window.value_grids
+    lv, rv = lam[1 + 4, 0], rho[0, -2 + 4]
+    assert (lv, rv) == (b.window.axes[0].spec.value(1), b.window.axes[1].spec.value(-2))
     assert f.matrix[i, i] == pytest.approx(tau(lv) * rv)
 
 

@@ -42,27 +42,35 @@ def _window(sizes):
     return Window(tuple(WindowAxis(SPEC, -1, s - 2) for s in sizes))
 
 
-def _coeff(rng):
-    """A complex number of modulus at most 1/2."""
-    return complex(*rng.uniform(-0.35, 0.35, size=2))
+def _coeff(rng, shape=None):
+    """Complex numbers of modulus at most 1/2 (one, or an array of `shape`)."""
+    re, im = rng.uniform(-0.35, 0.35, size=(2,) if shape is None else (2, *shape))
+    return complex(re, im) if shape is None else re + 1j * im
+
+
+def _random_grid(rng):
+    """An array weight: random coefficients on the grids' broadcast shape."""
+    return lambda *grids: _coeff(rng, np.broadcast_shapes(*(g.shape for g in grids)))
 
 
 def _random_op(rng, window):
     """A diagonal or a weighted shift with random weights of modulus <= 1/2."""
     if rng.integers(3) == 0:
-        return mul_op(lambda *pts: _coeff(rng), window)
+        return mul_op(_random_grid(rng), window)
     d = rng.integers(-2, 3, size=window.dim)
-    return shift_op(lambda *pts: _coeff(rng), d, window)
+    return shift_op(_random_grid(rng), d, window)
 
 
 def _dense_residual(terms, margins, window):
     total = sum(z * reduce(np.matmul, [op.matrix for op in word]) for z, word in terms)
+    # the exponents of basis vector i, per axis
+    exponents = [np.broadcast_to(g, window.shape).ravel() for g in window.exponent_grids]
     keep = [
         i
         for i in range(window.size)
         if all(
-            lo <= n - ax.n_min and hi <= ax.n_max - n
-            for ax, n, (lo, hi) in zip(window.axes, window.exponents_of(i), margins)
+            lo <= ex[i] - ax.n_min and hi <= ax.n_max - ex[i]
+            for ax, ex, (lo, hi) in zip(window.axes, exponents, margins)
         )
     ]
     if not keep:

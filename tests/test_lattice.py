@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcqg.lattice import LatticeSpec, lattice_contains, tau, weight_w
+from pcqg.cset import classify_irreducible_csets
+from pcqg.decoupling import exceptional_points, spec_omega_closed_form
+from pcqg.lattice import LatticeSpec, lattice_contains, power, tau, weight_w
 
 
 def test_tau_frozen_values():
@@ -19,6 +22,42 @@ def test_tau_rejects_nonpositive():
         tau(0.0)
     with pytest.raises(ValueError):
         tau(-1.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-300, -2.0])
+@pytest.mark.parametrize("where", [0, 3, 6])
+def test_tau_checks_positivity_over_the_whole_array(bad, where):
+    v = np.linspace(0.5, 3.5, 7)
+    assert np.array_equal(tau(v), v + 1.0 / v)
+    v[where] = bad
+    with pytest.raises(ValueError, match="positive argument"):
+        tau(v)
+    with pytest.raises(ValueError, match="positive argument"):
+        tau(v.reshape(7, 1) * np.ones((1, 2)))
+    with pytest.raises(ValueError, match="positive argument"):
+        weight_w(v, 1, 0.5)
+
+
+def test_scalar_callers_get_python_floats():
+    # scalars in, Python floats out: no 0-d arrays reach a JSON report
+    assert type(tau(0.3)) is float and type(weight_w(0.3, -1, 0.8)) is float
+    assert type(power(0.3, -1)) is float
+    spectrum = spec_omega_closed_form(0.8, 0.7).to_json_dict()
+    numbers = [spectrum["c0"], *spectrum["interval"], *spectrum["discrete_pos_values"]]
+    numbers += spectrum["discrete_neg_values"] + exceptional_points(0.8, 0.7)
+    assert numbers and all(type(v) is float for v in numbers)
+    sets = classify_irreducible_csets(-2.5, 0.5)
+    assert sets and all(type(d.z) is float for d in sets if d.z is not None)
+
+
+def test_power_rounds_like_python():
+    # numpy's reciprocal and power round v ** -1 differently from Python's
+    # float power for some v; power() must match Python bit for bit
+    v = np.exp(np.random.default_rng(3).uniform(-20, 20, size=5000))
+    want = [x**-1 for x in v.tolist()]
+    assert power(v, -1).tolist() == want
+    assert power(v.reshape(50, 100), -1).ravel().tolist() == want
+    assert power(v, 1) is v
 
 
 def test_weight_w_frozen_value():
@@ -104,3 +143,15 @@ def test_lattice_validation():
         LatticeSpec(q=0.5, base=-1.0)
     with pytest.raises(ValueError):
         LatticeSpec(q=0.5, step_denominator=3)
+
+
+@settings(max_examples=100)
+@given(qs, st.floats(min_value=0.1, max_value=10.0), st.integers(-40, 40), st.sampled_from([1, 2]))
+def test_indicator_is_exponent_of_on_arrays(q, base, n, denom):
+    spec = LatticeSpec(q=q, base=base, step_denominator=denom)
+    exps = np.arange(n - 3, n + 4)
+    values = np.array([spec.value(int(k)) for k in exps])
+    assert spec.indicator(values, n).tolist() == (exps == n).tolist()
+    # a value moved by float multiplications still hits its point
+    moved = spec.value(n - 1) * q ** (1.0 / denom)
+    assert spec.indicator(np.array([moved, -moved, 0.0]), n).tolist() == [1.0, 0.0, 0.0]

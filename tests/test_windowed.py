@@ -29,14 +29,56 @@ def w2(n=10):
     return Window((ax, ax))
 
 
+def _exponents_at(w, i):
+    """Exponents of basis vector i, read off the window's exponent grids."""
+    return tuple(int(np.broadcast_to(g, w.shape).flat[i]) for g in w.exponent_grids)
+
+
 def test_window_ordering():
     w = w2(1)
     assert w.size == 9
-    assert w.exponents_of(0) == (-1, -1)
-    assert w.exponents_of(8) == (1, 1)
+    assert _exponents_at(w, 0) == (-1, -1)
+    assert _exponents_at(w, 8) == (1, 1)
     assert w.index_of((0, 1)) == 5
     for i in range(w.size):
-        assert w.index_of(w.exponents_of(i)) == i
+        assert w.index_of(_exponents_at(w, i)) == i
+        unravelled = np.unravel_index(i, w.shape)
+        assert _exponents_at(w, i) == tuple(ax.n_min + int(k) for ax, k in zip(w.axes, unravelled))
+
+
+def test_window_value_grids():
+    spec = LatticeSpec(q=0.8, base=0.7)
+    w = Window((WindowAxis(spec, -3, 2), WindowAxis(SPEC, 0, 4)))
+    lam, rho = w.value_grids
+    assert lam.shape == (6, 1) and rho.shape == (1, 5)
+    # the axis tables are LatticeSpec.value, bit for bit
+    assert lam.ravel().tolist() == [spec.value(n) for n in range(-3, 3)]
+    assert rho.ravel().tolist() == [SPEC.value(n) for n in range(5)]
+    assert [g.ravel().tolist() for g in w.exponent_grids] == [list(range(-3, 3)), list(range(5))]
+    with pytest.raises(ValueError):
+        lam[0, 0] = 1.0
+    assert w.value_grids is w.value_grids
+
+
+def test_constructors_call_their_function_once():
+    w = w2(3)
+    calls = []
+
+    def f(lam, rho):
+        calls.append((lam.shape, rho.shape))
+        return lam * rho
+
+    op = mul_op(f, w)
+    assert calls == [((7, 1), (1, 7))]
+    lam, rho = (np.broadcast_to(g, w.shape) for g in w.value_grids)
+    assert np.array_equal(op.grids[(0, 0)], lam * rho)
+    calls.clear()
+    s = shift_op(f, (1, -2), w)
+    # only the points whose image stays inside: 6 of 7 rows, 5 of 7 columns
+    assert calls == [((6, 1), (1, 5))]
+    g = s.grids[(1, -2)]
+    assert np.array_equal(g[:6, 2:], (lam * rho)[:6, 2:])
+    assert not g[6].any() and not g[:, :2].any()
 
 
 def test_window_size_guard():
@@ -55,9 +97,9 @@ def test_window_size_guard():
 
 def test_mul_op_unit_and_dirac():
     w = w1(-1, 1)
-    ident = mul_op(lambda p: 1.0, w)
+    ident = mul_op(lambda v: 1.0, w)
     assert np.allclose(ident.matrix, np.eye(3))
-    dirac = mul_op(lambda p: 1.0 if p.n == 0 else 0.0, w)
+    dirac = mul_op(lambda v: SPEC.indicator(v, 0), w)
     assert np.allclose(np.diag(dirac.matrix), [0, 1, 0])
     assert dirac.shift_degree == (0,)
 
@@ -65,13 +107,13 @@ def test_mul_op_unit_and_dirac():
 def test_mul_op_tau_frozen():
     # points at exponents -1,0,1 are 2, 1, 0.5; tau swaps ends equally
     w = w1(-1, 1)
-    op = mul_op(lambda p: tau(p.value), w)
+    op = mul_op(tau, w)
     assert np.allclose(np.diag(op.matrix), [2.5, 2.0, 2.5])
 
 
 def test_shift_op_truncation():
     w = w1(0, 2)
-    s = shift_op(lambda p: 1.0, (+1,), w)
+    s = shift_op(lambda v: 1.0, (+1,), w)
     # column of the top exponent leaves the window
     expected = np.zeros((3, 3))
     expected[1, 0] = 1.0
@@ -82,8 +124,8 @@ def test_shift_op_truncation():
 
 def test_shift_inverse_on_interior():
     w = w1(-5, 5)
-    up = shift_op(lambda p: 1.0, (+1,), w)
-    dn = shift_op(lambda p: 1.0, (-1,), w)
+    up = shift_op(lambda v: 1.0, (+1,), w)
+    dn = shift_op(lambda v: 1.0, (-1,), w)
     ident = identity_op(w)
     res = relation_residual(
         [(1.0, [up, dn]), (-1.0, [ident])], ((1, 0),), label="updown"
@@ -95,8 +137,8 @@ def test_shift_inverse_on_interior():
 
 def test_margin_rejection():
     w = w1(-5, 5)
-    dn = shift_op(lambda p: 1.0, (-1,), w)
-    up = shift_op(lambda p: 1.0, (+1,), w)
+    dn = shift_op(lambda v: 1.0, (-1,), w)
+    up = shift_op(lambda v: 1.0, (+1,), w)
     with pytest.raises(ValueError, match="truncation artifacts"):
         relation_residual([(1.0, [up, dn])], 0, label="too-small")
 
@@ -104,10 +146,10 @@ def test_margin_rejection():
 def test_exact_boundary_override():
     # weight vanishing at the window edge: margin 0 is legitimate there
     w = w1(0, 6)
-    down = shift_op(lambda p: 0.0 if p.n == 0 else 1.0, (-1,), w)
+    down = shift_op(lambda v: 1.0 - SPEC.indicator(v, 0), (-1,), w)
     up = down.adjoint()
     # down then up is the identity except at the annihilated bottom point
-    proj = mul_op(lambda p: 0.0 if p.n == 0 else 1.0, w)
+    proj = mul_op(lambda v: 1.0 - SPEC.indicator(v, 0), w)
     res = relation_residual(
         [(1.0, [up, down]), (-1.0, [proj])],
         ((0, 1),),
@@ -119,15 +161,15 @@ def test_exact_boundary_override():
 
 def test_adjoint_involution_and_antihom():
     w = w1(-4, 4)
-    a = shift_op(lambda p: tau(p.value) ** 0.5, (+1,), w)
-    b = mul_op(lambda p: 1j * p.value, w)
+    a = shift_op(lambda v: tau(v) ** 0.5, (+1,), w)
+    b = mul_op(lambda v: 1j * v, w)
     assert np.allclose(a.adjoint().adjoint().matrix, a.matrix)
     assert np.allclose((a @ b).adjoint().matrix, (b.adjoint() @ a.adjoint()).matrix)
 
 
 def test_residual_detects_fault():
     w = w2(5)
-    up = shift_op(lambda p1, p2: 0.5, (+1, 0), w)
+    up = shift_op(lambda lam, rho: 0.5, (+1, 0), w)
     dn = up.adjoint()
     ident = identity_op(w)
     good = relation_residual(
@@ -146,7 +188,7 @@ def test_residual_detects_fault():
 def test_interior_exactness_window_doubling():
     def build(n):
         w = w1(-n, n)
-        up = shift_op(lambda p: 1.0 / tau(p.value), (+1,), w)
+        up = shift_op(lambda v: 1.0 / tau(v), (+1,), w)
         dn = up.adjoint()
         ident = identity_op(w)
         comm = relation_residual(
@@ -167,7 +209,7 @@ def test_op_norm_bound():
 
 def test_json_export_shape():
     w = w1(0, 1)
-    s = shift_op(lambda p: 2.0, (+1,), w)
+    s = shift_op(lambda v: 2.0, (+1,), w)
     d = s.to_json_dict()
     assert d["entries"] == [[1, 0, 2.0, 0.0]]
     ax = d["window"]["axes"][0]
@@ -180,8 +222,8 @@ def test_mixed_displacement_margins(d1, d2, n):
     # sum of two shifts with different displacements loses exactness;
     # required margin falls back to the shift-degree bound
     w = w1(-n, n)
-    a = shift_op(lambda p: 1.0, (d1,), w)
-    b = shift_op(lambda p: 1.0, (d2,), w)
+    a = shift_op(lambda v: 1.0, (d1,), w)
+    b = shift_op(lambda v: 1.0, (d2,), w)
     s = a + b
     if d1 == d2:
         assert s.displacement == (d1,)
