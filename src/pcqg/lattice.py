@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "tau",
     "weight_w",
     "LatticeSpec",
-    "LatticePoint",
     "lattice_contains",
     "power",
     "EXPONENT_REL_TOL",
@@ -40,9 +38,8 @@ def tau(v):
     whole array.
     """
     if isinstance(v, np.ndarray):
-        bad = v <= 0
-        if bad.any():
-            raise ValueError(f"tau requires a positive argument, got {v[bad].flat[0]}")
+        if v.min(initial=1.0) <= 0:
+            raise ValueError(f"tau requires a positive argument, got {v[v <= 0].flat[0]}")
     elif v <= 0:
         raise ValueError(f"tau requires a positive argument, got {v}")
     return v + 1.0 / v
@@ -63,7 +60,7 @@ def power(v, k: int):
     return np.array([x**k for x in v.ravel().tolist()]).reshape(v.shape)
 
 
-def weight_w(v: float, eps: int, q: float) -> float:
+def weight_w(v, eps: int, q: float):
     """Shift ratio w_eps(v) = tau(q^eps v) / tau(v) for eps in {+1, -1}."""
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
@@ -99,15 +96,12 @@ class LatticeSpec:
         """Float value of the point with integer exponent n."""
         return self.base * self.q ** (n / self.step_denominator)
 
-    def point(self, n: int) -> "LatticePoint":
-        return LatticePoint(self, int(n))
-
     def exponent_of(self, v: float, rel_tol: float = EXPONENT_REL_TOL) -> int | None:
         """Integer exponent n with value(n) == v, or None if v is off-lattice.
 
         The comparison happens on the exponent scale: n is accepted when
         |log_q(v/base) - n/step_denominator| < rel_tol. Exact for values that
-        were produced from a LatticePoint of this spec.
+        were produced by value() of this spec.
         """
         if v <= 0:
             return None
@@ -130,19 +124,6 @@ class LatticeSpec:
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.log(np.divide(v, self.base)) / math.log(self.q)
         return np.where(np.abs(t - n / self.step_denominator) < rel_tol, 1.0, 0.0)
-
-
-@dataclass(frozen=True)
-class LatticePoint:
-    spec: LatticeSpec
-    n: int
-
-    @cached_property
-    def value(self) -> float:
-        return self.spec.value(self.n)
-
-    def shifted(self, dn: int) -> "LatticePoint":
-        return LatticePoint(self.spec, self.n + dn)
 
 
 def lattice_contains(

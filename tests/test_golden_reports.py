@@ -28,12 +28,3 @@ def test_report_bytes_unchanged(capsys, entry):
     assert code == entry["code"]
     assert out == entry["stdout"]
 
-
-def test_golden_set_covers_the_commands():
-    commands = [" ".join(e["argv"][:2]) for e in GOLDEN]
-    assert commands.count("dyn reduce") == 5
-    suites = {e["argv"][-1] if "--suite" in e["argv"] else "defining" for e in GOLDEN if e["argv"][:2] == ["dyn", "verify"]}
-    assert suites == {"defining", "full"}
-    for cmd in ("dyn antipode", "dyn coproduct", "dyn xsym", "irreps build", "uq verify"):
-        assert cmd in commands
-    assert all(json.loads(e["stdout"])["passed"] for e in GOLDEN)

@@ -2,14 +2,15 @@
 
 The oracle is the per-point evaluation the windowed strand used before its
 coefficient functions became array functions: a closure called once per
-basis vector on LatticePoint tuples, with the weights written with math.sqrt
-and Python float arithmetic.  Every grid the array path builds must equal the
+basis vector on tuples of lattice points, with the weights written with
+math.sqrt and Python float arithmetic.  Every grid the array path builds must equal the
 oracle's bit for bit.
 """
 
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from pcqg.dynsu2 import (
     build_pi_c,
     default_window,
 )
-from pcqg.lattice import LatticePoint, LatticeSpec, tau, weight_w
+from pcqg.lattice import LatticeSpec, tau, weight_w
 from pcqg.uqsu11 import build_pi_T, compatible_sets
 from pcqg.words import RuleSet, dirac_projection, parse_word, reduce_word
 
@@ -35,8 +36,17 @@ PARAMS = [(0.5, 1.0, 0.0), (0.8, 0.7, 0.3), (0.73, 1.3, -1.4), (0.6, 1.1, 0.9)]
 # -- the oracle ----------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Point:
+    """A lattice point as the per-point closures saw it."""
+
+    n: int
+    value: float
+
+
 def _points(window):
-    axes = ([LatticePoint(ax.spec, n) for n in ax.exponents()] for ax in window.axes)
+    """The points of every basis vector, in basis order."""
+    axes = ([Point(n, ax.spec.value(n)) for n in ax.exponents()] for ax in window.axes)
     return list(itertools.product(*axes))
 
 
