@@ -26,6 +26,7 @@ from pcqg.dynsu2 import (
 )
 from pcqg.lattice import LatticeSpec, tau, weight_w
 from pcqg.uqsu11 import build_pi_T, compatible_sets
+from pcqg.windowed import WindowedOperator
 from pcqg.words import RuleSet, dirac_projection, parse_word, reduce_word
 
 # (q, x, c); at q = 0.6, x = 1.1 the point x q^-5 is one where numpy's
@@ -268,7 +269,7 @@ def test_pi_st_matches_oracle(q, x, c):
             return lambda pS, pT: f(pS.value * pT.value, pS.value / pT.value)
 
         def diag(f):
-            return type(st.lifted["E1"])(st.window, {(0, 0): scalar_mul_grid(f, st.window)})
+            return WindowedOperator(st.window, {(0, 0): scalar_mul_grid(f, st.window)})
 
         ga = diag(lambda pS, pT: 1.0 / math.sqrt(tau(pS.value * pT.value) * tau(q * pS.value / pT.value)))
         gb = diag(lambda pS, pT: 1.0 / math.sqrt(tau(pS.value * pT.value) * tau(pS.value / (q * pT.value))))
