@@ -24,11 +24,10 @@ if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
 
-from .lattice import LatticeSpec, lattice_contains, tau, weight_w
+from .lattice import LatticeSpec, tau, weight_w
 
 __all__ = [
     "LatticeSpec",
-    "lattice_contains",
     "tau",
     "weight_w",
 ]

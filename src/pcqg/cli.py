@@ -17,7 +17,7 @@ import csv
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -49,6 +49,7 @@ from .dynsu2 import (
     x_symmetry_check,
 )
 from .fdpcqg import (
+    CheckResult,
     FiniteGroupoid,
     FinitePQG,
     from_finite_groupoid_algebra,
@@ -252,14 +253,7 @@ def cmd_uq_verify(args) -> int:
     for s in sets:
         rep = build_pi_T(s, truncation=args.truncation)
         for r in verify_uqsu11_relations(rep, tol=args.tol):
-            checks.append(
-                type(r)(
-                    label=f"{s.label()}::{r.label}",
-                    residual=r.residual,
-                    margins=r.margins,
-                    tol=r.tol,
-                )
-            )
+            checks.append(replace(r, label=f"{s.label()}::{r.label}"))
     payload = {"sets": _compatible_rows(sets)}
     return _finish(args, "uq verify", payload, checks=checks, tolerances={"tol": args.tol})
 
@@ -426,9 +420,7 @@ def cmd_fdqg_haar(args) -> int:
     for name, fam in families.items():
         payload[f"{name}_diagnostics"] = fam.diagnostics
         for r in haar_residuals(G, fam, tol=args.tol):
-            checks.append(
-                type(r)(label=f"{name}::{r.label}", passed=r.passed, residual=r.residual)
-            )
+            checks.append(replace(r, label=f"{name}::{r.label}"))
     if len(families) == 2:
         diff = max(
             np.abs(
@@ -438,7 +430,7 @@ def cmd_fdqg_haar(args) -> int:
             for m in range(G.n_objects)
         )
         ok = diff <= HAAR_AGREEMENT_TOL
-        checks.append(type(checks[0])(label="routes_agree", passed=ok, residual=float(diff)))
+        checks.append(CheckResult(label="routes_agree", passed=ok, residual=float(diff)))
     if gpd is not None and args.form == "functions":
         oracle = uniform_haar_oracle(G, gpd)
         base = families.get("solve") or families["cesaro"]
@@ -448,9 +440,7 @@ def cmd_fdqg_haar(args) -> int:
             for m in range(G.n_objects)
         )
         checks.append(
-            type(checks[0])(
-                label="uniform_oracle", passed=diff <= args.tol, residual=float(diff)
-            )
+            CheckResult(label="uniform_oracle", passed=diff <= args.tol, residual=float(diff))
         )
     tolerances = {"tol": args.tol, "agreement_tol": HAAR_AGREEMENT_TOL}
     return _finish(args, "fdqg haar", payload, checks=checks, tolerances=tolerances)
@@ -462,14 +452,7 @@ def cmd_fdqg_reps(args) -> int:
 
     def _collect(tag, X):
         for r in verify_rep(X, tol=args.tol):
-            checks.append(
-                type(r)(
-                    label=f"{tag}::{r.label}",
-                    passed=r.passed,
-                    residual=r.residual,
-                    detail=r.detail,
-                )
-            )
+            checks.append(replace(r, label=f"{tag}::{r.label}"))
         return X.space_dim
 
     dims = {"trivial": _collect("trivial", trivial_rep(G))}

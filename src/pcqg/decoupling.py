@@ -21,14 +21,23 @@ import numpy as np
 
 from .lattice import EXPONENT_REL_TOL, LatticeSpec, tau
 from .cset import solve_wc
-from .uqsu11 import CompatibleSet, UqRep, build_pi_T, compatible_sets
+from .uqsu11 import (
+    CompatibleSet,
+    UqRep,
+    build_pi_T,
+    casimir_terms,
+    compatible_sets,
+    su11_relations,
+)
 from .windowed import (
     RelationResidual,
     Window,
     WindowedOperator,
+    evaluate_terms,
     identity_op,
     mul_op,
     relation_residual,
+    table_residuals,
     tensor_op,
 )
 
@@ -66,7 +75,7 @@ class PhiImages:
     the second, sqrt(lambda/rho). Diagonal unit projections come from the
     methods, matched on the exponent scale. `bundle` is whatever the images
     were read from (a pi_c bundle or a tensor-product bundle); only its
-    q, mul_fn, margins and exact_boundaries are used afterwards.
+    q, u, mul_fn, margins and exact_boundaries are used afterwards.
     """
 
     bundle: object
@@ -82,6 +91,14 @@ class PhiImages:
     @property
     def q(self) -> float:
         return self.bundle.q
+
+    def generators(self, copy: int) -> tuple[WindowedOperator, ...]:
+        """(E, F, K, K^-1) of copy 1 or 2."""
+        if copy == 1:
+            return self.E1, self.F1, self.K1, self.K1inv
+        if copy == 2:
+            return self.E2, self.F2, self.K2, self.K2inv
+        raise ValueError(f"copy must be 1 or 2, got {copy}")
 
     def unit_1(self, r: float) -> WindowedOperator:
         """Projection onto lambda*rho = r^2, the r weight space of copy 1."""
@@ -130,70 +147,29 @@ def build_phi_images(b) -> PhiImages:
 def casimir_omega(images: PhiImages, copy: int = 1) -> WindowedOperator:
     """The Casimir Omega, from either copy.
 
-    copy=1 returns (1/q-q)^2 F1 E1 - q K1^2 - (1/q) K1^-2; copy=2 returns
-    minus the same combination in the second copy, which must agree with
-    copy 1 on the interior (that cancellation is the decoupling identity,
-    checked by omega_residuals).
+    copy=1 evaluates uqsu11.casimir_terms on the first copy's generators;
+    copy=2 returns minus the same combination in the second copy, which
+    must agree with copy 1 on the interior (that cancellation is the
+    decoupling identity, checked by omega_residuals).
     """
-    q = images.q
-    s = (1.0 / q - q) ** 2
-    if copy == 1:
-        return (
-            s * (images.F1 @ images.E1)
-            - q * (images.K1 @ images.K1)
-            - (1.0 / q) * (images.K1inv @ images.K1inv)
-        )
-    if copy == 2:
-        return (-1.0) * (
-            s * (images.F2 @ images.E2)
-            - q * (images.K2 @ images.K2)
-            - (1.0 / q) * (images.K2inv @ images.K2inv)
-        )
-    raise ValueError(f"copy must be 1 or 2, got {copy}")
+    omega = evaluate_terms(casimir_terms(*images.generators(copy), images.q))
+    return omega if copy == 1 else (-1.0) * omega
 
 
 def phi_relation_residuals(images: PhiImages, tol: float = 1e-10) -> list[RelationResidual]:
     """Defining relations of both su(1,1) copies, plus cross commutation.
 
-    Per copy: F = E*, KE = qEK, [F,E] = (K^2 - K^-2)/(q - 1/q). Across
-    copies every generator of one commutes with every generator of the
-    other. All words are evaluated on the bundle's interior.
+    Per copy, the uqsu11.su11_relations table, labelled phi{i}_<label>:
+    K K^-1 = 1, K = K*, F = E*, KE = qEK, [F,E] = (K^2 - K^-2)/(q - 1/q).
+    Across copies every generator of one commutes with every generator of
+    the other. All words are evaluated on the bundle's interior.
     """
     b = images.bundle
-    q = images.q
-    margins = b.margins()
-    exact = b.exact_boundaries()
-
-    def check(label, terms):
-        return relation_residual(
-            terms, margins, label=label, tol=tol, exact_boundaries=exact
-        )
-
-    out = []
-    for i, (E, F, K, Kinv) in (
-        (1, (images.E1, images.F1, images.K1, images.K1inv)),
-        (2, (images.E2, images.F2, images.K2, images.K2inv)),
-    ):
-        out.append(
-            check(f"phi{i}_ef_adjoint", [(1.0, [F]), (-1.0, [E.adjoint()])])
-        )
-        out.append(
-            check(f"phi{i}_k_inverse", [(1.0, [K, Kinv]), (-1.0, [b.mul_fn(lambda l, p: 1.0)])])
-        )
-        out.append(
-            check(f"phi{i}_ke_commutation", [(1.0, [K, E]), (-q, [E, K])])
-        )
-        out.append(
-            check(
-                f"phi{i}_ef_commutator",
-                [
-                    (1.0, [F, E]),
-                    (-1.0, [E, F]),
-                    (-1.0 / (q - 1.0 / q), [K, K]),
-                    (1.0 / (q - 1.0 / q), [Kinv, Kinv]),
-                ],
-            )
-        )
+    ident = b.mul_fn(lambda l, p: 1.0)
+    table = {}
+    for i in (1, 2):
+        relations = su11_relations(*images.generators(i), ident, images.q)
+        table.update((f"phi{i}_{label}", terms) for label, terms in relations.items())
     for label, a, bb in (
         ("cross_e1_e2", images.E1, images.E2),
         ("cross_e1_f2", images.E1, images.F2),
@@ -202,8 +178,8 @@ def phi_relation_residuals(images: PhiImages, tol: float = 1e-10) -> list[Relati
         ("cross_k1_e2", images.K1, images.E2),
         ("cross_k2_e1", images.K2, images.E1),
     ):
-        out.append(check(label, [(1.0, [a, bb]), (-1.0, [bb, a])]))
-    return out
+        table[label] = [(1.0, [a, bb]), (-1.0, [bb, a])]
+    return table_residuals(table.items(), b.margins(), b.exact_boundaries(), tol)
 
 
 def omega_residuals(
@@ -226,48 +202,23 @@ def omega_residuals(
     """
     b = images.bundle
     q = images.q
-    s = (1.0 / q - q) ** 2
-    margins = b.margins()
-    exact = b.exact_boundaries()
-    ident = b.mul_fn(lambda l, p: 1.0)
-    norm = b.mul_fn(lambda l, p: 1.0 / (tau(q * l * p) + tau(q * l / p)))
-
-    def check(label, terms):
-        if normalized:
-            terms = [(z, list(word) + [norm]) for z, word in terms]
-        return relation_residual(
-            terms, margins, label=label, tol=tol, exact_boundaries=exact
-        )
-
-    omega_terms_1 = [
-        (s, [images.F1, images.E1]),
-        (-q, [images.K1, images.K1]),
-        (-1.0 / q, [images.K1inv, images.K1inv]),
-    ]
-    omega_terms_2 = [
-        (s, [images.F2, images.E2]),
-        (-q, [images.K2, images.K2]),
-        (-1.0 / q, [images.K2inv, images.K2inv]),
-    ]
-
-    out = [check("omega_two_ways", omega_terms_1 + omega_terms_2)]
+    omega_1 = casimir_terms(*images.generators(1), q)
+    table = {"omega_two_ways": omega_1 + casimir_terms(*images.generators(2), q)}
     if c_expected is not None:
-        out.append(
-            check(
-                "omega_scalar",
-                omega_terms_1 + [(-complex(c_expected), [ident])],
-            )
-        )
+        ident = b.mul_fn(lambda l, p: 1.0)
+        table["omega_scalar"] = omega_1 + [(-complex(c_expected), [ident])]
     omega = casimir_omega(images, copy=1)
-    out.append(
-        check("omega_self_adjoint", [(1.0, [omega]), (-1.0, [omega.adjoint()])])
-    )
+    table["omega_self_adjoint"] = [(1.0, [omega]), (-1.0, [omega.adjoint()])]
     for name in ("alpha", "beta", "gamma", "delta"):
         u = b.u(name)
-        out.append(
-            check(f"omega_central_{name}", [(1.0, [omega, u]), (-1.0, [u, omega])])
-        )
-    return out
+        table[f"omega_central_{name}"] = [(1.0, [omega, u]), (-1.0, [u, omega])]
+    if normalized:
+        norm = b.mul_fn(lambda l, p: 1.0 / (tau(q * l * p) + tau(q * l / p)))
+        table = {
+            label: [(z, [*word, norm]) for z, word in terms]
+            for label, terms in table.items()
+        }
+    return table_residuals(table.items(), b.margins(), b.exact_boundaries(), tol)
 
 
 # -- enumeration of irreducible representation data ------------------------
@@ -493,26 +444,17 @@ def round_trip_residuals(b, tol: float = 1e-10) -> list[RelationResidual]:
     kappa = 1.0 / q - q
     ga = b.mul_fn(lambda l, p: 1.0 / np.sqrt(tau(l) * tau(q * p)))
     gb = b.mul_fn(lambda l, p: 1.0 / np.sqrt(tau(l) * tau(p / q)))
-    margins = b.margins()
-    exact = b.exact_boundaries()
     rebuilt = {
         "alpha": (kappa, images.E1, ga),
         "beta": (kappa, images.E2, gb),
         "gamma": (-kappa, images.F2, ga),
         "delta": (kappa, images.F1, gb),
     }
-    out = []
-    for name, (z, img, g) in rebuilt.items():
-        out.append(
-            relation_residual(
-                [(z, [img, g]), (-1.0, [b.u(name)])],
-                margins,
-                label=f"roundtrip_{name}",
-                tol=tol,
-                exact_boundaries=exact,
-            )
-        )
-    return out
+    table = (
+        (f"roundtrip_{name}", [(z, [img, g]), (-1.0, [b.u(name)])])
+        for name, (z, img, g) in rebuilt.items()
+    )
+    return table_residuals(table, b.margins(), b.exact_boundaries(), tol)
 
 
 def grading_residuals(st: PiSTBundle, tol: float = 1e-12) -> list[RelationResidual]:

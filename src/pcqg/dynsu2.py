@@ -42,11 +42,13 @@ from .windowed import (
     Window,
     WindowAxis,
     WindowedOperator,
+    evaluate_terms,
     identity_op,
     mul_op,
     op_norm_bound,
     relation_residual,
     shift_op,
+    table_residuals,
     tensor_op,
     zero_op,
 )
@@ -276,8 +278,6 @@ def verify_dynsu2_relations(
     function), so required_margins sees every intermediate shift.
     """
     ops = {ch: letter_operator(ch, b) for ch in LETTERS + STARRED}
-    margins = b.margins()
-    exact = b.exact_boundaries()
 
     def word(left, t):
         out = [b.mul_fn(left)] if left is not None else []
@@ -286,16 +286,11 @@ def verify_dynsu2_relations(
             out.append(b.mul_fn(t.coeff))
         return out or [identity_op(b.window)]
 
-    return [
-        relation_residual(
-            [(z, word(left, t)) for z, left, t in terms],
-            margins,
-            label=label,
-            tol=tol,
-            exact_boundaries=exact,
-        )
+    table = (
+        (label, [(z, word(left, t)) for z, left, t in terms])
         for label, terms in battery_relations(b.q, suite).items()
-    ]
+    )
+    return table_residuals(table, b.margins(), b.exact_boundaries(), tol)
 
 
 def generator_norm_bounds(b) -> dict:
@@ -411,11 +406,7 @@ def term_operator(t: Term, b: PiCBundle) -> WindowedOperator:
 
 def _terms_operator(terms: list[tuple[complex, Term]], b: PiCBundle) -> WindowedOperator:
     """The operator of sum(z * term)."""
-    out = None
-    for z, t in terms:
-        op = z * term_operator(t, b)
-        out = op if out is None else out + op
-    return out
+    return evaluate_terms([(z, [term_operator(t, b)]) for z, t in terms])
 
 
 def terms_residual(

@@ -21,7 +21,6 @@ __all__ = [
     "tau",
     "weight_w",
     "LatticeSpec",
-    "lattice_contains",
     "power",
     "EXPONENT_REL_TOL",
 ]
@@ -125,9 +124,3 @@ class LatticeSpec:
             t = np.log(np.divide(v, self.base)) / math.log(self.q)
         return np.where(np.abs(t - n / self.step_denominator) < rel_tol, 1.0, 0.0)
 
-
-def lattice_contains(
-    spec: LatticeSpec, v: float, rel_tol: float = EXPONENT_REL_TOL
-) -> int | None:
-    """Exponent of v in spec, or None. Functional alias of exponent_of."""
-    return spec.exponent_of(v, rel_tol=rel_tol)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,12 +27,15 @@ from .cset import CSetDescriptor, SetKind, classify_irreducible_csets
 from .lattice import LatticeSpec, tau
 from .windowed import (
     RelationResidual,
+    Term,
     Window,
     WindowedOperator,
+    evaluate_terms,
     identity_op,
     mul_op,
     relation_residual,
     shift_op,
+    table_residuals,
     window_1d,
 )
 
@@ -97,23 +99,22 @@ def compatible_sets(y: float, c: float, q: float, window: int = 8) -> list[Compa
 
 @dataclass(frozen=True)
 class UqRep:
-    """Operators E, F, K on a window of T, plus boundary bookkeeping."""
+    """Operators E, F, K and K^-1 on a window of T, with the Casimir scalar c.
 
-    y: float
+    algebraic_low and algebraic_high say which window ends are algebraic:
+    the series terminates there, so relation checks need no margin on that
+    side.
+    """
+
     c: float
     q: float
-    kind: SetKind
     window: Window
     E: WindowedOperator
     F: WindowedOperator
     K: WindowedOperator
     Kinv: WindowedOperator
-    # exponent of each window point over the half-step lattice of y,
-    # as gamma_exponent + 2n; kept for export
-    gamma_base_exponent: Optional[int]
     algebraic_low: bool
     algebraic_high: bool
-    is_star: bool = True
 
     def unit(self, n: int) -> WindowedOperator:
         """Rank-one diagonal projection onto the window point with exponent n."""
@@ -132,23 +133,6 @@ class UqRep:
         if self.algebraic_high:
             s.add((0, "high"))
         return frozenset(s)
-
-    def to_json_dict(self) -> dict:
-        ax = self.window.axes[0]
-        return {
-            "y": self.y,
-            "c": self.c,
-            "q": self.q,
-            "kind": self.kind.value,
-            "t_exponents": [
-                self.gamma_base_exponent + 2 * n if self.gamma_base_exponent is not None else n
-                for n in ax.exponents()
-            ],
-            "E": self.E.to_json_dict(),
-            "F": self.F.to_json_dict(),
-            "K": self.K.to_json_dict(),
-        }
-
 
 def _radicand(r: np.ndarray, c: float, q: float, eps: int, tol: float) -> np.ndarray:
     v = tau(q**eps * r * r) + c
@@ -209,30 +193,48 @@ def build_pi_T(cs: CompatibleSet, truncation: int = 10) -> UqRep:
     K = mul_op(lambda r: r, win)
     Kinv = mul_op(lambda r: 1.0 / r, win)
     return UqRep(
-        y=cs.y,
         c=c,
         q=q,
-        kind=d.kind,
         window=win,
         E=E,
         F=F,
         K=K,
         Kinv=Kinv,
-        gamma_base_exponent=d.z_exponent,
         algebraic_low=algebraic[0],
         algebraic_high=algebraic[1],
     )
 
 
+def su11_relations(E, F, K, Kinv, ident, q: float) -> dict[str, list[Term]]:
+    """The su(1,1) relations of one generator quadruple, as term lists (sum = 0).
+
+    K K^-1 = 1, K = K*, F = E*, KE = qEK and [F,E] = (K^2 - K^-2)/(q - 1/q).
+    The pi_T representations and both decoupled copies inside the dynamical
+    algebra are checked against this one table.
+    """
+    kappa = q - 1.0 / q
+    return {
+        "k_invertible": [(1.0, [K, Kinv]), (-1.0, [ident])],
+        "k_selfadjoint": [(1.0, [K]), (-1.0, [K.adjoint()])],
+        "ef_adjoint": [(1.0, [F]), (-1.0, [E.adjoint()])],
+        "ke_commutation": [(1.0, [K, E]), (-q, [E, K])],
+        "ef_commutator": [
+            (1.0, [F, E]),
+            (-1.0, [E, F]),
+            (-1.0 / kappa, [K, K]),
+            (1.0 / kappa, [Kinv, Kinv]),
+        ],
+    }
+
+
+def casimir_terms(E, F, K, Kinv, q: float) -> list[Term]:
+    """The Casimir (1/q - q)^2 FE - q K^2 - (1/q) K^-2 as a term list."""
+    return [((1.0 / q - q) ** 2, [F, E]), (-q, [K, K]), (-1.0 / q, [Kinv, Kinv])]
+
+
 def casimir_op(rep: UqRep) -> WindowedOperator:
-    """(1/q - q)^2 FE - q K^2 - (1/q) K^-2; scalar c on the interior."""
-    q = rep.q
-    s = (1.0 / q - q) ** 2
-    return (
-        s * (rep.F @ rep.E)
-        - q * (rep.K @ rep.K)
-        - (1.0 / q) * (rep.Kinv @ rep.Kinv)
-    )
+    """The Casimir of the representation; scalar c on the interior."""
+    return evaluate_terms(casimir_terms(rep.E, rep.F, rep.K, rep.Kinv, rep.q))
 
 
 def relation_conditioning(rep: UqRep) -> float:
@@ -243,42 +245,14 @@ def relation_conditioning(rep: UqRep) -> float:
     (deep series truncations, small q) should test against a tolerance
     proportional to it.
     """
-    mags = [
-        (rep.F @ rep.E).max_abs(),
-        (rep.K @ rep.K).max_abs(),
-        (rep.Kinv @ rep.Kinv).max_abs(),
-        (rep.K @ rep.E).max_abs(),
-    ]
-    return max(1.0, *mags)
+    terms = casimir_terms(rep.E, rep.F, rep.K, rep.Kinv, rep.q) + [(1.0, [rep.K, rep.E])]
+    return max(1.0, *(evaluate_terms([(1.0, word)]).max_abs() for _, word in terms))
 
 
 def verify_uqsu11_relations(rep: UqRep, tol: float = 1e-10) -> list[RelationResidual]:
-    q = rep.q
     win = rep.window
-    ident = identity_op(win)
-    margins = rep.margins()
-    exact = rep.exact_boundaries()
-
-    def check(label, terms):
-        return relation_residual(
-            terms, margins, label=label, tol=tol, exact_boundaries=exact
-        )
-
-    out = [
-        check("k_invertible", [(1.0, [rep.K, rep.Kinv]), (-1.0, [ident])]),
-        check("k_selfadjoint", [(1.0, [rep.K]), (-1.0, [rep.K.adjoint()])]),
-        check("ef_adjoint", [(1.0, [rep.F]), (-1.0, [rep.E.adjoint()])]),
-        check("ke_commutation", [(1.0, [rep.K, rep.E]), (-q, [rep.E, rep.K])]),
-        check(
-            "ef_commutator",
-            [
-                (1.0, [rep.F, rep.E]),
-                (-1.0, [rep.E, rep.F]),
-                (-1.0 / (q - 1.0 / q), [rep.K, rep.K]),
-                (1.0 / (q - 1.0 / q), [rep.Kinv, rep.Kinv]),
-            ],
-        ),
-    ]
+    relations = su11_relations(rep.E, rep.F, rep.K, rep.Kinv, identity_op(win), rep.q)
+    out = table_residuals(relations.items(), rep.margins(), rep.exact_boundaries(), tol)
 
     # graded unit relations: E maps the r weight space into the qr one,
     # so P_{next} E P_n = E P_n for every window point n
@@ -336,17 +310,13 @@ def build_verma(y: float, q: float, n_max: int) -> UqRep:
     # Casimir scalar of the lowest-weight module with K e_0 = y
     c = -tau(y * y / q)
     return UqRep(
-        y=y,
         c=c,
         q=q,
-        kind=SetKind.FULL_ORBIT,
         window=win,
         E=E,
         F=F,
         K=K,
         Kinv=Kinv,
-        gamma_base_exponent=None,
         algebraic_low=True,
         algebraic_high=False,
-        is_star=False,
     )

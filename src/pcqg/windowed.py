@@ -18,7 +18,8 @@ Every operator is a finite sum of weighted shifts, stored as a dict
 {displacement: weight grid of the window's shape}.  A product shifts one
 grid and multiplies it with the other: O(#shifts * n) time and O(n) memory
 per shift on a basis of size n.  The dense n x n matrix is a view built on
-request, for export and tests.
+request, for the multi-shift norm bound and tests; no operator is built
+from one.
 
 Weights and diagonals are array functions: mul_op and shift_op call them
 once, on the window's value grids (one broadcastable array per axis), never
@@ -31,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -169,27 +170,18 @@ class WindowedOperator:
 
     shift_degree[a] is the largest |d[a]| over the stored displacements;
     displacement[a] is the d[a] they all share, else None.  Margin
-    validation reads both to track a word's excursions.
-
-    WindowedOperator(window, matrix, shift_degree, displacement) splits a
-    dense n x n matrix by displacement (exactly: every entry lands in one
-    grid), and rejects entries that the given metadata excludes.
+    validation reads both to track a word's excursions.  Both are derived
+    from the stored displacements; there is no dense constructor.
     """
 
-    def __init__(self, window: Window, data, shift_degree=None, displacement=None):
+    def __init__(self, window: Window, grids: dict):
         self.window = window
-        if isinstance(data, np.ndarray):
-            data = _split(window, data)
         self.grids = {
-            tuple(d): np.asarray(g, dtype=complex) for d, g in data.items()
+            tuple(d): np.asarray(g, dtype=complex) for d, g in grids.items()
         }
         for d, g in self.grids.items():
             if len(d) != window.dim or g.shape != window.shape:
                 raise ValueError("grid does not match the window")
-        given = list(zip(shift_degree or (), displacement or (None,) * window.dim))
-        if any(abs(d[a]) > deg or want not in (None, d[a])
-               for d in self.grids for a, (deg, want) in enumerate(given)):
-            raise ValueError("matrix has entries outside the given shift metadata")
 
     @property
     def shift_degree(self) -> tuple[int, ...]:
@@ -243,7 +235,7 @@ class WindowedOperator:
         inner = (g[_region(d, g.shape, margin)] for d, g in self.grids.items())
         return max((float(np.abs(g).max(initial=0.0)) for g in inner), default=0.0)
 
-    # -- dense view and export -------------------------------------------
+    # -- dense view ------------------------------------------------------
 
     @property
     def matrix(self) -> np.ndarray:
@@ -258,34 +250,6 @@ class WindowedOperator:
             pos, src = _positions(d, self.window)
             m[pos] = g[src]
         return m
-
-    def entries(self, tol: float = 0.0):
-        m = self.matrix
-        rows, cols = np.nonzero(np.abs(m) > tol)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            v = m[r, c]
-            yield r, c, v.real, v.imag
-
-    def to_json_dict(self) -> dict:
-        return {
-            "window": self.window.to_json_dict(),
-            "entries": [[r, c, re, im] for r, c, re, im in self.entries()],
-        }
-
-
-def _split(window: Window, m: np.ndarray) -> dict:
-    """The grids of a dense matrix, one per displacement of a nonzero entry."""
-    n = window.size
-    if m.shape != (n, n):
-        raise ValueError("matrix shape does not match window basis")
-    coords = np.indices(window.shape).reshape(window.dim, n).T
-    rows, cols = np.nonzero(m)
-    grids = {}
-    for d in np.unique(coords[rows] - coords[cols], axis=0).tolist():
-        pos, src = _positions(d, window)
-        grids[tuple(d)] = np.zeros(window.shape, dtype=complex)
-        grids[tuple(d)][src] = m[pos]
-    return grids
 
 
 def identity_op(window: Window) -> WindowedOperator:
@@ -357,6 +321,17 @@ class RelationResidual:
     def __str__(self):
         status = "ok" if self.passed else "FAIL"
         return f"{self.label}: residual {self.residual:.3e} [{status}]"
+
+
+def evaluate_terms(terms: Sequence[Term]) -> WindowedOperator:
+    """The operator sum(coeff * word), each word multiplied left to right."""
+    total = None
+    for coeff, word in terms:
+        m = word[0]
+        for op in word[1:]:
+            m = m @ op
+        total = coeff * m if total is None else total + coeff * m
+    return total
 
 
 def _word_excursion(word: Sequence[WindowedOperator], axis: int) -> tuple[int, int]:
@@ -445,12 +420,7 @@ def relation_residual(
         raise ValueError("margins leave no interior basis vectors")
     interior = tuple(slice(lo, ax.size - hi) for ax, (lo, hi) in zip(window.axes, margins))
 
-    total = None
-    for coeff, word in terms:
-        m = word[0]
-        for op in word[1:]:
-            m = m @ op
-        total = coeff * m if total is None else total + coeff * m
+    total = evaluate_terms(terms)
 
     # Column norms over the interior; summing in sorted displacement order
     # adds each column's entries in row order, as a dense column norm does.
@@ -460,6 +430,26 @@ def relation_residual(
         sq = sq + (g.conj() * g).real
     residual = float(np.sqrt(sq.max()))
     return RelationResidual(label=label, residual=residual, margins=margins, tol=tol)
+
+
+def table_residuals(
+    relations: Iterable[tuple[str, Sequence[Term]]],
+    margin,
+    exact_boundaries: frozenset = frozenset(),
+    tol: float = DEFAULT_TOL,
+) -> list[RelationResidual]:
+    """relation_residual of each (label, terms) pair, in the given order.
+
+    Every relation is checked with the same margins and exact boundaries.
+    A generator of pairs is consumed one relation at a time, so its
+    operators need not all be held at once.
+    """
+    return [
+        relation_residual(
+            terms, margin, label=label, tol=tol, exact_boundaries=exact_boundaries
+        )
+        for label, terms in relations
+    ]
 
 
 def op_norm_bound(a: WindowedOperator) -> float:

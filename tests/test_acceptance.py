@@ -121,14 +121,13 @@ def test_criterion_3_pi_c_validity_and_fault_detection():
         for r in verify_dynsu2_relations(b):
             worst = max(worst, r.residual)
         # single-entry faults of size 1e-3 on each generator must be seen
-        src = b.window.index_of((0, 0))
+        origin = np.unravel_index(b.window.index_of((0, 0)), b.window.shape)
         for name in GEN_NAMES:
-            op = b.u(name)
-            tgt = int(np.nonzero(op.matrix[:, src])[0][0])
-            m = op.matrix.copy()
-            m[tgt, src] += 1e-3
+            ((d, g),) = b.u(name).grids.items()
+            g = g.copy()
+            g[origin] += 1e-3
             ops = dict(b.ops)
-            ops[name] = WindowedOperator(b.window, m, op.shift_degree, op.displacement)
+            ops[name] = WindowedOperator(b.window, {d: g})
             faulted = PiCBundle(params=b.params, window=b.window, ops=ops)
             detected = max(r.residual for r in verify_dynsu2_relations(faulted))
             if detected <= 1e-4:

@@ -54,7 +54,7 @@ def test_phi_battery_on_pi_c(c, x):
     images = build_phi_images(b)
     res = phi_relation_residuals(images)
     _assert_all_pass(res)
-    assert len(res) == 14
+    assert len(res) == 16
     _assert_all_pass(omega_residuals(images, c_expected=c))
 
 

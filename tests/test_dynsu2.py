@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from pcqg import dynsu2
+from pcqg import dynsu2, windowed
 from pcqg.dynsu2 import (
     DynParams,
     GEN_NAMES,
@@ -133,13 +133,13 @@ def test_battery_validates_word_excursions(monkeypatch):
     # the row and column sums u u* and u* u return to their start: only the
     # intermediate shift needs a margin, and a pre-multiplied word hides it
     needed = {}
-    real = dynsu2.relation_residual
+    real = windowed.relation_residual
 
     def spy(terms, margin, **kw):
         needed[kw["label"]] = required_margins(terms, b.window)
         return real(terms, margin, **kw)
 
-    monkeypatch.setattr(dynsu2, "relation_residual", spy)
+    monkeypatch.setattr(windowed, "relation_residual", spy)
     verify_dynsu2_relations(b)
     for label in ("ort_row_1", "ort_row_2", "ort_col_1", "ort_col_2"):
         assert max(max(sides) for sides in needed[label]) == 1, label
@@ -153,13 +153,7 @@ def test_relation_battery_other_q():
 def test_theta_flip_detected():
     b = bundle()
     ops = dict(b.ops)
-    bad_beta = WindowedOperator(
-        b.window,
-        -b.beta.matrix,
-        b.beta.shift_degree,
-        b.beta.displacement,
-    )
-    ops["beta"] = bad_beta
+    ops["beta"] = (-1.0) * b.u("beta")
     b2 = PiCBundle(params=b.params, window=b.window, ops=ops)
     rs = {r.label: r for r in verify_dynsu2_relations(b2)}
     assert rs["ort_row_cross"].residual > 0.1
@@ -169,16 +163,19 @@ def test_theta_flip_detected():
     assert rs["extcom_beta"].passed
 
 
+def _fault_at_origin(op, size):
+    """op with size added to its weight at the exponent point (0, 0)."""
+    ((d, g),) = op.grids.items()
+    g = g.copy()
+    g[np.unravel_index(op.window.index_of((0, 0)), g.shape)] += size
+    return WindowedOperator(op.window, {d: g})
+
+
 def test_single_entry_faults_detected():
     b = bundle(c=1.5, x=0.7, half=6)
     for name in GEN_NAMES:
-        op = b.u(name)
-        src = b.window.index_of((0, 0))
-        tgt = int(np.nonzero(op.matrix[:, src])[0][0])
-        m = op.matrix.copy()
-        m[tgt, src] += 1e-3
         ops = dict(b.ops)
-        ops[name] = WindowedOperator(b.window, m, op.shift_degree, op.displacement)
+        ops[name] = _fault_at_origin(b.u(name), 1e-3)
         rs = verify_dynsu2_relations(
             PiCBundle(params=b.params, window=b.window, ops=ops)
         )

@@ -161,6 +161,20 @@ def test_generator_words_match_dense(name, seed, letters):
     _check_residual(rng, [(1.0, word), (-0.5, [other])], b.window)
 
 
+def _split(window, m):
+    """The operator of a dense matrix: one grid per displacement of a nonzero entry."""
+    coords = np.indices(window.shape).reshape(window.dim, -1).T
+    rows, cols = np.nonzero(m)
+    disp = coords[rows] - coords[cols]
+    grids = {}
+    for d in np.unique(disp, axis=0):
+        at = (disp == d).all(axis=1)
+        g = np.zeros(window.shape, dtype=complex)
+        g[tuple(coords[cols[at]].T)] = m[rows[at], cols[at]]
+        grids[tuple(d.tolist())] = g
+    return WindowedOperator(window, grids)
+
+
 @settings(max_examples=30, deadline=None)
 @given(SIZES, SEEDS, hst.floats(0.0, 1.0))
 def test_dense_split_round_trip(sizes, seed, density):
@@ -169,20 +183,8 @@ def test_dense_split_round_trip(sizes, seed, density):
     n = w.size
     values = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     m = np.where(rng.random((n, n)) < density, values, 0)
-    op = WindowedOperator(w, m)
+    op = _split(w, m)
     assert op.matrix.tobytes() == m.tobytes()
     # one grid per displacement of a nonzero entry, each entry in one grid
     counts = [np.count_nonzero(g) for g in op.grids.values()]
     assert all(counts) and sum(counts) == np.count_nonzero(m)
-
-
-def test_dense_split_checks_given_metadata():
-    b = _pi_c()
-    beta = b.beta
-    m = beta.matrix
-    same = WindowedOperator(b.window, m, beta.shift_degree, beta.displacement)
-    assert same.matrix.tobytes() == m.tobytes()
-    assert same.displacement == beta.displacement
-    m[0, 0] = 1e-3
-    with pytest.raises(ValueError, match="given"):
-        WindowedOperator(b.window, m, beta.shift_degree, beta.displacement)

@@ -243,11 +243,12 @@ def test_property_casimir_scalar(q, c):
         assert res.residual < 1e-12 * relation_conditioning(rep) + 1e-12
 
 
-def test_json_export():
+def test_plus_series_rep():
     sets = compatible_sets(1.0, -4.25, 0.5)
-    rep = build_pi_T(find(sets, SetKind.PLUS_SERIES)[0], truncation=6)
-    d = rep.to_json_dict()
-    assert d["c"] == -4.25
-    # plus series base exponent 3 over the y^2 lattice; T exponents step by 2
-    assert d["t_exponents"] == [3, 5, 7, 9, 11, 13]
-    assert d["E"]["entries"]
+    plus = find(sets, SetKind.PLUS_SERIES)[0]
+    # plus series base exponent 3 over the y^2 lattice
+    assert plus.gamma_exponent == 3
+    rep = build_pi_T(plus, truncation=6)
+    assert rep.c == -4.25
+    ((_, e_grid),) = rep.E.grids.items()
+    assert np.count_nonzero(e_grid)

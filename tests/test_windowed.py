@@ -7,6 +7,7 @@ from pcqg.lattice import LatticeSpec, tau
 from pcqg.windowed import (
     Window,
     WindowAxis,
+    WindowedOperator,
     identity_op,
     mul_op,
     op_norm_bound,
@@ -176,11 +177,10 @@ def test_residual_detects_fault():
         [(4.0, [up, dn]), (-1.0, [ident])], 1, label="normalized"
     )
     assert good.residual < 1e-14
-    bad_matrix = up.matrix.copy()
-    mid = w.index_of((0, 0))
-    tgt = w.index_of((1, 0))
-    bad_matrix[tgt, mid] += 1e-3
-    bad = type(up)(w, bad_matrix, up.shift_degree, up.displacement)
+    # perturb the weight of delta_(0,0) -> delta_(1,0)
+    grid = up.grids[(1, 0)].copy()
+    grid[np.unravel_index(w.index_of((0, 0)), w.shape)] += 1e-3
+    bad = WindowedOperator(w, {(1, 0): grid})
     res = relation_residual([(4.0, [bad, bad.adjoint()]), (-1.0, [ident])], 1)
     assert res.residual >= 1e-3
 
@@ -210,9 +210,8 @@ def test_op_norm_bound():
 def test_json_export_shape():
     w = w1(0, 1)
     s = shift_op(lambda v: 2.0, (+1,), w)
-    d = s.to_json_dict()
-    assert d["entries"] == [[1, 0, 2.0, 0.0]]
-    ax = d["window"]["axes"][0]
+    assert s.matrix.tolist() == [[0, 0], [2.0, 0]]
+    ax = w.to_json_dict()["axes"][0]
     assert ax["q"] == 0.5 and ax["n_min"] == 0 and ax["n_max"] == 1
 
 
