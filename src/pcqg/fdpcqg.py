@@ -20,7 +20,8 @@ The density axiom D1 splits its three d^2-row column sets into the connected
 components of their joint nonzero pattern and takes one SVD per block, with
 ranks cut at RANK_CUTOFF times the largest singular value over all blocks
 (the s_max of one dense SVD).  A dense instance is simply one block.  The
-Haar linear system is filled by broadcasting over (k, l, i, j).
+Haar linear system is assembled one (k, l) row block at a time and keeps
+only the rows with a nonzero entry.
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ class FiniteGroupoid:
     identities: dict
 
     def __post_init__(self):
+        if len(set(self.objects)) != len(self.objects):
+            raise ValueError("duplicate object names")
         arrows = set(self.arrows)
         if len(arrows) != len(self.arrows):
             raise ValueError("duplicate arrow ids")
@@ -319,11 +322,18 @@ def standard_groupoids() -> dict:
 
 
 def _finite_array(value, field: str, shape=None) -> np.ndarray:
-    """value as a float array of the given shape, every entry finite."""
+    """value, nested lists of numbers, as a float array of the given shape.
+
+    Strings, nulls, booleans and ragged nesting are rejected, and so is any
+    non-finite entry.
+    """
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.asarray(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{field}: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{field}: expected numbers")
+    arr = arr.astype(float)
     if shape is not None and arr.shape != shape:
         raise ValueError(f"{field}: shape {arr.shape}, expected {shape}")
     if not np.isfinite(arr).all():
@@ -448,6 +458,12 @@ class FinitePQG:
         missing = [k for k in fields if k not in d]
         if missing:
             raise ValueError(f"instance file lacks {', '.join(missing)}")
+        for key in ("objects", "basis"):
+            names = d[key]
+            if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+                raise ValueError(f"{key}: expected a list of names")
+            if len(set(names)) != len(names):
+                raise ValueError(f"{key}: duplicate names")
         objects = tuple(d["objects"])
         basis = tuple(d["basis"])
         dim, n = len(basis), len(objects)
@@ -804,7 +820,7 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     ]
     ranks = [b.shape[1] for b in bases]
     full = all(r == d for r in ranks)
-    detail = ""
+    detail = f"span ranks {ranks}"
     if not full:
         # witness: basis direction orthogonal to the achieved span
         witness = [
@@ -984,16 +1000,20 @@ def haar_cesaro(
     return HaarFamily(states=states, diagnostics={"corners": diagnostics, "method": "cesaro"})
 
 
-def haar_linear_solve(G: FinitePQG, side: str = "both", tol: float = 1e-10) -> HaarFamily:
-    """Invariant family as the solution of the invariance equations.
+def _haar_system(G: FinitePQG, side: str) -> tuple:
+    """The invariance system without its all-zero rows: (M, rhs, bases, segs).
 
-    Unknowns are the corner-supported coefficients of each phi_{km} with the
-    unit normalization appended; `side` selects which invariance equations
-    enter ("left", "right", or "both").  Diagnostics report the system rank,
-    solvability, and uniqueness.
+    Unknowns are the coefficients of each phi_{km} in an orthonormal basis of
+    its corner, `bases[km]`, in the columns `segs[km]`.  The rows come one
+    (k, l) block at a time, one row per (i, side, j), each the dual vectors
+    applied to the phi_{ml} it involves, times that corner's basis:
+      left  (id (x) phi_kl) Delta(e_i) = sum_m phi_ml(e_i) 1^m_k, at e_j:
+            Delta(e_i)[j, :] on phi_kl, -units[m, k, j] e_i on phi_ml;
+      right (phi_kl (x) id) Delta(e_i) = sum_m phi_km(e_i) 1^l_m, at e_j:
+            Delta(e_i)[:, j] on phi_kl, -units[l, m, j] e_i on phi_km.
+    A block keeps only its rows with a nonzero entry, so memory is
+    O(d^2 * unknowns) per block.  The unit normalizations come last.
     """
-    if side not in ("left", "right", "both"):
-        raise ValueError("side must be left, right, or both")
     n, d = G.n_objects, G.dim
     nonzero = [
         (k, m)
@@ -1001,64 +1021,73 @@ def haar_linear_solve(G: FinitePQG, side: str = "both", tol: float = 1e-10) -> H
         for m in range(n)
         if np.any(np.abs(G.units[k, m]) > ZERO_TOL)
     ]
-    corner_basis = {}
-    offsets = {}
-    total = 0
+    bases, segs, total = {}, {}, 0
     for km in nonzero:
-        corner_basis[km] = _orth_basis(G.corner_matrix(km + km))
-        offsets[km] = total
-        total += corner_basis[km].shape[1]
-
-    def phi_vec(x, km):
-        if km not in corner_basis:
-            return np.zeros(d)
-        b = corner_basis[km]
-        return b @ x[offsets[km] : offsets[km] + b.shape[1]]
-
-    # One row per (k, l, i, side, j), each row the dual vectors applied to
-    # the phi_{ml} it involves, times that corner's basis:
-    #   left  (id (x) phi_kl) Delta(e_i) = sum_m phi_ml(e_i) 1^m_k, at e_j:
-    #         Delta(e_i)[j, :] on phi_kl, -units[m, k, j] e_i on phi_ml;
-    #   right (phi_kl (x) id) Delta(e_i) = sum_m phi_km(e_i) 1^l_m, at e_j:
-    #         Delta(e_i)[:, j] on phi_kl, -units[l, m, j] e_i on phi_km.
+        bases[km] = _orth_basis(G.corner_matrix(km + km))
+        segs[km] = slice(total, total + bases[km].shape[1])
+        total = segs[km].stop
     legs = {"left": (0,), "right": (1,), "both": (0, 1)}[side]
-    cop = G.coproduct
-    n_rows = n * n * d * len(legs) * d
-    M = np.zeros((n_rows + len(nonzero), total))
-    system = M[:n_rows].reshape(n, n, d, len(legs), d, total)
-    for (a, b), basis in corner_basis.items():
-        seg = slice(offsets[(a, b)], offsets[(a, b)] + basis.shape[1])
-        for s, leg in enumerate(legs):
-            if leg == 0:
-                system[:, b, :, s, :, seg] = -G.units[a][:, None, :, None] * basis[None, :, None, :]
-                system[a, b, :, s, :, seg] += cop @ basis
-            else:
-                system[a, :, :, s, :, seg] = -G.units[:, b][:, None, :, None] * basis[None, :, None, :]
-                system[a, b, :, s, :, seg] += np.swapaxes(cop, 1, 2) @ basis
-    for row, km in enumerate(nonzero, start=n_rows):
-        basis = corner_basis[km]
-        M[row, offsets[km] : offsets[km] + basis.shape[1]] = G.units[km] @ basis
-    rhs = np.zeros(M.shape[0])
-    rhs[n_rows:] = 1.0
-    x, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=RANK_CUTOFF)
-    residual = float(np.abs(M @ x - rhs).max(initial=0.0))
-    unique = rank == total
-    states = {}
+    cops = (G.coproduct, np.swapaxes(G.coproduct, 1, 2))
+    rows = []
     for k in range(n):
-        for m in range(n):
-            states[(k, m)] = GradedFunctional(
-                vector=phi_vec(x, (k, m)), grading=(k, m, k, m)
-            )
+        for l in range(n):
+            block = np.zeros((d, len(legs), d, total))
+            for s, leg in enumerate(legs):
+                for (a, b), basis in bases.items():
+                    if leg == 0 and b == l:
+                        u = G.units[a, k]
+                    elif leg == 1 and a == k:
+                        u = G.units[l, b]
+                    else:
+                        continue
+                    block[:, s, :, segs[(a, b)]] = -u[None, :, None] * basis[:, None, :]
+                    if (a, b) == (k, l):
+                        block[:, s, :, segs[(a, b)]] += cops[leg] @ basis
+            block = block.reshape(d * len(legs) * d, total)
+            rows.append(block[np.any(block != 0.0, axis=1)])
+    norm = np.zeros((len(nonzero), total))
+    for row, km in enumerate(nonzero):
+        norm[row, segs[km]] = G.units[km] @ bases[km]
+    rows.append(norm)
+    M = np.concatenate(rows)
+    rhs = np.zeros(M.shape[0])
+    rhs[M.shape[0] - len(nonzero) :] = 1.0
+    return M, rhs, bases, segs
+
+
+def haar_linear_solve(G: FinitePQG, side: str = "both", tol: float = 1e-10) -> HaarFamily:
+    """Invariant family as the solution of the invariance equations.
+
+    Unknowns are the corner-supported coefficients of each phi_{km} with the
+    unit normalization appended; `side` selects which invariance equations
+    enter ("left", "right", or "both").  The system is assembled without its
+    all-zero rows (`_haar_system`), solved by least squares and refined by
+    one more least-squares step on the residual.  Diagnostics report the
+    rank of the first solve, solvability and uniqueness; the residual is
+    that of the refined solution.
+    """
+    if side not in ("left", "right", "both"):
+        raise ValueError("side must be left, right, or both")
+    M, rhs, bases, segs = _haar_system(G, side)
+    x, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=RANK_CUTOFF)
+    x += np.linalg.lstsq(M, rhs - M @ x, rcond=RANK_CUTOFF)[0]
+    residual = float(np.abs(M @ x - rhs).max(initial=0.0))
+    states = {}
+    for k in range(G.n_objects):
+        for m in range(G.n_objects):
+            km = (k, m)
+            vec = bases[km] @ x[segs[km]] if km in bases else np.zeros(G.dim)
+            states[km] = GradedFunctional(vector=vec, grading=(k, m, k, m))
     return HaarFamily(
         states=states,
         diagnostics={
             "method": "linear_solve",
             "side": side,
             "rank": int(rank),
-            "n_unknowns": int(total),
+            "n_unknowns": int(M.shape[1]),
             "residual": residual,
             "solvable": residual <= tol,
-            "unique": bool(unique),
+            "unique": bool(rank == M.shape[1]),
         },
     )
 

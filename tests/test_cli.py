@@ -326,6 +326,22 @@ def _nan_constant(d):
     d["mult"][0][3] = float("nan")
 
 
+def _list_object_name(d):
+    d["objects"][0] = [1, 2]
+
+
+def _list_basis_name(d):
+    d["basis"][1] = ["1>2"]
+
+
+def _duplicate_basis_name(d):
+    d["basis"][1] = d["basis"][0]
+
+
+def _numeric_string_constant(d):
+    d["star"][0][0] = "1.0"
+
+
 def _drop_inverse(d):
     del d["inverse"]
 
@@ -355,6 +371,10 @@ GROUPOID_MUTATIONS = (_drop_inverse, _drop_compose, _drop_arrow_id, _drop_arrow_
         (_drop_units, "units"),
         (_negative_coproduct_index, "coproduct"),
         (_nan_constant, "mult"),
+        (_list_object_name, "objects"),
+        (_list_basis_name, "basis"),
+        (_duplicate_basis_name, "basis: duplicate"),
+        (_numeric_string_constant, "star"),
         (_drop_inverse, "inverse"),
         (_drop_compose, "compose"),
         (_drop_arrow_id, "'id'"),

@@ -1,0 +1,186 @@
+"""Exit-code contract of `fdqg check|haar|reps` on mutated fixture files.
+
+Each example takes a `fixtures generate` instance or groupoid file, applies
+at most one mutation that makes it malformed (a dropped key, a wrong type, a
+negative or out-of-range index, NaN or inf, a ragged list, a list where a
+name belongs, or a duplicated name) and runs the CLI in-process.  Malformed
+input must exit 2 with a one-line error and no traceback; the unmutated
+file exits 0 or 1.  An exception escaping `main` fails the example.  The
+search is seeded and small, so the test costs well under a second.
+"""
+
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from pcqg.cli import main
+
+SOURCES = (
+    "pair2.groupoid.json",
+    "z3.groupoid.json",
+    "union_pair_z2.groupoid.json",
+    "pair2_fn.json",
+    "z3_alg.json",
+    "union_pair_z2_alg.json",
+    "raum.json",
+)
+WRONG_TYPES = (None, 3, 2.5, True, "x", "1.0")
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+@pytest.fixture(scope="module")
+def fixtures(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fixtures", "generate", "--dir", str(root)]) == 0
+    return root, {name: json.loads((root / name).read_text()) for name in SOURCES}
+
+
+def _wrong_type(draw, value):
+    """A JSON value that can never stand where `value` does."""
+    options = [v for v in WRONG_TYPES + ([], {}) if type(v) is not type(value)]
+    return draw(st.sampled_from(options))
+
+
+def _position(draw, seq):
+    return draw(st.integers(0, len(seq) - 1))
+
+
+# -- instance files: objects, basis, mult, star, units, coproduct ---------------
+
+
+def _instance_mutations(draw, doc):
+    dim = len(doc["basis"])
+    tensor = draw(st.sampled_from(["mult", "coproduct"]))
+    row = doc[tensor][_position(draw, doc[tensor])]
+    star_row = doc["star"][_position(draw, doc["star"])]
+    unit = doc["units"][draw(st.sampled_from(sorted(doc["units"])))]
+    names = draw(st.sampled_from(["objects", "basis"]))
+
+    def drop_key():
+        del doc[draw(st.sampled_from(sorted(doc)))]
+
+    def wrong_type():
+        key = draw(st.sampled_from(sorted(doc)))
+        doc[key] = _wrong_type(draw, doc[key])
+
+    def wrong_entry_type():
+        target = draw(st.sampled_from([row, star_row, unit]))
+        target[_position(draw, target)] = draw(st.sampled_from([None, True, "x", "1.0", [1.0], {}]))
+
+    def bad_index():
+        row[draw(st.integers(0, 2))] = draw(st.sampled_from([-1, dim, dim + 3, 0.5]))
+
+    def non_finite():
+        target = draw(st.sampled_from([row, star_row, unit]))
+        target[_position(draw, target)] = draw(st.sampled_from(NON_FINITE))
+
+    def ragged():
+        target = draw(st.sampled_from([row, star_row, unit]))
+        if draw(st.booleans()):
+            target.pop()
+        else:
+            target.append(0.0)
+
+    def list_for_name():
+        doc[names][_position(draw, doc[names])] = draw(st.sampled_from([[1, 2], ["a"], []]))
+
+    def duplicate_name():
+        if len(doc[names]) < 2 or draw(st.booleans()):
+            doc[names].append(doc[names][0])
+        else:
+            doc[names][1] = doc[names][0]
+
+    return [drop_key, wrong_type, wrong_entry_type, bad_index, non_finite, ragged,
+            list_for_name, duplicate_name]
+
+
+# -- groupoid files: objects, arrows, compose, inverse, identities --------------
+
+
+def _groupoid_mutations(draw, doc):
+    arrow = doc["arrows"][_position(draw, doc["arrows"])]
+    row = doc["compose"][_position(draw, doc["compose"])]
+    table = draw(st.sampled_from(["inverse", "identities"]))
+    entry = draw(st.sampled_from(sorted(doc[table])))
+
+    def drop_key():
+        if draw(st.booleans()):
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        else:
+            del arrow[draw(st.sampled_from(["id", "src", "tgt"]))]
+
+    def wrong_type():
+        key = draw(st.sampled_from(sorted(doc)))
+        doc[key] = _wrong_type(draw, doc[key])
+
+    def unknown_name():
+        # the groupoid analogue of an out-of-range index
+        site = draw(st.sampled_from(["arrow", "compose", "table"]))
+        if site == "arrow":
+            arrow[draw(st.sampled_from(["src", "tgt"]))] = "nowhere"
+        elif site == "compose":
+            row[_position(draw, row)] = "nowhere"
+        else:
+            doc[table][entry] = "nowhere"
+
+    def non_finite():
+        row[_position(draw, row)] = draw(st.sampled_from(NON_FINITE))
+
+    def ragged():
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(row[0])
+
+    def list_for_name():
+        value = draw(st.sampled_from([[1, 2], ["a"], []]))
+        site = draw(st.sampled_from(["objects", "arrow", "compose", "table"]))
+        if site == "objects":
+            doc["objects"][_position(draw, doc["objects"])] = value
+        elif site == "arrow":
+            arrow[draw(st.sampled_from(["id", "src", "tgt"]))] = value
+        elif site == "compose":
+            row[_position(draw, row)] = value
+        else:
+            doc[table][entry] = value
+
+    def duplicate_name():
+        key = draw(st.sampled_from(["objects", "arrows"]))
+        doc[key].append(copy.deepcopy(doc[key][0]))
+
+    return [drop_key, wrong_type, unknown_name, non_finite, ragged, list_for_name,
+            duplicate_name]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fdqg_exit_code_contract(fixtures, data):
+    root, sources = fixtures
+    name = data.draw(st.sampled_from(SOURCES), label="file")
+    doc = copy.deepcopy(sources[name])
+    kind = "groupoid" if "arrows" in doc else "instance"
+    mutations = (_groupoid_mutations if kind == "groupoid" else _instance_mutations)(data.draw, doc)
+    mutation = data.draw(st.sampled_from([None] + mutations), label="mutation")
+    event(f"{kind}: {getattr(mutation, '__name__', 'unmutated')}")
+    if mutation is not None:
+        mutation()
+    path = root / "mutated.json"
+    path.write_text(json.dumps(doc))
+    mode = data.draw(st.sampled_from(["check", "haar", "reps"]), label="mode")
+    form = data.draw(st.sampled_from(["functions", "algebra"]), label="form")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["fdqg", mode, str(path), "--form", form])
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if mutation is None:
+        assert code in (0, 1), err
+    else:
+        assert code == 2, (mutation.__name__, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, err

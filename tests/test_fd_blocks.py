@@ -2,11 +2,16 @@
 
 `verify_axioms` contracts the structure constants over their nonzero entries
 and splits the D1 column spans along the connected components of their
-nonzero pattern; `haar_linear_solve` fills its system by broadcasting.  The
-dense code both replaced is kept here as the oracle: d^4 tensors, one SVD per
-d^2 x d^2 column set, one Python call per system row.  It refuses instances
-past ORACLE_MAX_DIM before allocating anything.
+nonzero pattern; `haar_linear_solve` assembles its system one (k, l) row
+block at a time and drops the all-zero rows.  The dense code both replaced is
+kept here as the oracle: d^4 tensors, one SVD per d^2 x d^2 column set, one
+Python call per system row, all-zero rows included.  Both Haar solves take
+one refinement step after their lstsq.  The oracle refuses instances past
+ORACLE_MAX_DIM before allocating anything; past it, function forms are
+checked against the exact uniform Haar states instead.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from pcqg.fdpcqg import (
     AxiomReport,
     CheckResult,
     FinitePQG,
+    _haar_system,
     _orth_basis,
     _split_spans,
     from_finite_groupoid_algebra,
@@ -28,6 +34,9 @@ from pcqg.fdpcqg import (
     pair_groupoid,
     raum_instance,
     standard_groupoids,
+    symmetric_groupoid,
+    transitive_groupoid,
+    uniform_haar_oracle,
     verify_axioms,
 )
 
@@ -143,7 +152,7 @@ def dense_verify_axioms(G, tol=1e-10):
         if basis.shape[1] < d:
             witness.append(G.basis[int(np.argmax(np.diag(np.eye(d) - basis @ basis.T)))])
     full = all(r == d for r in ranks)
-    detail = "" if full else f"span ranks {ranks} < dim {d}, missing directions {witness}"
+    detail = f"span ranks {ranks}" if full else f"span ranks {ranks} < dim {d}, missing directions {witness}"
     checks.append(CheckResult("D2", full, 0.0 if full else float(d - min(ranks)), detail))
 
     nz = np.linalg.norm(units, axis=2) > ZERO_TOL
@@ -162,8 +171,8 @@ def dense_verify_axioms(G, tol=1e-10):
     return AxiomReport(checks=tuple(checks))
 
 
-def dense_haar_linear_solve(G, side="both"):
-    """(states, rank, residual, unique) from the row-by-row system."""
+def dense_haar_system(G, side="both"):
+    """(M, b, corner_basis, offsets): one row per call, all-zero rows included."""
     _refuse_large(G)
     n, d = G.n_objects, G.dim
     nonzero = [(k, m) for k in range(n) for m in range(n) if np.any(np.abs(G.units[k, m]) > ZERO_TOL)]
@@ -202,12 +211,20 @@ def dense_haar_linear_solve(G, side="both"):
                         add_row(coeffs, 0.0)
     for km in nonzero:
         add_row({km: G.units[km]}, 1.0)
-    M, b = np.stack(rows), np.asarray(rhs)
+    return np.stack(rows), np.asarray(rhs), corner_basis, offsets
+
+
+def dense_haar_linear_solve(G, side="both"):
+    """(states, rank, residual, unique) from the row-by-row system."""
+    M, b, corner_basis, offsets = dense_haar_system(G, side)
     x, _, rank, _ = np.linalg.lstsq(M, b, rcond=RANK_CUTOFF)
-    states = np.zeros((n, n, d))
+    # one refinement step: a single lstsq leaves ~1e-15 of rounding in the
+    # states (1.1e-15 on pair5_fn), as much as TOL
+    x += np.linalg.lstsq(M, b - M @ x, rcond=RANK_CUTOFF)[0]
+    states = np.zeros((G.n_objects, G.n_objects, G.dim))
     for km, basis in corner_basis.items():
         states[km] = basis @ x[offsets[km] : offsets[km] + basis.shape[1]]
-    return states, int(rank), float(np.abs(M @ x - b).max(initial=0.0)), rank == total
+    return states, int(rank), float(np.abs(M @ x - b).max(initial=0.0)), rank == M.shape[1]
 
 
 def dense_invariance(G, fam):
@@ -327,6 +344,44 @@ def test_haar_linear_solve_matches_dense(name):
         res_l, res_r = dense_invariance(G, fam)
         assert abs(checks["invariance_left"] - res_l) <= TOL
         assert abs(checks["invariance_right"] - res_r) <= TOL
+
+
+@pytest.mark.parametrize("name", sorted(n for n in INSTANCES if "rotated" not in n))
+def test_haar_system_is_the_dense_one_without_zero_rows(name):
+    G = INSTANCES[name]
+    for side in ("both", "left", "right") if G.dim < 25 else ("both",):
+        M, rhs, _, _ = _haar_system(G, side)
+        ref, ref_rhs, _, _ = dense_haar_system(G, side)
+        keep = np.any(ref != 0.0, axis=1)
+        assert M.shape == ref[keep].shape
+        assert np.abs(M - ref[keep]).max(initial=0.0) <= TOL
+        assert np.array_equal(rhs, ref_rhs[keep])
+
+
+def test_haar_linear_solve_without_unit_corners():
+    """Every unit vanishing: no unknowns, no rows kept, zero states."""
+    G = replace(INSTANCES["z3_alg"], units=np.zeros_like(INSTANCES["z3_alg"].units))
+    fam = haar_linear_solve(G)
+    assert (fam.diagnostics["rank"], fam.diagnostics["n_unknowns"]) == (0, 0)
+    assert not any(phi.vector.any() for phi in fam.states.values())
+
+
+EXACT_HAAR = {
+    **{name + "_fn": gpd for name, gpd in ZOO.items()},
+    "pair7_fn": pair_groupoid(list("abcdefg")),
+    "transitive3_s3_fn": transitive_groupoid(["a", "b", "c"], symmetric_groupoid(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_HAAR))
+def test_haar_linear_solve_is_exact_on_function_forms(name):
+    """Past the oracle's reach (d = 49, 54) as on the zoo: the uniform states."""
+    gpd = EXACT_HAAR[name]
+    G = from_finite_groupoid_functions(gpd)
+    fam, exact = haar_linear_solve(G), uniform_haar_oracle(G, gpd)
+    assert fam.diagnostics["rank"] == fam.diagnostics["n_unknowns"]
+    for km, phi in fam.states.items():
+        assert np.abs(phi.vector - exact.states[km].vector).max(initial=0.0) <= TOL
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
