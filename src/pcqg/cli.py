@@ -17,7 +17,7 @@ import csv
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -175,7 +175,8 @@ def _emit(args: argparse.Namespace, report: dict) -> int:
 
 
 def _finish(args, command: str, payload: dict, checks=None, tolerances=None) -> int:
-    report: dict = {"command": command, "config": asdict(RunConfig.from_args(args))}
+    # the fields are scalars: a shallow copy, not asdict's deepcopy walk
+    report: dict = {"command": command, "config": dict(vars(RunConfig.from_args(args)))}
     if tolerances:
         report["tolerances"] = tolerances
     if checks is not None:
@@ -419,6 +420,11 @@ def cmd_fdqg_haar(args) -> int:
         families["solve"] = haar_linear_solve(G, tol=args.tol)
     for name, fam in families.items():
         payload[f"{name}_diagnostics"] = fam.diagnostics
+        # a corner whose trace seed failed keeps a zero state: phi(1) misses by 1
+        for error in fam.diagnostics.get("errors", ()):
+            checks.append(
+                CheckResult(label=f"{name}::corner_trace", passed=False, residual=1.0, detail=error)
+            )
         for r in haar_residuals(G, fam, tol=args.tol):
             checks.append(replace(r, label=f"{name}::{r.label}"))
     if len(families) == 2:

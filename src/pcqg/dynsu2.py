@@ -64,6 +64,7 @@ from .words import (
     monomial_signature,
     push_right,
     reduce_word,
+    shared_evaluation,
     star_step,
 )
 
@@ -605,16 +606,19 @@ def reduce_and_check(
             "steps": rep.steps,
         }
     residuals = []
-    for b in b_pair:
-        orig = term_operator(Term(tuple(letters), ONE), b)
-        red = _terms_operator([(1.0, t) for t in rep.terms], b)
-        margin = max(len(letters), 2)
-        r = relation_residual(
-            [(1.0, [orig]), (-1.0, [red])],
-            b.margins(margin),
-            label="reduce",
-        )
-        residuals.append(r.residual)
+    # the terms share coefficient subtrees, and both bundles share q, x and
+    # the window, so one scope evaluates each (node, grid) pair once
+    with shared_evaluation():
+        for b in b_pair:
+            orig = term_operator(Term(tuple(letters), ONE), b)
+            red = _terms_operator([(1.0, t) for t in rep.terms], b)
+            margin = max(len(letters), 2)
+            r = relation_residual(
+                [(1.0, [orig]), (-1.0, [red])],
+                b.margins(margin),
+                label="reduce",
+            )
+            residuals.append(r.residual)
     # idempotence: reducing each output term changes nothing
     idempotent = True
     for t in rep.terms:

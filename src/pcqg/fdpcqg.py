@@ -885,16 +885,24 @@ def convolve(G: FinitePQG, chi: GradedFunctional, omega: GradedFunctional) -> Gr
     return GradedFunctional(vector=vec, grading=(k, p, l, q))
 
 
-def _corner_trace(G: FinitePQG, k: int, m: int) -> GradedFunctional:
-    """Normalized left-regular trace restricted to the (k, m) corner."""
+def _zero_state(G: FinitePQG, k: int, m: int) -> GradedFunctional:
+    return GradedFunctional(vector=np.zeros(G.dim), grading=(k, m, k, m))
+
+
+def _corner_trace(G: FinitePQG, k: int, m: int) -> Optional[GradedFunctional]:
+    """Normalized left-regular trace restricted to the (k, m) corner.
+
+    None when the trace has no positive mass on the corner's unit, which a
+    well-formed instance that breaks the axioms can produce.
+    """
     u = G.units[k, m]
     if not np.any(np.abs(u) > ZERO_TOL):
-        return GradedFunctional(vector=np.zeros(G.dim), grading=(k, m, k, m))
+        return _zero_state(G, k, m)
     tr = G.trace_vector()
     vec = G.corner_vector(tr, (k, m, k, m))
     norm = vec @ u
     if norm <= ZERO_TOL:
-        raise ValueError(f"corner trace is degenerate at ({k}, {m})")
+        return None
     return GradedFunctional(vector=vec / norm, grading=(k, m, k, m))
 
 
@@ -952,17 +960,30 @@ def haar_cesaro(
     window and restarts from the average (again a corner state) until the
     corner invariance residual drops below `tol` or the convolution budget is
     spent.  Off-diagonal states are corner-trace transports of the diagonal
-    ones.  Non-convergence is reported in `diagnostics`, not raised.
+    ones.  Non-convergence is reported in `diagnostics`, not raised.  So is
+    a corner trace that is degenerate or not corner-supported on an instance
+    that breaks the axioms: the corner's state is left zero and
+    `diagnostics["errors"]` names the corner.  Malformed `seed_states` raise.
     """
     n = G.n_objects
     diagnostics = {}
+    errors = []
     diag = {}
     for k in range(n):
-        seed = seed_states[k] if seed_states is not None else _corner_trace(G, k, k)
-        if seed.grading != (k, k, k, k):
-            raise ValueError(f"seed state for corner {k} has grading {seed.grading}")
-        if seed.support_residual(G) > 1e-12:
-            raise ValueError(f"seed state for corner {k} is not corner-supported")
+        if seed_states is not None:
+            seed = seed_states[k]
+            if seed.grading != (k, k, k, k):
+                raise ValueError(f"seed state for corner {k} has grading {seed.grading}")
+            if seed.support_residual(G) > 1e-12:
+                raise ValueError(f"seed state for corner {k} is not corner-supported")
+        else:
+            seed = _corner_trace(G, k, k)
+            if seed is None or seed.support_residual(G) > 1e-12:
+                fault = "degenerate" if seed is None else "not corner-supported"
+                errors.append(f"corner trace is {fault} at ({k}, {k})")
+                diag[k] = _zero_state(G, k, k)
+                diagnostics[k] = {"iterations": 0, "converged": False}
+                continue
         h = seed
         used = 0
         trace = [float(_corner_invariance_residual(G, k, h))]
@@ -992,12 +1013,17 @@ def haar_cesaro(
                 states[(r, m)] = diag[r]
             elif np.any(np.abs(G.units[r, m]) > ZERO_TOL):
                 theta = _corner_trace(G, r, m)
-                states[(r, m)] = convolve(G, theta, diag[m])
+                if theta is None:
+                    errors.append(f"corner trace is degenerate at ({r}, {m})")
+                    states[(r, m)] = _zero_state(G, r, m)
+                else:
+                    states[(r, m)] = convolve(G, theta, diag[m])
             else:
-                states[(r, m)] = GradedFunctional(
-                    vector=np.zeros(G.dim), grading=(r, m, r, m)
-                )
-    return HaarFamily(states=states, diagnostics={"corners": diagnostics, "method": "cesaro"})
+                states[(r, m)] = _zero_state(G, r, m)
+    out = {"corners": diagnostics, "method": "cesaro"}
+    if errors:
+        out["errors"] = errors
+    return HaarFamily(states=states, diagnostics=out)
 
 
 def _haar_system(G: FinitePQG, side: str) -> tuple:

@@ -9,6 +9,13 @@ evaluates nothing, so there is no numeric drift from premature evaluation.
 An operator is built by calling the composed function once, on the value
 grids of a window.
 
+The rewrite tree shares subtrees between its output terms, so the terms'
+coefficient functions are trees with common nodes.  Inside a
+shared_evaluation() scope each (node, input) pair is evaluated once and its
+grid reused by every parent that asks for it again; dynsu2.reduce_and_check
+opens one scope around both oracle evaluations of a word.  Outside a scope
+every call evaluates, as a plain function would.
+
 The normal form is the spanning-set shape: a^k b^l g^m * f or
 d^k b^l g^m * f.  Rules are oriented: stars eliminated first, functions
 pushed right, then adjacent-pair reorderings with a<b<g<d and mixed
@@ -19,8 +26,10 @@ representation as an oracle (two c values).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -53,13 +62,31 @@ class CoeffFn:
     scaled, products, sums, shifts and swaps compose array functions, so a
     stacked composition is evaluated once per operator, and pointwise it
     does the same float operations a scalar evaluation would.
+
+    The combinators call their operand nodes, not the operands' fn, so
+    every evaluation in a tree goes through __call__, where an open
+    shared_evaluation() scope returns the grid already computed for the
+    same node and inputs.  The memo key is the node's identity and the
+    exact type, dtype, shape and bytes of both inputs, never a tolerance:
+    a hit returns what evaluating would return, so reports cannot move.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     label: str
 
     def __call__(self, lv, rv):
-        return self.fn(lv, rv)
+        memo = _MEMO.get()
+        if memo is None:
+            return self.fn(lv, rv)
+        key = (id(self), _input_key(lv), _input_key(rv))
+        hit = memo.get(key)
+        if hit is None:
+            out = self.fn(lv, rv)
+            if isinstance(out, np.ndarray):
+                out.flags.writeable = False  # shared: a write would reach every parent
+            # the node is held with its grid, so its id is not reused
+            hit = memo[key] = (self, out)
+        return hit[1]
 
     @staticmethod
     def const(z: complex) -> "CoeffFn":
@@ -73,33 +100,56 @@ class CoeffFn:
     def scaled(self, z: complex) -> "CoeffFn":
         if z == 1:
             return self
-        f = self.fn
-        return CoeffFn(lambda lv, rv: z * f(lv, rv), f"{_fmt_scalar(z)}*{self.label}")
+        return CoeffFn(lambda lv, rv: z * self(lv, rv), f"{_fmt_scalar(z)}*{self.label}")
 
     def __mul__(self, other: "CoeffFn") -> "CoeffFn":
-        f, g = self.fn, other.fn
-        return CoeffFn(lambda lv, rv: f(lv, rv) * g(lv, rv), f"{self.label}*{other.label}")
+        return CoeffFn(
+            lambda lv, rv: self(lv, rv) * other(lv, rv), f"{self.label}*{other.label}"
+        )
 
     def __add__(self, other: "CoeffFn") -> "CoeffFn":
-        f, g = self.fn, other.fn
         return CoeffFn(
-            lambda lv, rv: f(lv, rv) + g(lv, rv), f"({self.label}+{other.label})"
+            lambda lv, rv: self(lv, rv) + other(lv, rv), f"({self.label}+{other.label})"
         )
 
     def shifted(self, dl: int, dr: int, q: float) -> "CoeffFn":
         """f(lambda, rho) -> f(q^dl lambda, q^dr rho)."""
         if dl == 0 and dr == 0:
             return self
-        f = self.fn
         sl, sr = q**dl, q**dr
         return CoeffFn(
-            lambda lv, rv: f(sl * lv, sr * rv),
+            lambda lv, rv: self(sl * lv, sr * rv),
             f"{self.label}[q^{dl}L,q^{dr}R]",
         )
 
     def swapped(self) -> "CoeffFn":
-        f = self.fn
-        return CoeffFn(lambda lv, rv: f(rv, lv), f"{self.label}[swap]")
+        return CoeffFn(lambda lv, rv: self(rv, lv), f"{self.label}[swap]")
+
+
+# The memo of the open shared_evaluation() scope, None outside any scope.
+_MEMO: ContextVar[Optional[dict]] = ContextVar("coeff_memo", default=None)
+
+
+@contextmanager
+def shared_evaluation() -> Iterator[None]:
+    """Evaluate each (CoeffFn node, inputs) pair once inside the block.
+
+    Grids computed in the block are shared between all callers that ask
+    for the same node on the same inputs, so they are returned read-only.
+    The memo lives only as long as the block: it is
+    dropped on exit, also when the block raises.  Inputs are per-axis value
+    grids, so a key costs O(axis length), not O(basis size).
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _input_key(v) -> tuple:
+    a = np.asarray(v)
+    return type(v), a.dtype.str, a.shape, a.tobytes()
 
 
 _ONE = CoeffFn(lambda lv, rv: 1.0, "1")

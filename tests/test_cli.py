@@ -305,6 +305,31 @@ def test_fdqg_past_the_dense_size(tmp_path, capsys):
     assert rep["solve_diagnostics"]["rank"] == rep["solve_diagnostics"]["n_unknowns"] == 54
 
 
+@pytest.mark.parametrize(
+    "source, value, error",
+    [
+        ("pair2_fn.json", 0.0, "corner trace is degenerate at (0, 0)"),
+        ("raum.json", 0.5, "corner trace is not corner-supported at (0, 0)"),
+    ],
+)
+def test_haar_on_axiom_breaking_instance_is_a_failed_check(
+    fixture_dir, tmp_path, capsys, source, value, error
+):
+    # well-formed files whose first structure constant breaks the axioms:
+    # the Cesaro seed fails at corner 0, which is a failed check, not exit 2
+    data = json.loads((fixture_dir / source).read_text())
+    data["mult"][0][3] = value
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    code, rep = _run_json(capsys, ["fdqg", "haar", str(path)])
+    assert code == 1 and rep["passed"] is False
+    failed = {c["label"]: c for c in rep["checks"] if not c["passed"]}
+    assert failed["cesaro::corner_trace"]["detail"] == error
+    assert "cesaro::I1" in failed
+    assert rep["cesaro_diagnostics"]["errors"] == [error]
+    assert rep["cesaro_diagnostics"]["corners"]["0"] == {"iterations": 0, "converged": False}
+
+
 def _set_mult_index(d):
     d["mult"][0][0] = 7
 

@@ -5,8 +5,14 @@ at most one mutation that makes it malformed (a dropped key, a wrong type, a
 negative or out-of-range index, NaN or inf, a ragged list, a list where a
 name belongs, or a duplicated name) and runs the CLI in-process.  Malformed
 input must exit 2 with a one-line error and no traceback; the unmutated
-file exits 0 or 1.  An exception escaping `main` fails the example.  The
-search is seeded and small, so the test costs well under a second.
+file exits 0 or 1.  An exception escaping `main` fails the example.
+
+A second test sets one entry of an instance file's `mult`, `coproduct`,
+`units` or `star` to another finite value with |v| <= 10.  The file stays
+well-formed but may break the axioms, which is a failed check: exit 0 or 1,
+never 2, and no traceback.  Both searches are seeded and small; together
+they cost about three seconds, most of it Cesaro runs that spend their
+iteration budget on instances with no invariant state.
 """
 
 import contextlib
@@ -184,3 +190,33 @@ def test_fdqg_exit_code_contract(fixtures, data):
     else:
         assert code == 2, (mutation.__name__, err)
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+INSTANCES = tuple(name for name in SOURCES if not name.endswith(".groupoid.json"))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fdqg_finite_values_are_checks_not_usage_errors(fixtures, data):
+    root, sources = fixtures
+    name = data.draw(st.sampled_from(INSTANCES), label="file")
+    doc = copy.deepcopy(sources[name])
+    key = data.draw(st.sampled_from(["mult", "coproduct", "units", "star"]), label="entry")
+    value = data.draw(
+        st.one_of(st.sampled_from([0.0, 0.5, -1.0, 2.0]), st.floats(-10.0, 10.0)), label="value"
+    )
+    if key in ("mult", "coproduct"):
+        doc[key][_position(data.draw, doc[key])][3] = value
+    else:
+        rows = doc["star"] if key == "star" else [doc["units"][k] for k in sorted(doc["units"])]
+        row = rows[_position(data.draw, rows)]
+        row[_position(data.draw, row)] = value
+    path = root / "revalued.json"
+    path.write_text(json.dumps(doc))
+    mode = data.draw(st.sampled_from(["check", "haar", "reps"]), label="mode")
+    form = data.draw(st.sampled_from(["functions", "algebra"]), label="form")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["fdqg", mode, str(path), "--form", form])
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 1), (name, key, value, mode, err.getvalue())

@@ -6,8 +6,12 @@ coefficient functions became array functions: five `dyn reduce` words (two
 with P(i,j) projections), `dyn verify` in both suites at window 13, `dyn
 antipode`, `dyn coproduct --half 2`, `dyn xsym`, `irreps build` and `uq
 verify`.  Most use a (q, x) whose lattice values are not powers of two, so
-float rounding differences show.  A backend change must reproduce every
-report byte for byte; a residual that moves fails here.
+float rounding differences show.  Two more `dyn reduce` reports were added
+before coefficient evaluation was shared between terms and oracles: the
+six-star word b'a'd'a'd'g', the heaviest job of the rewriter benchmark,
+and the six-star word a'b'g'd'b'a' at (q, x) = (0.6, 1.1).  A backend
+change must reproduce every report byte for byte; a residual that moves
+fails here.
 """
 
 import json
