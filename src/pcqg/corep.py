@@ -4,7 +4,10 @@ A representation lives on a finite bigraded Hilbert space: each basis slot
 carries an object pair (k, l), and the operator X = sum_i e_i (x) coeffs[i]
 is stored through its algebra-coefficient slices.  Checks, the trivial
 representation, the regular representation of a groupoid function algebra,
-and the middle-matched tensor product are all plain dense linear algebra.
+and the middle-matched tensor product are dense linear algebra; the block
+support check (co2) applies every corner projection, one batched
+`FinitePQG.sandwich` over the unit stack, to the nonzero coefficients as a
+COO product (`coo`).
 """
 
 from __future__ import annotations
@@ -46,23 +49,6 @@ class BigradedRep:
     @property
     def space_dim(self) -> int:
         return len(self.blocks)
-
-    def block_projection(self, k: int, l: int) -> np.ndarray:
-        return np.diag([1.0 if b == (k, l) else 0.0 for b in self.blocks])
-
-    def row_projection(self, k: int) -> np.ndarray:
-        # lambda^H_k
-        return np.diag([1.0 if b[0] == k else 0.0 for b in self.blocks])
-
-    def column_projection(self, l: int) -> np.ndarray:
-        # rho^H_l
-        return np.diag([1.0 if b[1] == l else 0.0 for b in self.blocks])
-
-    def block_dims(self) -> dict:
-        out = {}
-        for b in self.blocks:
-            out[b] = out.get(b, 0) + 1
-        return out
 
 
 def trivial_rep(G: FinitePQG) -> BigradedRep:
@@ -132,8 +118,8 @@ def _algebra_product_slices(G: FinitePQG, A: np.ndarray, B: np.ndarray) -> np.nd
     return out
 
 
-def verify_rep(X: BigradedRep, tol: float = 1e-10, unitary: bool = True) -> list:
-    """Comultiplication compatibility, block support, and optionally unitarity.
+def verify_rep(X: BigradedRep, tol: float = 1e-10) -> list:
+    """Comultiplication compatibility, block support, and unitarity.
 
     Streams over coefficient slices so large tensor-product spaces stay
     within memory; the block-support check contracts only the nonzero
@@ -153,13 +139,11 @@ def verify_rep(X: BigradedRep, tol: float = 1e-10, unitary: bool = True) -> list
 
     row_grade = np.array([b[0] for b in X.blocks])
     col_grade = np.array([b[1] for b in X.blocks])
-    # co2: proj[k, m, l, nn] = right_mult(1^l_nn) @ left_mult(1^k_m), every
-    # corner in one batched product over the unit stack, applied to the
-    # nonzero coefficients.  Each coefficient must be fixed by the projection
-    # of its own corner and killed by all others.
-    lm = np.einsum("kmi,ijc->kmcj", G.units, G.mult)
-    rm = np.einsum("lnj,ijc->lnci", G.units, G.mult)
-    proj_idx, proj_val = coo((rm[None, None] @ lm[:, :, None, None]).reshape(n**4, d, d))
+    # co2: proj[k, m, l, nn] is a -> 1^k_m a 1^l_nn, every corner in one
+    # batched sandwich over the unit stack, applied to the nonzero
+    # coefficients.  Each coefficient must be fixed by the projection of its
+    # own corner and killed by all others.
+    proj_idx, proj_val = coo(G.sandwich(G.units[:, :, None, None], G.units).reshape(n**4, d, d))
     x_idx, x_val = coo(X.coeffs)
     r, c, val = coo_product(
         (proj_idx[:, 0] * d + proj_idx[:, 1], proj_idx[:, 2], proj_val),
@@ -173,21 +157,18 @@ def verify_rep(X: BigradedRep, tol: float = 1e-10, unitary: bool = True) -> list
     res = coo_max_diff(left, (np.column_stack([corner, x_idx]), x_val), shape)
     out.append(CheckResult("co2", res <= tol, res))
 
-    if unitary:
-        star_slices = np.einsum("ia,iuv->avu", G.star, X.coeffs.conj(), optimize=True)
-        prod = _algebra_product_slices(G, star_slices, X.coeffs)
+    # unitary: X^* X is diagonal with the target projection of each slot's
+    # column grade, X X^* with the source projection of its row grade
+    star_slices = np.einsum("ia,iuv->avu", G.star, X.coeffs.conj(), optimize=True)
+    slots = np.arange(N)
+    residuals = []
+    for prod, projections, grade in (
+        (_algebra_product_slices(G, star_slices, X.coeffs), G.units.sum(axis=0), col_grade),
+        (_algebra_product_slices(G, X.coeffs, star_slices), G.units.sum(axis=1), row_grade),
+    ):
         target = np.zeros_like(prod)
-        for m in range(n):
-            mask = (col_grade == m).astype(float)
-            target += np.einsum("c,uv->cuv", G.target_projection(m), np.diag(mask))
-        res1 = float(np.abs(prod - target).max(initial=0.0))
-        prod = _algebra_product_slices(G, X.coeffs, star_slices)
-        target = np.zeros_like(prod)
-        for k in range(n):
-            mask = (row_grade == k).astype(float)
-            target += np.einsum("c,uv->cuv", G.source_projection(k), np.diag(mask))
-        res2 = float(np.abs(prod - target).max(initial=0.0))
-        res = max(res1, res2)
-        out.append(CheckResult("unitary", res <= tol, res))
-
+        target[:, slots, slots] = projections[grade].T
+        residuals.append(float(np.abs(prod - target).max(initial=0.0)))
+    res = max(residuals)
+    out.append(CheckResult("unitary", res <= tol, res))
     return out

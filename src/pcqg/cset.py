@@ -111,22 +111,6 @@ class CSetDescriptor:
             return "principal_orbit"
         return "complementary_orbit"
 
-    def contains_point(self, v: float, rel_tol: float = EXPONENT_REL_TOL) -> bool:
-        """Membership of a positive value, decided on the exponent scale."""
-        if self.kind is SetKind.TRIVIAL:
-            return abs(math.log(v) / math.log(self.q)) < rel_tol
-        if self.z is None:
-            raise ValueError("symbolic full-orbit descriptor has no concrete points")
-        orbit = LatticeSpec(q=self.q, base=self.z)
-        n = orbit.exponent_of(v, rel_tol=rel_tol)
-        if n is None or n % 2 != 0:
-            return False
-        if self.kind is SetKind.FULL_ORBIT:
-            return True
-        if self.kind is SetKind.PLUS_SERIES:
-            return n >= 0
-        return n <= 0
-
 
 def classify_irreducible_csets(
     c: float,

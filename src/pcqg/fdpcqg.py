@@ -22,6 +22,13 @@ ranks cut at RANK_CUTOFF times the largest singular value over all blocks
 (the s_max of one dense SVD).  A dense instance is simply one block.  The
 Haar linear system is assembled one (k, l) row block at a time and keeps
 only the rows with a nonzero entry.
+
+Every check reads the grading through one corner map, a -> 1^k_m a 1^l_n,
+written once as `FinitePQG.sandwich`: the graded functionals, the corner
+traces and bases of both Haar routes, D2's P A P and the corepresentation
+block-support check.  Intermediates are checked for inf and nan before they
+reach LAPACK (`NonFiniteError`); an overflowing structure constant makes the
+stage that sees it a failed check, never a hang or a usage error.
 """
 
 from __future__ import annotations
@@ -63,6 +70,11 @@ __all__ = [
 RANK_CUTOFF = 1e-10
 
 ZERO_TOL = 1e-12
+
+# Cesaro budget: convolutions per corner, and the averaging window between
+# residual checks
+CESARO_ITERATIONS = 100_000
+CESARO_WINDOW = 64
 
 # the named axioms; the report carries structural sanity checks besides these
 AXIOM_LABELS = ("U1", "U2", "C", "U3", "D1", "D2")
@@ -388,30 +400,8 @@ class FinitePQG:
     def n_objects(self) -> int:
         return len(self.objects)
 
-    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", a, b, self.mult)
-
-    def star_vec(self, a: np.ndarray) -> np.ndarray:
-        return a @ self.star
-
-    def unit(self, k: int, l: int) -> np.ndarray:
-        return self.units[k, l]
-
     def algebra_unit(self) -> np.ndarray:
         return self.units.sum(axis=(0, 1))
-
-    def source_projection(self, k: int) -> np.ndarray:
-        return self.units[k].sum(axis=0)
-
-    def target_projection(self, m: int) -> np.ndarray:
-        return self.units[:, m].sum(axis=0)
-
-    def left_mult_matrix(self, v: np.ndarray) -> np.ndarray:
-        # (v e_j)_k as matrix acting on coefficient vectors
-        return np.einsum("i,ijk->kj", v, self.mult)
-
-    def right_mult_matrix(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("j,ijk->ki", v, self.mult)
 
     def delta(self, v: np.ndarray) -> np.ndarray:
         """Coproduct as a (d, d) coefficient matrix on e_j (x) e_k."""
@@ -421,16 +411,18 @@ class FinitePQG:
         """Trace of left multiplication, as a functional vector."""
         return np.einsum("ijj->i", self.mult)
 
-    def corner_matrix(self, grading) -> np.ndarray:
-        """Matrix of omega -> omega(1^k_m . 1^l_n) on dual vectors."""
-        k, m, l, n = grading
-        lm = self.left_mult_matrix(self.units[k, m])
-        rm = self.right_mult_matrix(self.units[l, n])
-        return (rm @ lm).T
+    def sandwich(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Matrix of a -> left . a . right on coefficient vectors.
 
-    def corner_vector(self, vec: np.ndarray, grading) -> np.ndarray:
-        """omega(1^k_m . 1^l_n) for omega given by `vec`."""
-        return self.corner_matrix(grading) @ vec
+        `left` and `right` are coefficient vectors broadcast against each
+        other over their leading axes; the result has shape (..., d, d).
+        Its transpose maps omega to omega(left . _ . right) on dual vectors,
+        so left = 1^k_m and right = 1^l_n give the corner projection of the
+        grading (k, m, l, n).
+        """
+        return np.einsum("...j,ijc->...ci", right, self.mult) @ np.einsum(
+            "...i,ijc->...cj", left, self.mult
+        )
 
     def to_json_dict(self) -> dict:
         sparse = lambda t: [
@@ -619,11 +611,22 @@ class AxiomReport:
         return {"passed": self.passed, "checks": [c.to_json_dict() for c in self.checks]}
 
 
+class NonFiniteError(ArithmeticError):
+    """An intermediate holds inf or nan; the stage that made it fails its check."""
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """a itself, checked before it reaches LAPACK, which may not return on inf or nan."""
+    if not np.isfinite(a).all():
+        raise NonFiniteError
+    return a
+
+
 def _orth_basis(columns: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, rank-cut at RANK_CUTOFF * s_max."""
     if columns.size == 0:
         return np.zeros((columns.shape[0], 0))
-    u, s, _ = np.linalg.svd(columns, full_matrices=False)
+    u, s, _ = np.linalg.svd(_finite(columns), full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((columns.shape[0], 0))
     return u[:, s > RANK_CUTOFF * s[0]]
@@ -643,12 +646,13 @@ def _split_spans(col_sets: list, pairs: tuple) -> tuple:
     values at RANK_CUTOFF times the largest over all blocks of the set, the
     s_max of the dense SVD.  For each (x, y) in `pairs` the containment is
     the largest relative distance of a set-x column from span(set y).
+    NonFiniteError when a value is inf or nan.
     """
     n_sets = len(col_sets)
     which = np.repeat(np.arange(n_sets), [len(s[0]) for s in col_sets])
     rows = np.concatenate([s[0] for s in col_sets])
     cols = np.concatenate([s[1] for s in col_sets])
-    vals = np.concatenate([s[2] for s in col_sets])
+    vals = _finite(np.concatenate([s[2] for s in col_sets]))
     if rows.size == 0:
         return [0] * n_sets, 0.0
     _, r = np.unique(rows, return_inverse=True)
@@ -718,6 +722,8 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     every block a single row -- and takes one SVD per block, cutting ranks
     at RANK_CUTOFF times the largest singular value over all blocks, as the
     dense SVD of the whole set would.  The reported ranks are block sums.
+    A density check whose column sets hold inf or nan (an overflowing
+    structure constant) fails with a detail saying so, before any SVD.
     """
     d, n = G.dim, G.n_objects
     mult, cop, star, units = G.mult, G.coproduct, G.star, G.units
@@ -807,27 +813,37 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
         _as_columns(coo_einsum("ijk,aju->ukai", c_coo, m_coo, dim=d), d),
         _as_columns(coo_einsum("ijk,bkv->jvbi", c_coo, m_coo, dim=d), d),
     ]
-    ranks, res = _split_spans(col_sets, ((0, 1), (1, 0), (0, 2), (2, 0)))
-    add("D1", res, "ranks " + "/".join(str(r) for r in ranks))
+    non_finite = lambda label: CheckResult(label, False, np.inf, "non-finite column sets")
+    try:
+        ranks, res = _split_spans(col_sets, ((0, 1), (1, 0), (0, 2), (2, 0)))
+    except NonFiniteError:
+        checks.append(non_finite("D1"))
+    else:
+        add("D1", res, "ranks " + "/".join(str(r) for r in ranks))
 
     # (D2): slices of Delta(P A P) span A in either leg
     P = sum(units[k, k] for k in range(n))
-    pmat = G.right_mult_matrix(P) @ G.left_mult_matrix(P)
-    slices = np.tensordot(pmat, cop, axes=(0, 0))  # Delta(P e_i P)
-    bases = [
-        _orth_basis(np.swapaxes(slices, 1, 2).reshape(d * d, d).T),
-        _orth_basis(slices.reshape(d * d, d).T),
-    ]
-    ranks = [b.shape[1] for b in bases]
-    full = all(r == d for r in ranks)
-    detail = f"span ranks {ranks}"
-    if not full:
-        # witness: basis direction orthogonal to the achieved span
-        witness = [
-            G.basis[int(np.argmax(np.diag(np.eye(d) - b @ b.T)))] for b in bases if b.shape[1] < d
+    slices = np.tensordot(G.sandwich(P, P), cop, axes=(0, 0))  # Delta(P e_i P)
+    try:
+        bases = [
+            _orth_basis(np.swapaxes(slices, 1, 2).reshape(d * d, d).T),
+            _orth_basis(slices.reshape(d * d, d).T),
         ]
-        detail = f"span ranks {ranks} < dim {d}, missing directions {witness}"
-    checks.append(CheckResult("D2", full, 0.0 if full else float(d - min(ranks)), detail))
+    except NonFiniteError:
+        checks.append(non_finite("D2"))
+    else:
+        ranks = [b.shape[1] for b in bases]
+        full = all(r == d for r in ranks)
+        detail = f"span ranks {ranks}"
+        if not full:
+            # witness: basis direction orthogonal to the achieved span
+            witness = [
+                G.basis[int(np.argmax(np.diag(np.eye(d) - b @ b.T)))]
+                for b in bases
+                if b.shape[1] < d
+            ]
+            detail = f"span ranks {ranks} < dim {d}, missing directions {witness}"
+        checks.append(CheckResult("D2", full, 0.0 if full else float(d - min(ranks)), detail))
 
     # Lemma-level fact, reported independently of (D2)
     nz = np.linalg.norm(units, axis=2) > ZERO_TOL
@@ -866,10 +882,13 @@ class GradedFunctional:
     @classmethod
     def graded(cls, G: FinitePQG, vector: np.ndarray, grading) -> "GradedFunctional":
         """Project a raw dual vector onto the grading's support block."""
-        return cls(vector=G.corner_vector(np.asarray(vector, dtype=float), grading), grading=tuple(grading))
+        g = tuple(grading)
+        corner = G.sandwich(G.units[g[:2]], G.units[g[2:]]).T
+        return cls(vector=corner @ np.asarray(vector, dtype=float), grading=g)
 
     def support_residual(self, G: FinitePQG) -> float:
-        return float(np.abs(self.vector - G.corner_vector(self.vector, self.grading)).max(initial=0.0))
+        projected = self.graded(G, self.vector, self.grading).vector
+        return float(np.abs(self.vector - projected).max(initial=0.0))
 
 
 def convolve(G: FinitePQG, chi: GradedFunctional, omega: GradedFunctional) -> GradedFunctional:
@@ -898,8 +917,7 @@ def _corner_trace(G: FinitePQG, k: int, m: int) -> Optional[GradedFunctional]:
     u = G.units[k, m]
     if not np.any(np.abs(u) > ZERO_TOL):
         return _zero_state(G, k, m)
-    tr = G.trace_vector()
-    vec = G.corner_vector(tr, (k, m, k, m))
+    vec = G.sandwich(u, u).T @ G.trace_vector()
     norm = vec @ u
     if norm <= ZERO_TOL:
         return None
@@ -929,18 +947,18 @@ class HaarFamily:
         }
 
 
-def _corner_dual_basis(G: FinitePQG, grading) -> list:
-    """Spanning functionals of the graded block, from the dual basis."""
-    cols = G.corner_matrix(grading)
-    funcs = [GradedFunctional(vector=cols[:, j].copy(), grading=tuple(grading)) for j in range(G.dim)]
-    return [f for f in funcs if not f.is_zero()]
-
-
 def _corner_invariance_residual(G: FinitePQG, k: int, h: GradedFunctional) -> float:
-    """Two-sided invariance defect of h against the corner's spanning set."""
+    """Two-sided invariance defect of h against the corner's spanning set.
+
+    The set is the dual basis projected onto the (k, k) corner, zero
+    functionals dropped: the rows of the corner's sandwich matrix.
+    """
     u = G.units[k, k]
     worst = 0.0
-    for chi in _corner_dual_basis(G, (k, k, k, k)):
+    for row in G.sandwich(u, u):
+        chi = GradedFunctional(vector=row, grading=(k, k, k, k))
+        if chi.is_zero():
+            continue
         left = convolve(G, chi, h).vector - chi(u) * h.vector
         right = convolve(G, h, chi).vector - chi(u) * h.vector
         worst = max(worst, np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0))
@@ -950,20 +968,19 @@ def _corner_invariance_residual(G: FinitePQG, k: int, h: GradedFunctional) -> fl
 def haar_cesaro(
     G: FinitePQG,
     seed_states: Optional[dict] = None,
-    iterations: int = 100_000,
     tol: float = 1e-10,
-    window: int = 64,
 ) -> HaarFamily:
     """Invariant family by Cesaro averaging of iterated convolutions.
 
-    Per diagonal corner, averages convolution powers of the seed state over a
-    window and restarts from the average (again a corner state) until the
-    corner invariance residual drops below `tol` or the convolution budget is
-    spent.  Off-diagonal states are corner-trace transports of the diagonal
-    ones.  Non-convergence is reported in `diagnostics`, not raised.  So is
-    a corner trace that is degenerate or not corner-supported on an instance
-    that breaks the axioms: the corner's state is left zero and
-    `diagnostics["errors"]` names the corner.  Malformed `seed_states` raise.
+    Per diagonal corner, averages convolution powers of the seed state over
+    CESARO_WINDOW of them and restarts from the average (again a corner
+    state) until the corner invariance residual drops below `tol` or the
+    budget of CESARO_ITERATIONS convolutions is spent.  Off-diagonal states
+    are corner-trace transports of the diagonal ones.  Non-convergence is
+    reported in `diagnostics`, not raised.  So is a corner trace that is
+    degenerate or not corner-supported on an instance that breaks the
+    axioms: the corner's state is left zero and `diagnostics["errors"]`
+    names the corner.  Malformed `seed_states` raise.
     """
     n = G.n_objects
     diagnostics = {}
@@ -987,10 +1004,10 @@ def haar_cesaro(
         h = seed
         used = 0
         trace = [float(_corner_invariance_residual(G, k, h))]
-        while trace[-1] > tol and used < iterations:
+        while trace[-1] > tol and used < CESARO_ITERATIONS:
             acc = np.zeros(G.dim)
             cur = h
-            for _ in range(min(window, iterations - used)):
+            for _ in range(min(CESARO_WINDOW, CESARO_ITERATIONS - used)):
                 acc += cur.vector
                 cur = convolve(G, cur, h)
                 used += 1
@@ -1049,7 +1066,7 @@ def _haar_system(G: FinitePQG, side: str) -> tuple:
     ]
     bases, segs, total = {}, {}, 0
     for km in nonzero:
-        bases[km] = _orth_basis(G.corner_matrix(km + km))
+        bases[km] = _orth_basis(G.sandwich(G.units[km], G.units[km]).T)
         segs[km] = slice(total, total + bases[km].shape[1])
         total = segs[km].stop
     legs = {"left": (0,), "right": (1,), "both": (0, 1)}[side]
@@ -1090,13 +1107,27 @@ def haar_linear_solve(G: FinitePQG, side: str = "both", tol: float = 1e-10) -> H
     all-zero rows (`_haar_system`), solved by least squares and refined by
     one more least-squares step on the residual.  Diagnostics report the
     rank of the first solve, solvability and uniqueness; the residual is
-    that of the refined solution.
+    that of the refined solution.  A system that holds inf or nan (an
+    overflowing structure constant) is not solved: the states are zero and
+    `diagnostics["non_finite"]` names the stage.
     """
     if side not in ("left", "right", "both"):
         raise ValueError("side must be left, right, or both")
-    M, rhs, bases, segs = _haar_system(G, side)
-    x, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=RANK_CUTOFF)
-    x += np.linalg.lstsq(M, rhs - M @ x, rcond=RANK_CUTOFF)[0]
+    try:
+        M, rhs, bases, segs = _haar_system(G, side)
+        x, _, rank, _ = np.linalg.lstsq(_finite(M), rhs, rcond=RANK_CUTOFF)
+        x += np.linalg.lstsq(M, _finite(rhs - M @ x), rcond=RANK_CUTOFF)[0]
+    except NonFiniteError:
+        n = G.n_objects
+        return HaarFamily(
+            states={(k, m): _zero_state(G, k, m) for k in range(n) for m in range(n)},
+            diagnostics={
+                "method": "linear_solve",
+                "side": side,
+                "non_finite": "invariance system",
+                "solvable": False,
+            },
+        )
     residual = float(np.abs(M @ x - rhs).max(initial=0.0))
     states = {}
     for k in range(G.n_objects):

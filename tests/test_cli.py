@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -328,6 +331,44 @@ def test_haar_on_axiom_breaking_instance_is_a_failed_check(
     assert "cesaro::I1" in failed
     assert rep["cesaro_diagnostics"]["errors"] == [error]
     assert rep["cesaro_diagnostics"]["corners"]["0"] == {"iterations": 0, "converged": False}
+
+
+@pytest.mark.parametrize(
+    "argv, failed_check",
+    [
+        (["check"], "D2"),
+        (["haar", "--method", "solve"], "solve::finite"),
+        (["haar", "--method", "cesaro"], "cesaro::support"),
+        (["haar", "--method", "both"], "solve::finite"),
+    ],
+)
+def test_overflowing_constant_is_a_failed_check(fixture_dir, tmp_path, argv, failed_check):
+    # a structure constant of 1e300 overflows the corner projections; fed to
+    # LAPACK, inf and nan can keep an SVD from converging or a least-squares
+    # solve from returning, so the CLI runs in a subprocess with a timeout: a
+    # hang fails the test instead of stalling the suite
+    data = json.loads((fixture_dir / "pair2_fn.json").read_text())
+    data["mult"][0][3] = 1e300
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcqg.cli", "fdqg", argv[0], str(path), *argv[1:]],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    failed = {c["label"]: c for c in json.loads(proc.stdout)["checks"] if not c["passed"]}
+    assert failed_check in failed
+    if argv[0] == "check":
+        for label in ("D1", "D2"):
+            assert failed[label]["detail"] == "non-finite column sets"
+    elif "solve::finite" in failed:
+        assert failed["solve::finite"]["detail"] == "non-finite invariance system"
 
 
 def _set_mult_index(d):

@@ -10,15 +10,20 @@ file exits 0 or 1.  An exception escaping `main` fails the example.
 A second test sets one entry of an instance file's `mult`, `coproduct`,
 `units` or `star` to another finite value with |v| <= 10.  The file stays
 well-formed but may break the axioms, which is a failed check: exit 0 or 1,
-never 2, and no traceback.  Both searches are seeded and small; together
-they cost about three seconds, most of it Cesaro runs that spend their
-iteration budget on instances with no invariant state.
+never 2, and no traceback.  A third does the same for `fdqg check` and
+`fdqg haar` at the ends of the float range: values up to +-1e308, whose
+products overflow to inf and nan, and subnormals.  Each of its examples
+must also finish within EXAMPLE_SECONDS, so a stage that stalls on a
+non-finite intermediate fails rather than passes slowly.  The searches are
+seeded and small; together they cost a few seconds, most of it Cesaro runs
+that spend their iteration budget on instances with no invariant state.
 """
 
 import contextlib
 import copy
 import io
 import json
+import time
 
 import pytest
 from hypothesis import event, given, settings
@@ -37,6 +42,8 @@ SOURCES = (
 )
 WRONG_TYPES = (None, 3, 2.5, True, "x", "1.0")
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+# one full Cesaro budget takes about 1 s; an example past this has stalled
+EXAMPLE_SECONDS = 10.0
 
 
 @pytest.fixture(scope="module")
@@ -195,16 +202,14 @@ def test_fdqg_exit_code_contract(fixtures, data):
 INSTANCES = tuple(name for name in SOURCES if not name.endswith(".groupoid.json"))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_fdqg_finite_values_are_checks_not_usage_errors(fixtures, data):
+def _run_revalued(fixtures, data, values, modes):
+    """Set one structure constant of a fixture instance to a drawn value and
+    run one `fdqg` mode on it; return the exit code, stderr and seconds."""
     root, sources = fixtures
     name = data.draw(st.sampled_from(INSTANCES), label="file")
     doc = copy.deepcopy(sources[name])
     key = data.draw(st.sampled_from(["mult", "coproduct", "units", "star"]), label="entry")
-    value = data.draw(
-        st.one_of(st.sampled_from([0.0, 0.5, -1.0, 2.0]), st.floats(-10.0, 10.0)), label="value"
-    )
+    value = data.draw(values, label="value")
     if key in ("mult", "coproduct"):
         doc[key][_position(data.draw, doc[key])][3] = value
     else:
@@ -213,10 +218,36 @@ def test_fdqg_finite_values_are_checks_not_usage_errors(fixtures, data):
         row[_position(data.draw, row)] = value
     path = root / "revalued.json"
     path.write_text(json.dumps(doc))
-    mode = data.draw(st.sampled_from(["check", "haar", "reps"]), label="mode")
+    mode = data.draw(st.sampled_from(modes), label="mode")
     form = data.draw(st.sampled_from(["functions", "algebra"]), label="form")
     err = io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["fdqg", mode, str(path), "--form", form])
-    assert "Traceback" not in err.getvalue()
-    assert code in (0, 1), (name, key, value, mode, err.getvalue())
+    return code, err.getvalue(), time.perf_counter() - start
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fdqg_finite_values_are_checks_not_usage_errors(fixtures, data):
+    values = st.one_of(st.sampled_from([0.0, 0.5, -1.0, 2.0]), st.floats(-10.0, 10.0))
+    code, err, _ = _run_revalued(fixtures, data, values, ["check", "haar", "reps"])
+    assert "Traceback" not in err
+    assert code in (0, 1), err
+
+
+EXTREMES = (1e308, -1e308, 1e300, -1e300, 1e155, 5e-324, -5e-324, 1e-310)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fdqg_extreme_values_are_checks_not_usage_errors(fixtures, data):
+    values = st.one_of(
+        st.sampled_from(EXTREMES),
+        st.floats(-1e308, 1e308),
+        st.floats(-2.2e-308, 2.2e-308),  # zero and the subnormals
+    )
+    code, err, seconds = _run_revalued(fixtures, data, values, ["check", "haar"])
+    assert "Traceback" not in err
+    assert code in (0, 1), err
+    assert seconds < EXAMPLE_SECONDS

@@ -122,17 +122,6 @@ def test_tensor_associative():
     assert np.abs(left.coeffs - right.coeffs).max() == 0.0
 
 
-def test_block_projections_resolve_identity():
-    G, g = INSTANCES["s3x2_fn"]
-    R = regular_rep(G, g)
-    total_rows = sum(R.row_projection(k) for k in range(G.n_objects))
-    total_cols = sum(R.column_projection(l) for l in range(G.n_objects))
-    assert np.abs(total_rows - np.eye(R.space_dim)).max() == 0.0
-    assert np.abs(total_cols - np.eye(R.space_dim)).max() == 0.0
-    dims = R.block_dims()
-    assert sum(dims.values()) == R.space_dim
-
-
 def test_corrupted_coefficient_detected():
     G, g = INSTANCES["pair2_fn"]
     R = regular_rep(G, g)

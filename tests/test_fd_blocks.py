@@ -56,6 +56,12 @@ def _refuse_large(G):
         raise ValueError(f"dense oracle refuses d = {G.dim} > {ORACLE_MAX_DIM}")
 
 
+def dense_sandwich(G, left, right):
+    """(left e_i right)_c at [c, i]: the corner map as one contraction over the
+    structure constants, written apart from `FinitePQG.sandwich`."""
+    return np.einsum("a,aix,b,xbc->ci", left, G.mult, right, G.mult, optimize=True)
+
+
 def _span_containment(cols, basis):
     worst = 0.0
     for c in cols.T:
@@ -88,20 +94,21 @@ def dense_verify_axioms(G, tol=1e-10):
     add("delta_star", np.abs(lhs - rhs).max())
 
     res = 0.0
+    product = lambda a, b: np.einsum("i,j,ijk->k", a, b, mult)
     one = G.algebra_unit()
     for k in range(n):
         for l in range(n):
             u = units[k, l]
-            res = max(res, np.abs(G.star_vec(u) - u).max(initial=0.0))
-            res = max(res, np.abs(G.multiply(u, u) - u).max(initial=0.0))
+            res = max(res, np.abs(u @ star - u).max(initial=0.0))
+            res = max(res, np.abs(product(u, u) - u).max(initial=0.0))
             for k2 in range(n):
                 for l2 in range(n):
                     if (k2, l2) != (k, l):
-                        res = max(res, np.abs(G.multiply(u, units[k2, l2])).max(initial=0.0))
+                        res = max(res, np.abs(product(u, units[k2, l2])).max(initial=0.0))
     for i in range(d):
         e = np.eye(d)[i]
-        res = max(res, np.abs(G.multiply(e, one) - e).max())
-        res = max(res, np.abs(G.multiply(one, e) - e).max())
+        res = max(res, np.abs(product(e, one) - e).max())
+        res = max(res, np.abs(product(one, e) - e).max())
     add("U1", res)
 
     res = 0.0
@@ -143,7 +150,7 @@ def dense_verify_axioms(G, tol=1e-10):
     add("D1", res, f"ranks {b_left.shape[1]}/{b_mid.shape[1]}/{b_right.shape[1]}")
 
     P = sum(units[k, k] for k in range(n))
-    pmat = G.right_mult_matrix(P) @ G.left_mult_matrix(P)
+    pmat = dense_sandwich(G, P, P)
     ranks, witness = [], []
     for leg in (0, 1):
         cols = [G.delta(pmat @ np.eye(d)[i]) for i in range(d)]
@@ -178,8 +185,8 @@ def dense_haar_system(G, side="both"):
     nonzero = [(k, m) for k in range(n) for m in range(n) if np.any(np.abs(G.units[k, m]) > ZERO_TOL)]
     corner_basis, offsets, total = {}, {}, 0
     for k, m in nonzero:
-        cols = np.stack([G.corner_vector(e, (k, m, k, m)) for e in np.eye(d)], axis=1)
-        corner_basis[(k, m)] = _orth_basis(cols)
+        u = G.units[k, m]
+        corner_basis[(k, m)] = _orth_basis(dense_sandwich(G, u, u).T)
         offsets[(k, m)] = total
         total += corner_basis[(k, m)].shape[1]
     rows, rhs = [], []
@@ -248,10 +255,9 @@ def dense_co2(X):
     res = 0.0
     for k in range(n):
         for m in range(n):
-            lm = G.left_mult_matrix(G.units[k, m])
             for l in range(n):
                 for nn in range(n):
-                    proj = G.right_mult_matrix(G.units[l, nn]) @ lm
+                    proj = dense_sandwich(G, G.units[k, m], G.units[l, nn])
                     left = np.einsum("ci,iuv->cuv", proj, X.coeffs)
                     rmask = (row_grade == k) & (col_grade == l)
                     cmask = (row_grade == m) & (col_grade == nn)
