@@ -1,11 +1,12 @@
 """Decoupling of the dynamical algebra into two weight-lattice su(1,1) copies.
 
 Two constructions, inverse to each other on generators. `build_phi_images`
-reads the images of the su(1,1) x su(1,1) generators off any generator
-bundle (a raising/lowering pair per copy plus diagonal K-value and unit
-maps). `build_pi_ST` goes the other way: it assembles the four bundle
-generators from a tensor product pi_S (x) pi_T of weight representations,
-one per compatible set. Pairing the two gives a numerical re-proof of the
+reads the images of the su(1,1) x su(1,1) generators off any
+`windowed.Bundle` of alpha, beta, gamma and delta (a raising/lowering pair
+per copy plus diagonal K-value and unit maps). `build_pi_ST` goes the other
+way: it assembles the four generators from a tensor product pi_S (x) pi_T
+of weight representations, one per compatible set, into a Bundle whose
+exact ends are those of its two factors. Pairing the two gives a numerical re-proof of the
 classification of irreducible star-representations, and the attainable
 Casimir values give the spectrum of Omega, computed here both in closed
 form and by brute-force enumeration over a c grid.
@@ -23,13 +24,13 @@ from .lattice import EXPONENT_REL_TOL, LatticeSpec, tau
 from .cset import solve_wc
 from .uqsu11 import (
     CompatibleSet,
-    UqRep,
     build_pi_T,
     casimir_terms,
     compatible_sets,
     su11_relations,
 )
 from .windowed import (
+    Bundle,
     RelationResidual,
     Window,
     WindowedOperator,
@@ -73,12 +74,12 @@ class PhiImages:
 
     E1/F1 raise and lower the first K-value sqrt(lambda rho); E2/F2 act on
     the second, sqrt(lambda/rho). Diagonal unit projections come from the
-    methods, matched on the exponent scale. `bundle` is whatever the images
-    were read from (a pi_c bundle or a tensor-product bundle); only its
-    q, u, mul_fn, margins and exact_boundaries are used afterwards.
+    methods, matched on the exponent scale. `bundle` is the Bundle the
+    images were read from (pi_c or pi_ST); the checks read its diagonals,
+    generators, margins and exact boundaries.
     """
 
-    bundle: object
+    bundle: Bundle
     E1: WindowedOperator
     F1: WindowedOperator
     E2: WindowedOperator
@@ -115,13 +116,13 @@ def _ratio_indicator(coord, r: float, q: float) -> Callable[[np.ndarray, np.ndar
     return lambda l, p: lat.indicator(coord(l, p) / rr, 0)
 
 
-def build_phi_images(b) -> PhiImages:
+def build_phi_images(b: Bundle) -> PhiImages:
     """Read the su(1,1) x su(1,1) generator images off a bundle.
 
     (1/q - q) E1 = alpha tau^(1/2)(lambda) tau^(1/2)(q rho), and the three
     companions with beta, delta, -gamma and the rho/q weight. The K's are
-    plain diagonal value maps. Works on anything exposing q, u(name) and
-    mul_fn(f(lambda, rho)).
+    plain diagonal value maps. b is any Bundle of alpha, beta, gamma and
+    delta with (lambda, rho) coordinates.
     """
     q = b.q
     kappa = 1.0 / q - q
@@ -179,7 +180,7 @@ def phi_relation_residuals(images: PhiImages, tol: float = 1e-10) -> list[Relati
         ("cross_k2_e1", images.K2, images.E1),
     ):
         table[label] = [(1.0, [a, bb]), (-1.0, [bb, a])]
-    return table_residuals(table.items(), b.margins(), b.exact_boundaries(), tol)
+    return table_residuals(table.items(), b.margins(), b.exact_boundaries, tol)
 
 
 def omega_residuals(
@@ -218,7 +219,7 @@ def omega_residuals(
             label: [(z, [*word, norm]) for z, word in terms]
             for label, terms in table.items()
         }
-    return table_residuals(table.items(), b.margins(), b.exact_boundaries(), tol)
+    return table_residuals(table.items(), b.margins(), b.exact_boundaries, tol)
 
 
 # -- enumeration of irreducible representation data ------------------------
@@ -320,52 +321,29 @@ def enumerate_irreps(q: float, x: float, c: float, window: int = 8) -> list[Irre
 # -- tensor-product model of the irreducible representations ---------------
 
 
-@dataclass(frozen=True)
-class PiSTBundle:
+@dataclass(frozen=True, kw_only=True)
+class PiSTBundle(Bundle):
     """Generator bundle assembled on l2(S) (x) l2(T).
 
-    Quacks like a pi_c bundle: q, u(name), mul_fn over (lambda, rho) =
-    (rs, r/s), margins and exact boundaries, so the full relation battery
-    runs unchanged. `lifted` holds the raw tensor-factor operators
+    A Bundle whose coordinates are (lambda, rho) = (rs, r/s), with pad 3
+    and the exact ends of its two pi_T factors, so the full relation
+    battery runs unchanged. `lifted` holds the raw tensor-factor operators
     (E1 = E_S (x) 1 and so on) for round-trip checks. Infinite sets are
     truncated; `truncated` is False only for the one-point trivial pair.
     """
 
+    coords: Callable[..., tuple] = lambda r, s: (r * s, r / s)
+    pad: int = 3
     pair: IrrepPair
-    rep_S: UqRep
-    rep_T: UqRep
-    window: Window
-    ops: dict
     lifted: dict
-    truncated: bool
-
-    @property
-    def q(self) -> float:
-        return self.pair.q
-
-    @property
-    def x(self) -> float:
-        return self.pair.x
 
     @property
     def c(self) -> float:
         return self.pair.c
 
-    def u(self, name: str) -> WindowedOperator:
-        return self.ops[name]
-
-    def mul_fn(self, f) -> WindowedOperator:
-        return mul_op(lambda r, s: f(r * s, r / s), self.window)
-
-    def margins(self, pad: int = 3):
-        (s_lo, s_hi), = self.rep_S.margins(pad)
-        (t_lo, t_hi), = self.rep_T.margins(pad)
-        return ((s_lo, s_hi), (t_lo, t_hi))
-
-    def exact_boundaries(self) -> frozenset:
-        s = {(0, side) for (_, side) in self.rep_S.exact_boundaries()}
-        s |= {(1, side) for (_, side) in self.rep_T.exact_boundaries()}
-        return frozenset(s)
+    @property
+    def truncated(self) -> bool:
+        return len(self.exact_boundaries) < 4
 
     def to_json_dict(self) -> dict:
         return {
@@ -398,10 +376,10 @@ def build_pi_ST(pair: IrrepPair, truncation: int = 24) -> PiSTBundle:
     id_S = identity_op(rep_S.window)
     id_T = identity_op(rep_T.window)
     lifted = {
-        "E1": tensor_op(rep_S.E, id_T, win),
-        "F1": tensor_op(rep_S.F, id_T, win),
-        "E2": tensor_op(id_S, rep_T.E, win),
-        "F2": tensor_op(id_S, rep_T.F, win),
+        "E1": tensor_op(rep_S.u("E"), id_T, win),
+        "F1": tensor_op(rep_S.u("F"), id_T, win),
+        "E2": tensor_op(id_S, rep_T.u("E"), win),
+        "F2": tensor_op(id_S, rep_T.u("F"), win),
     }
 
     q = pair.q
@@ -414,24 +392,17 @@ def build_pi_ST(pair: IrrepPair, truncation: int = 24) -> PiSTBundle:
         "gamma": (-kappa) * (lifted["F2"] @ ga),
         "delta": kappa * (lifted["F1"] @ gb),
     }
-    truncated = not (
-        rep_S.algebraic_low
-        and rep_S.algebraic_high
-        and rep_T.algebraic_low
-        and rep_T.algebraic_high
+    exact = frozenset(
+        (axis, side)
+        for axis, rep in enumerate((rep_S, rep_T))
+        for _, side in rep.exact_boundaries
     )
     return PiSTBundle(
-        pair=pair,
-        rep_S=rep_S,
-        rep_T=rep_T,
-        window=win,
-        ops=ops,
-        lifted=lifted,
-        truncated=truncated,
+        q=q, pair=pair, window=win, ops=ops, lifted=lifted, exact_boundaries=exact
     )
 
 
-def round_trip_residuals(b, tol: float = 1e-10) -> list[RelationResidual]:
+def round_trip_residuals(b: Bundle, tol: float = 1e-10) -> list[RelationResidual]:
     """Rebuild each generator from its su(1,1) images and compare.
 
     Inverts the image formulas: alpha back from (1/q - q) E1 with the
@@ -454,7 +425,7 @@ def round_trip_residuals(b, tol: float = 1e-10) -> list[RelationResidual]:
         (f"roundtrip_{name}", [(z, [img, g]), (-1.0, [b.u(name)])])
         for name, (z, img, g) in rebuilt.items()
     )
-    return table_residuals(table, b.margins(), b.exact_boundaries(), tol)
+    return table_residuals(table, b.margins(), b.exact_boundaries, tol)
 
 
 def grading_residuals(st: PiSTBundle, tol: float = 1e-12) -> list[RelationResidual]:

@@ -32,19 +32,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .lattice import LatticeSpec, power, tau, weight_w
 from .windowed import (
+    Bundle,
     RelationResidual,
     Window,
     WindowAxis,
     WindowedOperator,
     evaluate_terms,
     identity_op,
-    mul_op,
     op_norm_bound,
     relation_residual,
     shift_op,
@@ -102,44 +102,11 @@ def generator_weight(eps: int, nu: int, yv, zv, c: float, q: float):
     return theta * np.sqrt(num / den)
 
 
-@dataclass(frozen=True)
-class PiCBundle:
+@dataclass(frozen=True, kw_only=True)
+class PiCBundle(Bundle):
+    """pi_c on a two-axis window of (lambda, rho) exponents."""
+
     params: DynParams
-    window: Window
-    ops: dict
-
-    @property
-    def q(self) -> float:
-        return self.params.q
-
-    def u(self, name: str) -> WindowedOperator:
-        return self.ops[name]
-
-    @property
-    def alpha(self):
-        return self.ops["alpha"]
-
-    @property
-    def beta(self):
-        return self.ops["beta"]
-
-    @property
-    def gamma(self):
-        return self.ops["gamma"]
-
-    @property
-    def delta(self):
-        return self.ops["delta"]
-
-    def mul_fn(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> WindowedOperator:
-        """Diagonal operator of an array function of the (lambda, rho) values."""
-        return mul_op(f, self.window)
-
-    def margins(self, pad: int = 2):
-        return tuple((pad, pad) for _ in self.window.axes)
-
-    def exact_boundaries(self) -> frozenset:
-        return frozenset()
 
 
 def default_window(params: DynParams, half: int = 10) -> Window:
@@ -161,7 +128,7 @@ def build_pi_c(params: DynParams, window: Optional[Window] = None) -> PiCBundle:
             (-eps, -nu),
             window,
         )
-    return PiCBundle(params=params, window=window, ops=ops)
+    return PiCBundle(q=q, params=params, window=window, ops=ops)
 
 
 # -- the relation table and the battery ---------------------------------------
@@ -268,13 +235,13 @@ def battery_relations(q: float, suite: str = "full") -> dict[str, list[BatteryTe
 
 
 def verify_dynsu2_relations(
-    b, tol: float = 1e-10, suite: str = "full"
+    b: Bundle, tol: float = 1e-10, suite: str = "full"
 ) -> list[RelationResidual]:
     """Residuals of the suite's relations on the bundle's interior.
 
-    Works on anything exposing q, window, u(name), mul_fn, margins, and
-    exact_boundaries; in particular pi_c bundles, compressed coproduct-image
-    bundles and pi_ST bundles.  Each term is evaluated as the operator word
+    b is any Bundle of the four generators alpha, beta, gamma and delta with
+    (lambda, rho) coordinates: pi_c, the compressed coproduct images or
+    pi_ST.  Each term is evaluated as the operator word
     left function, letters, coefficient function (no diagonal for a unit
     function), so required_margins sees every intermediate shift.
     """
@@ -291,18 +258,17 @@ def verify_dynsu2_relations(
         (label, [(z, word(left, t)) for z, left, t in terms])
         for label, terms in battery_relations(b.q, suite).items()
     )
-    return table_residuals(table, b.margins(), b.exact_boundaries(), tol)
+    return table_residuals(table, b.margins(), b.exact_boundaries, tol)
 
 
-def generator_norm_bounds(b) -> dict:
+def generator_norm_bounds(b: Bundle) -> dict:
     return {name: op_norm_bound(b.u(name)) for name in GEN_NAMES}
 
 
 # -- coproduct compatibility ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaImageBundle:
+def build_delta_images(b1: PiCBundle, b2: PiCBundle, half: int = 4) -> Bundle:
     """Coproduct images on the matched-middle compressed space.
 
     Basis vectors carry three exponents (y, v, z); the image of u_{eps,nu}
@@ -311,27 +277,6 @@ class DeltaImageBundle:
     act through the outer axes only, matching the coproduct of a
     diagonal function.
     """
-
-    q: float
-    c1: float
-    c2: float
-    window: Window
-    ops: dict
-
-    def u(self, name: str) -> WindowedOperator:
-        return self.ops[name]
-
-    def mul_fn(self, f) -> WindowedOperator:
-        return mul_op(lambda y, v, z: f(y, z), self.window)
-
-    def margins(self, pad: int = 2):
-        return tuple((pad, pad) for _ in self.window.axes)
-
-    def exact_boundaries(self) -> frozenset:
-        return frozenset()
-
-
-def build_delta_images(b1: PiCBundle, b2: PiCBundle, half: int = 4) -> DeltaImageBundle:
     if b1.params.q != b2.params.q or b1.params.x != b2.params.x:
         raise ValueError("coproduct legs must share q and x")
     q = b1.params.q
@@ -351,7 +296,7 @@ def build_delta_images(b1: PiCBundle, b2: PiCBundle, half: int = 4) -> DeltaImag
             )
             total = piece if total is None else total + piece
         ops[name] = total
-    return DeltaImageBundle(q=q, c1=c1, c2=c2, window=win, ops=ops)
+    return Bundle(q=q, window=win, ops=ops, coords=lambda y, v, z: (y, z))
 
 
 def coproduct_compat_check(

@@ -11,9 +11,10 @@ deterministic.  The square roots are well defined exactly because the
 underlying set is a c-set; a negative radicand means corrupted input.
 
 Series representations terminate on one side algebraically (the shift
-weight vanishes at the endpoint), so relation checks there need no
-interior margin; the opposite side of a truncated window is an
-artificial cut and gets margin >= 2.
+weight vanishes at the endpoint): that end is one of the representation's
+exact_boundaries and relation checks there need no interior margin; the
+opposite side of a truncated window is an artificial cut and gets
+margin >= 2.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from .cset import CSetDescriptor, SetKind, classify_irreducible_csets
 from .lattice import LatticeSpec, tau
 from .windowed import (
+    Bundle,
     RelationResidual,
     Term,
     Window,
@@ -97,42 +99,25 @@ def compatible_sets(y: float, c: float, q: float, window: int = 8) -> list[Compa
     return out
 
 
-@dataclass(frozen=True)
-class UqRep:
-    """Operators E, F, K and K^-1 on a window of T, with the Casimir scalar c.
+@dataclass(frozen=True, kw_only=True)
+class UqRep(Bundle):
+    """E, F, K and K^-1 (ops "E", "F", "K", "Kinv") on a window of T.
 
-    algebraic_low and algebraic_high say which window ends are algebraic:
-    the series terminates there, so relation checks need no margin on that
-    side.
+    c is the Casimir scalar.  exact_boundaries lists the window ends where
+    the series terminates, so relation checks need no margin there.
     """
 
     c: float
-    q: float
-    window: Window
-    E: WindowedOperator
-    F: WindowedOperator
-    K: WindowedOperator
-    Kinv: WindowedOperator
-    algebraic_low: bool
-    algebraic_high: bool
+
+    def generators(self) -> tuple[WindowedOperator, ...]:
+        """(E, F, K, K^-1)."""
+        return tuple(self.ops[name] for name in ("E", "F", "K", "Kinv"))
 
     def unit(self, n: int) -> WindowedOperator:
         """Rank-one diagonal projection onto the window point with exponent n."""
         (exps,) = self.window.exponent_grids
         return WindowedOperator(self.window, {(0,): exps == n})
 
-    def margins(self, pad: int = 2) -> tuple[tuple[int, int], ...]:
-        return (
-            (0 if self.algebraic_low else pad, 0 if self.algebraic_high else pad),
-        )
-
-    def exact_boundaries(self) -> frozenset:
-        s = set()
-        if self.algebraic_low:
-            s.add((0, "low"))
-        if self.algebraic_high:
-            s.add((0, "high"))
-        return frozenset(s)
 
 def _radicand(r: np.ndarray, c: float, q: float, eps: int, tol: float) -> np.ndarray:
     v = tau(q**eps * r * r) + c
@@ -150,8 +135,8 @@ def build_pi_T(cs: CompatibleSet, truncation: int = 10) -> UqRep:
     """Weight representation on a window of T.
 
     Infinite directions are cut at `truncation` points from the series
-    endpoint (or symmetrically for a full orbit); the cut side is flagged
-    artificial for margin handling.
+    endpoint (or symmetrically for a full orbit); only the series endpoints
+    are exact boundaries, so the cut side keeps its margin.
 
     The default truncation is deliberately modest: E carries weights that
     grow like q^{-n} down an infinite set, and the Casimir cancels two
@@ -170,39 +155,32 @@ def build_pi_T(cs: CompatibleSet, truncation: int = 10) -> UqRep:
 
     if d.kind is SetKind.TRIVIAL:
         win = window_1d(spec, 0, 0)
-        algebraic = (True, True)
+        exact = {(0, "low"), (0, "high")}
     elif d.kind is SetKind.PLUS_SERIES:
         # values descend from the top point r0 as the exponent grows
         win = window_1d(spec, 0, truncation - 1)
-        algebraic = (True, False)
+        exact = {(0, "low")}
     elif d.kind is SetKind.MINUS_SERIES:
         # values ascend from the bottom point r0 as the exponent falls
         win = window_1d(spec, -(truncation - 1), 0)
-        algebraic = (False, True)
+        exact = {(0, "high")}
     else:
         half = truncation // 2
         win = window_1d(spec, -half, half)
-        algebraic = (False, False)
+        exact = set()
 
     # boundary-scaled tolerance, matching the c-set adaptedness test
     tol = 1e-10 * max(1.0, abs(c))
     scale = 1.0 / abs(q - 1.0 / q)
 
     E = shift_op(lambda r: np.sqrt(_radicand(r, c, q, +1, tol)) * scale, (+1,), win)
-    F = E.adjoint()
-    K = mul_op(lambda r: r, win)
-    Kinv = mul_op(lambda r: 1.0 / r, win)
-    return UqRep(
-        c=c,
-        q=q,
-        window=win,
-        E=E,
-        F=F,
-        K=K,
-        Kinv=Kinv,
-        algebraic_low=algebraic[0],
-        algebraic_high=algebraic[1],
-    )
+    ops = {
+        "E": E,
+        "F": E.adjoint(),
+        "K": mul_op(lambda r: r, win),
+        "Kinv": mul_op(lambda r: 1.0 / r, win),
+    }
+    return UqRep(c=c, q=q, window=win, ops=ops, exact_boundaries=frozenset(exact))
 
 
 def su11_relations(E, F, K, Kinv, ident, q: float) -> dict[str, list[Term]]:
@@ -234,7 +212,7 @@ def casimir_terms(E, F, K, Kinv, q: float) -> list[Term]:
 
 def casimir_op(rep: UqRep) -> WindowedOperator:
     """The Casimir of the representation; scalar c on the interior."""
-    return evaluate_terms(casimir_terms(rep.E, rep.F, rep.K, rep.Kinv, rep.q))
+    return evaluate_terms(casimir_terms(*rep.generators(), rep.q))
 
 
 def relation_conditioning(rep: UqRep) -> float:
@@ -245,24 +223,26 @@ def relation_conditioning(rep: UqRep) -> float:
     (deep series truncations, small q) should test against a tolerance
     proportional to it.
     """
-    terms = casimir_terms(rep.E, rep.F, rep.K, rep.Kinv, rep.q) + [(1.0, [rep.K, rep.E])]
+    E, _, K, _ = rep.generators()
+    terms = casimir_terms(*rep.generators(), rep.q) + [(1.0, [K, E])]
     return max(1.0, *(evaluate_terms([(1.0, word)]).max_abs() for _, word in terms))
 
 
 def verify_uqsu11_relations(rep: UqRep, tol: float = 1e-10) -> list[RelationResidual]:
     win = rep.window
-    relations = su11_relations(rep.E, rep.F, rep.K, rep.Kinv, identity_op(win), rep.q)
-    out = table_residuals(relations.items(), rep.margins(), rep.exact_boundaries(), tol)
+    relations = su11_relations(*rep.generators(), identity_op(win), rep.q)
+    out = table_residuals(relations.items(), rep.margins(), rep.exact_boundaries, tol)
 
     # graded unit relations: E maps the r weight space into the qr one,
     # so P_{next} E P_n = E P_n for every window point n
     ax = win.axes[0]
+    E = rep.u("E")
     worst = 0.0
     for n in ax.exponents():
         p_n = rep.unit(n)
-        terms = [(1.0, [rep.E, p_n])]
+        terms = [(1.0, [E, p_n])]
         if n + 1 <= ax.n_max:
-            terms.append((-1.0, [rep.unit(n + 1), rep.E, p_n]))
+            terms.append((-1.0, [rep.unit(n + 1), E, p_n]))
         r = relation_residual(
             terms,
             ((0, 0),),
@@ -270,8 +250,8 @@ def verify_uqsu11_relations(rep: UqRep, tol: float = 1e-10) -> list[RelationResi
             tol=tol,
             exact_boundaries=frozenset({(0, "low"), (0, "high")}),
         )
-        # the top cut column is a truncation artifact unless algebraic
-        if n == ax.n_max and not rep.algebraic_high:
+        # the top cut column is a truncation artifact unless exact
+        if n == ax.n_max and (0, "high") not in rep.exact_boundaries:
             continue
         worst = max(worst, r.residual)
     out.append(
@@ -303,20 +283,12 @@ def build_verma(y: float, q: float, n_max: int) -> UqRep:
         for n in range(1, n_max + 1)
     ])
 
-    E = shift_op(lambda r: 1.0, (+1,), win)
-    F = shift_op(lambda r: f_weights, (-1,), win)
-    K = mul_op(lambda r: r, win)
-    Kinv = mul_op(lambda r: 1.0 / r, win)
+    ops = {
+        "E": shift_op(lambda r: 1.0, (+1,), win),
+        "F": shift_op(lambda r: f_weights, (-1,), win),
+        "K": mul_op(lambda r: r, win),
+        "Kinv": mul_op(lambda r: 1.0 / r, win),
+    }
     # Casimir scalar of the lowest-weight module with K e_0 = y
     c = -tau(y * y / q)
-    return UqRep(
-        c=c,
-        q=q,
-        window=win,
-        E=E,
-        F=F,
-        K=K,
-        Kinv=Kinv,
-        algebraic_low=True,
-        algebraic_high=False,
-    )
+    return UqRep(c=c, q=q, window=win, ops=ops, exact_boundaries=frozenset({(0, "low")}))

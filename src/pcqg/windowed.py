@@ -9,10 +9,11 @@ relation residual measured on such vectors bounds the true algebraic
 defect up to float noise.
 
 Margins are per-axis and per-side because boundaries come in two kinds:
-an *algebraic* end, where a shift genuinely terminates (weight 0), needs
-no margin at all; an *artificial* cut, where an infinite lattice was
+an *exact* end, where a shift genuinely terminates (weight 0), needs no
+margin at all; an *artificial* cut, where an infinite lattice was
 truncated, needs a margin covering the worst intermediate excursion of
-the word being tested.
+the word being tested.  A generator family is a Bundle: its operators by
+name, its exact ends, and margins derived from them.
 
 Every operator is a finite sum of weighted shifts, stored as a dict
 {displacement: weight grid of the window's shape}.  A product shifts one
@@ -300,6 +301,39 @@ def tensor_op(a: WindowedOperator, b: WindowedOperator, window: Window) -> Windo
     return WindowedOperator(
         window, {da + db: np.multiply.outer(ga, gb) for (da, ga), (db, gb) in pairs}
     )
+
+
+@dataclass(frozen=True, kw_only=True)
+class Bundle:
+    """Named generators on one window: what every relation battery reads.
+
+    coords maps the window's value grids to the arguments a coefficient
+    function takes, (lambda, rho) for the dynamical algebra; the default
+    passes them through.  exact_boundaries holds the (axis, side) ends,
+    sides "low" and "high", where every generator terminates.  margins()
+    is derived from it: 0 on an exact end and pad on every other end.
+    """
+
+    q: float
+    window: Window
+    ops: dict
+    coords: Callable[..., tuple] = lambda *grids: grids
+    exact_boundaries: frozenset = frozenset()
+    pad: int = 2
+
+    def u(self, name: str) -> WindowedOperator:
+        return self.ops[name]
+
+    def mul_fn(self, f: Callable[..., np.ndarray]) -> WindowedOperator:
+        """Diagonal operator of an array function of the coordinates."""
+        return mul_op(lambda *g: f(*self.coords(*g)), self.window)
+
+    def margins(self, pad: Optional[int] = None) -> tuple[tuple[int, int], ...]:
+        pad = self.pad if pad is None else pad
+        return tuple(
+            tuple(0 if (axis, side) in self.exact_boundaries else pad for side in ("low", "high"))
+            for axis in range(self.window.dim)
+        )
 
 
 # -- relation checking ----------------------------------------------------

@@ -7,6 +7,7 @@ pytest -v listing carries one pass/fail line per criterion.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from pcqg.decoupling import (
 from pcqg.dynsu2 import (
     GEN_NAMES,
     DynParams,
-    PiCBundle,
     build_pi_c,
     default_window,
     generator_norm_bounds,
@@ -99,10 +99,10 @@ def test_criterion_2_pi_t_validity():
                     worst = max(worst, r.residual)
                 C = casimir_op(rep)
                 res = relation_residual(
-                    [(1.0, [C]), (-c, [rep.K @ rep.Kinv])],
+                    [(1.0, [C]), (-c, [rep.u("K") @ rep.u("Kinv")])],
                     rep.margins(),
                     label="casimir",
-                    exact_boundaries=rep.exact_boundaries(),
+                    exact_boundaries=rep.exact_boundaries,
                 )
                 worst = max(worst, res.residual)
     ok = n_reps > 0 and worst < 1e-10
@@ -128,7 +128,7 @@ def test_criterion_3_pi_c_validity_and_fault_detection():
             g[origin] += 1e-3
             ops = dict(b.ops)
             ops[name] = WindowedOperator(b.window, {d: g})
-            faulted = PiCBundle(params=b.params, window=b.window, ops=ops)
+            faulted = replace(b, ops=ops)
             detected = max(r.residual for r in verify_dynsu2_relations(faulted))
             if detected <= 1e-4:
                 undetected.append((x, c, name))

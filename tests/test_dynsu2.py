@@ -8,6 +8,7 @@ show up at 1e-3 or larger in the fault-injection tests.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from pcqg import dynsu2, windowed
 from pcqg.dynsu2 import (
     DynParams,
     GEN_NAMES,
-    PiCBundle,
     antipode_block_check,
     antipode_check,
     antipode_square_check,
@@ -67,10 +67,10 @@ def test_frozen_corner_weights():
     )
     b = bundle()
     i_src = b.window.index_of((0, 0))
-    assert b.delta.matrix[b.window.index_of((-1, -1)), i_src] == pytest.approx(
+    assert b.u("delta").matrix[b.window.index_of((-1, -1)), i_src] == pytest.approx(
         0.7071067811865476
     )
-    assert b.beta.matrix[b.window.index_of((1, -1)), i_src] == pytest.approx(
+    assert b.u("beta").matrix[b.window.index_of((1, -1)), i_src] == pytest.approx(
         -0.7071067811865476
     )
 
@@ -119,15 +119,10 @@ def test_defining_suite_is_a_subset_of_full():
     assert all(full[r.label] == r.residual for r in defining)
 
 
-class _NoMarginBundle(PiCBundle):
-    def margins(self, pad: int = 2):
-        return super().margins(0)
-
-
 def test_battery_validates_word_excursions(monkeypatch):
     """Words keep their letters apart, so required_margins sees each shift."""
     b = bundle(half=4)
-    bare = _NoMarginBundle(params=b.params, window=b.window, ops=b.ops)
+    bare = replace(b, pad=0)
     with pytest.raises(ValueError, match="truncation artifacts"):
         verify_dynsu2_relations(bare)
     # the row and column sums u u* and u* u return to their start: only the
@@ -154,7 +149,7 @@ def test_theta_flip_detected():
     b = bundle()
     ops = dict(b.ops)
     ops["beta"] = (-1.0) * b.u("beta")
-    b2 = PiCBundle(params=b.params, window=b.window, ops=ops)
+    b2 = replace(b, ops=ops)
     rs = {r.label: r for r in verify_dynsu2_relations(b2)}
     assert rs["ort_row_cross"].residual > 0.1
     assert rs["ort_col_cross"].residual > 0.1
@@ -176,9 +171,7 @@ def test_single_entry_faults_detected():
     for name in GEN_NAMES:
         ops = dict(b.ops)
         ops[name] = _fault_at_origin(b.u(name), 1e-3)
-        rs = verify_dynsu2_relations(
-            PiCBundle(params=b.params, window=b.window, ops=ops)
-        )
+        rs = verify_dynsu2_relations(replace(b, ops=ops))
         assert max(r.residual for r in rs) > 1e-4, name
 
 

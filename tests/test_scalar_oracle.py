@@ -252,9 +252,9 @@ def test_pi_t_weights_match_oracle():
         def e_weight(p):
             return math.sqrt(max(tau(q * p.value * p.value) + c, 0.0)) * scale
 
-        _assert_same(rep.E.grids[(1,)], scalar_shift_grid(e_weight, (1,), rep.window))
-        _assert_same(_mul_grid(rep.K), scalar_mul_grid(lambda p: p.value, rep.window))
-        _assert_same(_mul_grid(rep.Kinv), scalar_mul_grid(lambda p: 1.0 / p.value, rep.window))
+        _assert_same(rep.u("E").grids[(1,)], scalar_shift_grid(e_weight, (1,), rep.window))
+        _assert_same(_mul_grid(rep.u("K")), scalar_mul_grid(lambda p: p.value, rep.window))
+        _assert_same(_mul_grid(rep.u("Kinv")), scalar_mul_grid(lambda p: 1.0 / p.value, rep.window))
 
 
 @pytest.mark.parametrize("q,x,c", [(0.5, 1.0, 0.3), (0.8, 0.7, -0.6), (0.6, 1.1, 1.2)])
