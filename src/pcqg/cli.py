@@ -303,10 +303,10 @@ def cmd_dyn_antipode(args) -> int:
 
 
 def cmd_dyn_reduce(args) -> int:
-    letters, _ = parse_word(args.word, args.q, args.x)
+    letters, coeff = parse_word(args.word, args.q, args.x)
     b1 = _pi_c_bundle(args)
     b2 = _pi_c_bundle(args, c=args.c2)
-    rep = reduce_and_check(letters, (b1, b2), max_len=args.max_len)
+    rep = reduce_and_check(letters, (b1, b2), max_len=args.max_len, coeff=coeff)
     ok = rep.pop("ok")
     passed = ok and rep["idempotent"] and all(
         r < REDUCE_ORACLE_TOL for r in rep["oracle_residuals"]
@@ -621,7 +621,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dyn_antipode)
     p = dyn_sub.add_parser("reduce", help="normal-form rewriting with operator oracle")
     _add_dyn(p)
-    p.add_argument("--word", required=True, help="generator word, e.g. 'ab*gd'")
+    p.add_argument(
+        "--word",
+        required=True,
+        help="generator word: letters a b g d, ' for a star, P(i,j) for the "
+        "projection onto exponents (i, j); e.g. \"ab'gd\" or \"aP(0,0)d\"",
+    )
     p.add_argument("--c2", type=float, default=1.3, help="Casimir value of the second oracle")
     p.add_argument("--max-len", dest="max_len", type=int, default=8)
     _add_out(p)

@@ -533,8 +533,10 @@ def reduce_and_check(
     letters: tuple[str, ...],
     b_pair: tuple[PiCBundle, PiCBundle],
     max_len: int = 8,
+    coeff: CoeffFn = ONE,
 ) -> dict:
-    """Reduce a word to the normal-form basis and verify against pi_c.
+    """Reduce a term (letters, then coeff) to the normal-form basis and
+    verify it against pi_c.
 
     Two bundles at distinct c rule out accidental kernel coincidences.
     Returns the report dict used by the CLI: monomial signatures,
@@ -542,7 +544,7 @@ def reduce_and_check(
     """
     q = b_pair[0].params.q
     rules = RuleSet(q)
-    rep = reduce_word(letters, rules, max_len=max_len)
+    rep = reduce_word(letters, rules, coeff=coeff, max_len=max_len)
     if rep.budget_hit:
         return {
             "ok": False,
@@ -555,7 +557,7 @@ def reduce_and_check(
     # the window, so one scope evaluates each (node, grid) pair once
     with shared_evaluation():
         for b in b_pair:
-            orig = term_operator(Term(tuple(letters), ONE), b)
+            orig = term_operator(Term(tuple(letters), coeff), b)
             red = _terms_operator([(1.0, t) for t in rep.terms], b)
             margin = max(len(letters), 2)
             r = relation_residual(

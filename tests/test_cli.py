@@ -169,6 +169,17 @@ def test_dyn_reduce(capsys):
     assert rep["tolerances"]["oracle_tol"] == 1e-9
 
 
+def test_dyn_reduce_keeps_the_parsed_projections(capsys):
+    code, rep = _run_json(capsys, ["dyn", "reduce", "--word", "aP(0,0)d", "--window", "13"])
+    assert code == 0
+    assert rep["terms"] and all("P(0,0)" in t["coeff"] for t in rep["terms"])
+    assert all(r < 1e-14 for r in rep["oracle_residuals"])
+    # the bare letters reduce to the same monomials, without the projection
+    _, bare = _run_json(capsys, ["dyn", "reduce", "--word", "ad", "--window", "13"])
+    assert [t["monomial"] for t in bare["terms"]] == [t["monomial"] for t in rep["terms"]]
+    assert not any("P(" in t["coeff"] for t in bare["terms"])
+
+
 def test_dyn_reduce_fails_when_oracle_disagrees(capsys, monkeypatch):
     init = RuleSet.__init__
 

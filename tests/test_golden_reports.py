@@ -9,7 +9,9 @@ verify`.  Most use a (q, x) whose lattice values are not powers of two, so
 float rounding differences show.  Two more `dyn reduce` reports were added
 before coefficient evaluation was shared between terms and oracles: the
 six-star word b'a'd'a'd'g', the heaviest job of the rewriter benchmark,
-and the six-star word a'b'g'd'b'a' at (q, x) = (0.6, 1.1).  A backend
+and the six-star word a'b'g'd'b'a' at (q, x) = (0.6, 1.1).  The two
+P(i,j) reports were regenerated when `dyn reduce` began reducing the
+projections it parses; before, it reduced the bare letters.  A backend
 change must reproduce every report byte for byte; a residual that moves
 fails here.
 """
