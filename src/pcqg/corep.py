@@ -134,7 +134,7 @@ def verify_rep(X: BigradedRep, tol: float = 1e-10) -> list:
     for a in range(d):
         lhs = np.einsum("ib,iuv->buv", G.coproduct[:, a, :], X.coeffs, optimize=True)
         rhs = X.coeffs[a] @ X.coeffs
-        res = max(res, float(np.abs(lhs - rhs).max(initial=0.0)))
+        res = np.maximum(res, np.abs(lhs - rhs).max(initial=0.0))
     out.append(CheckResult("co1", res <= tol, res))
 
     row_grade = np.array([b[0] for b in X.blocks])
@@ -169,6 +169,6 @@ def verify_rep(X: BigradedRep, tol: float = 1e-10) -> list:
         target = np.zeros_like(prod)
         target[:, slots, slots] = projections[grade].T
         residuals.append(float(np.abs(prod - target).max(initial=0.0)))
-    res = max(residuals)
+    res = np.max(residuals)
     out.append(CheckResult("unitary", res <= tol, res))
     return out

@@ -694,7 +694,7 @@ def _split_spans(col_sets: list, pairs: tuple) -> tuple:
             norm = np.linalg.norm(cols_x, axis=1)
             live = norm > 0.0
             if live.any():
-                worst = max(worst, float((np.linalg.norm(resid, axis=1)[live] / norm[live]).max()))
+                worst = np.maximum(worst, (np.linalg.norm(resid, axis=1)[live] / norm[live]).max())
     return ranks, worst
 
 
@@ -772,19 +772,19 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     left = np.tensordot(stack, mult, axes=(1, 0))  # (p, j, k): u_p e_j
     products = np.einsum("qj,pjk->pqk", stack, left)  # u_p u_q
     one = G.algebra_unit()
-    res = max(
+    res = np.max([
         np.abs(stack @ star - stack).max(initial=0.0),
         np.abs(products - np.eye(n * n)[:, :, None] * stack[:, None, :]).max(initial=0.0),
         np.abs(np.tensordot(mult, one, axes=(1, 0)) - np.eye(d)).max(),
         np.abs(np.tensordot(one, mult, axes=(0, 0)) - np.eye(d)).max(),
-    )
+    ])
     add("U1", res)
 
     res = 0.0
     for k in range(n):
         for l in range(n):
             target = np.einsum("mj,mk->jk", units[k], units[:, l])
-            res = max(res, np.abs(G.delta(units[k, l]) - target).max())
+            res = np.maximum(res, np.abs(G.delta(units[k, l]) - target).max())
     add("U2", res)
 
     add(
@@ -961,7 +961,7 @@ def _corner_invariance_residual(G: FinitePQG, k: int, h: GradedFunctional) -> fl
             continue
         left = convolve(G, chi, h).vector - chi(u) * h.vector
         right = convolve(G, h, chi).vector - chi(u) * h.vector
-        worst = max(worst, np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0))
+        worst = np.max([worst, np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0)])
     return worst
 
 
@@ -1160,12 +1160,12 @@ def haar_residuals(G: FinitePQG, fam: HaarFamily, tol: float = 1e-10) -> list:
             u = G.units[k, m]
             phi = fam.phi(k, m)
             if np.any(np.abs(u) > ZERO_TOL):
-                res = max(res, abs(phi(u) - 1.0))
+                res = np.maximum(res, abs(phi(u) - 1.0))
             else:
-                res = max(res, np.abs(phi.vector).max(initial=0.0))
+                res = np.maximum(res, np.abs(phi.vector).max(initial=0.0))
     out.append(CheckResult("I1", res <= tol, float(res)))
 
-    res = max(fam.phi(k, m).support_residual(G) for k in range(n) for m in range(n))
+    res = np.max([fam.phi(k, m).support_residual(G) for k in range(n) for m in range(n)])
     out.append(CheckResult("support", res <= tol, float(res)))
 
     # left: Delta(e_i)[j, :] . phi_kl = sum_m phi_ml(e_i) units[m, k, j]

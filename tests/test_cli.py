@@ -1,6 +1,7 @@
 """CLI contract: exit codes, JSON report shape, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -373,13 +374,26 @@ def test_overflowing_constant_is_a_failed_check(fixture_dir, tmp_path, argv, fai
     )
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
-    failed = {c["label"]: c for c in json.loads(proc.stdout)["checks"] if not c["passed"]}
+    assert "RuntimeWarning" not in proc.stderr
+    report = json.loads(proc.stdout)
+    failed = {c["label"]: c for c in report["checks"] if not c["passed"]}
     assert failed_check in failed
     if argv[0] == "check":
         for label in ("D1", "D2"):
             assert failed[label]["detail"] == "non-finite column sets"
     elif "solve::finite" in failed:
         assert failed["solve::finite"]["detail"] == "non-finite invariance system"
+    if "cesaro_diagnostics" in report:
+        # corner 0's state is NaN, and a NaN residual fails its check rather
+        # than being dropped by a running maximum; corner 1 (unit e3) never
+        # meets the overflowing constant and converges
+        assert "cesaro::I1" in failed
+        corners = report["cesaro_diagnostics"]["corners"]
+        assert corners["0"]["converged"] is False
+        assert math.isnan(corners["0"]["residual"])
+        assert corners["1"] == {
+            "converged": True, "iterations": 0, "residual": 0.0, "residual_trace": [0.0]
+        }
 
 
 def _set_mult_index(d):

@@ -14,7 +14,8 @@ never 2, and no traceback.  A third does the same for `fdqg check` and
 `fdqg haar` at the ends of the float range: values up to +-1e308, whose
 products overflow to inf and nan, and subnormals.  Each of its examples
 must also finish within EXAMPLE_SECONDS, so a stage that stalls on a
-non-finite intermediate fails rather than passes slowly.  The searches are
+non-finite intermediate fails rather than passes slowly, and must raise no
+RuntimeWarning: an overflow or a nan is reported as a failed check.  The searches are
 seeded and small; together they cost a few seconds, most of it Cesaro runs
 that spend their iteration budget on instances with no invariant state.
 """
@@ -24,6 +25,7 @@ import copy
 import io
 import json
 import time
+import warnings
 
 import pytest
 from hypothesis import event, given, settings
@@ -247,7 +249,11 @@ def test_fdqg_extreme_values_are_checks_not_usage_errors(fixtures, data):
         st.floats(-1e308, 1e308),
         st.floats(-2.2e-308, 2.2e-308),  # zero and the subnormals
     )
-    code, err, seconds = _run_revalued(fixtures, data, values, ["check", "haar"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err, seconds = _run_revalued(fixtures, data, values, ["check", "haar"])
     assert "Traceback" not in err
     assert code in (0, 1), err
     assert seconds < EXAMPLE_SECONDS
+    # an overflow or a nan is a failed check, not a numpy warning
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
