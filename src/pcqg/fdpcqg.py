@@ -607,9 +607,6 @@ class AxiomReport:
                 return c
         raise KeyError(label)
 
-    def to_json_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_json_dict() for c in self.checks]}
-
 
 class NonFiniteError(ArithmeticError):
     """An intermediate holds inf or nan; the stage that made it fails its check."""
@@ -936,15 +933,6 @@ class HaarFamily:
 
     def phi(self, k: int, m: int) -> GradedFunctional:
         return self.states[(k, m)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "states": {
-                f"{k}|{m}": [float(x) for x in f.vector]
-                for (k, m), f in sorted(self.states.items())
-            },
-            "diagnostics": self.diagnostics,
-        }
 
 
 def _corner_invariance_residual(G: FinitePQG, k: int, h: GradedFunctional) -> float:
