@@ -6,10 +6,10 @@ reads the images of the su(1,1) x su(1,1) generators off any
 per copy plus diagonal K-value and unit maps). `build_pi_ST` goes the other
 way: it assembles the four generators from a tensor product pi_S (x) pi_T
 of weight representations, one per compatible set, into a Bundle whose
-exact ends are those of its two factors. Pairing the two gives a numerical re-proof of the
-classification of irreducible star-representations, and the attainable
-Casimir values give the spectrum of Omega, computed here both in closed
-form and by brute-force enumeration over a c grid.
+exact ends are those of its two factors. Pairing the two gives a numerical
+re-proof of the classification of irreducible star-representations, and
+the attainable Casimir values give the spectrum of Omega, computed here
+both in closed form and by brute-force enumeration over a c grid.
 """
 
 from __future__ import annotations

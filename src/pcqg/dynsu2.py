@@ -239,11 +239,11 @@ def verify_dynsu2_relations(
 ) -> list[RelationResidual]:
     """Residuals of the suite's relations on the bundle's interior.
 
-    b is any Bundle of the four generators alpha, beta, gamma and delta with
-    (lambda, rho) coordinates: pi_c, the compressed coproduct images or
-    pi_ST.  Each term is evaluated as the operator word
-    left function, letters, coefficient function (no diagonal for a unit
-    function), so required_margins sees every intermediate shift.
+    b is any Bundle of the four generators alpha, beta, gamma and delta
+    with (lambda, rho) coordinates: pi_c, the compressed coproduct images
+    or pi_ST.  Each term is evaluated as the operator word left function,
+    letters, coefficient function (no diagonal for a unit function), so
+    required_margins sees every intermediate shift.
     """
     ops = {ch: letter_operator(ch, b) for ch in LETTERS + STARRED}
 
@@ -535,12 +535,13 @@ def reduce_and_check(
     max_len: int = 8,
     coeff: CoeffFn = ONE,
 ) -> dict:
-    """Reduce a term (letters, then coeff) to the normal-form basis and
-    verify it against pi_c.
+    """Reduce the term letters * coeff to normal form and verify against pi_c.
 
-    Two bundles at distinct c rule out accidental kernel coincidences.
-    Returns the report dict used by the CLI: monomial signatures,
-    coefficient labels, oracle residuals, idempotence flag.
+    coeff is the word's trailing coefficient function (parse_word's P(i,j)
+    projections, say).  Two bundles at distinct c rule out accidental
+    kernel coincidences.  Returns the report dict used by the CLI:
+    monomial signatures, coefficient labels, oracle residuals, idempotence
+    flag.
     """
     q = b_pair[0].params.q
     rules = RuleSet(q)

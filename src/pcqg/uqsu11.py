@@ -30,7 +30,6 @@ from .windowed import (
     Bundle,
     RelationResidual,
     Term,
-    Window,
     WindowedOperator,
     evaluate_terms,
     identity_op,
