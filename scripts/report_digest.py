@@ -1,0 +1,65 @@
+"""SHA-256 digests of every finite-strand report, to compare two checkouts.
+
+Writes the `fixtures generate` zoo and four generated groupoids (pair(4),
+pair(5), pair(6) and transitive(2, S3)) into a temporary directory, then
+runs `fdqg check`, `fdqg haar` and `fdqg reps` on every file there, in
+process, from that directory.  Prints one `sha256  argv` line per report,
+with paths relative to that directory, so the output does not depend on
+where the checkout or the directory lives.  Two checkouts produce
+byte-identical reports exactly when their outputs show no diff:
+
+    PYTHONPATH=src python3 scripts/report_digest.py > new.txt
+    diff old.txt new.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+
+from pcqg.cli import main as cli_main
+from pcqg.fdpcqg import pair_groupoid, symmetric_groupoid, transitive_groupoid
+
+GENERATED = {
+    "pair4": pair_groupoid(list("abcd")),
+    "pair5": pair_groupoid(list("abcde")),
+    "pair6": pair_groupoid(list("abcdef")),
+    "transitive2_s3": transitive_groupoid(["a", "b"], symmetric_groupoid(3)),
+}
+
+
+def run(argv: list) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli_main(argv)
+    return out.getvalue()
+
+
+def write_inputs() -> list:
+    """The instance files, relative to the working directory."""
+    run(["fixtures", "generate", "--dir", "fixtures"])
+    os.makedirs("generated")
+    for name, gpd in GENERATED.items():
+        with open(os.path.join("generated", f"{name}.groupoid.json"), "w") as fh:
+            json.dump(gpd.to_json_dict(), fh)
+    return [os.path.join(d, f) for d in ("fixtures", "generated") for f in sorted(os.listdir(d))]
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        here = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for path in write_inputs():
+                for mode in ("check", "haar", "reps"):
+                    argv = ["fdqg", mode, path]
+                    digest = hashlib.sha256(run(argv).encode()).hexdigest()
+                    print(f"{digest}  {' '.join(argv)}")
+        finally:
+            os.chdir(here)
+
+
+if __name__ == "__main__":
+    main()

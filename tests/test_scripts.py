@@ -14,6 +14,8 @@ SCRIPTS = {
     "relation_sweep.py": "c  half  worst residual  worst relation",
     "haar_demo.py": "instance  dim  iters  ces-vs-solve  worst resid  vs uniform",
     "spectrum_report.py": "total mismatches across 6 parameter pairs: 0",
+    # the digest of the golden `fdqg check fixtures/raum.json` report
+    "report_digest.py": "397dfd34cdcddb3ab80955fe81a5dc7fe28b8bf62a02e6eea170bc912e98a71d  fdqg check fixtures/raum.json",
 }
 
 
