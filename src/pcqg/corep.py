@@ -131,8 +131,10 @@ def verify_rep(X: BigradedRep, tol: float = 1e-10) -> list:
     out = []
 
     res = 0.0
+    # every slice has the same shapes, so one path search serves them all
+    path = np.einsum_path("ib,iuv->buv", G.coproduct[:, 0, :], X.coeffs, optimize="greedy")[0]
     for a in range(d):
-        lhs = np.einsum("ib,iuv->buv", G.coproduct[:, a, :], X.coeffs, optimize=True)
+        lhs = np.einsum("ib,iuv->buv", G.coproduct[:, a, :], X.coeffs, optimize=path)
         rhs = X.coeffs[a] @ X.coeffs
         res = np.maximum(res, np.abs(lhs - rhs).max(initial=0.0))
     out.append(CheckResult("co1", res <= tol, res))
