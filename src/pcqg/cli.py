@@ -429,9 +429,11 @@ def cmd_fdqg_haar(args) -> int:
             checks.append(
                 CheckResult(label=f"{name}::corner_trace", passed=False, residual=1.0, detail=error)
             )
-        if "non_finite" in fam.diagnostics:
-            detail = f"non-finite {fam.diagnostics['non_finite']}"
-            checks.append(CheckResult(f"{name}::finite", passed=False, residual=np.inf, detail=detail))
+        # a solve that could not run: an inf or nan, or a LinAlgError
+        for key, prefix in (("non_finite", "non-finite"), ("linalg_error", "LinAlgError:")):
+            if key in fam.diagnostics:
+                detail = f"{prefix} {fam.diagnostics[key]}"
+                checks.append(CheckResult(f"{name}::finite", passed=False, residual=np.inf, detail=detail))
         for r in haar_residuals(G, fam, tol=args.tol):
             checks.append(replace(r, label=f"{name}::{r.label}"))
     if len(families) == 2:

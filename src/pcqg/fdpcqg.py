@@ -619,6 +619,13 @@ def _finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _unsolved_detail(exc: Exception) -> str:
+    """Why a density check could not take its SVDs."""
+    if isinstance(exc, NonFiniteError):
+        return "non-finite column sets"
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _orth_basis(columns: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, rank-cut at RANK_CUTOFF * s_max."""
     if columns.size == 0:
@@ -720,7 +727,8 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     at RANK_CUTOFF times the largest singular value over all blocks, as the
     dense SVD of the whole set would.  The reported ranks are block sums.
     A density check whose column sets hold inf or nan (an overflowing
-    structure constant) fails with a detail saying so, before any SVD.
+    structure constant) fails with a detail saying so, before any SVD, and
+    so does one whose SVD raises LinAlgError.
     """
     d, n = G.dim, G.n_objects
     mult, cop, star, units = G.mult, G.coproduct, G.star, G.units
@@ -810,11 +818,11 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
         _as_columns(coo_einsum("ijk,aju->ukai", c_coo, m_coo, dim=d), d),
         _as_columns(coo_einsum("ijk,bkv->jvbi", c_coo, m_coo, dim=d), d),
     ]
-    non_finite = lambda label: CheckResult(label, False, np.inf, "non-finite column sets")
+    unsolved = lambda label, exc: CheckResult(label, False, np.inf, _unsolved_detail(exc))
     try:
         ranks, res = _split_spans(col_sets, ((0, 1), (1, 0), (0, 2), (2, 0)))
-    except NonFiniteError:
-        checks.append(non_finite("D1"))
+    except (NonFiniteError, np.linalg.LinAlgError) as exc:
+        checks.append(unsolved("D1", exc))
     else:
         add("D1", res, "ranks " + "/".join(str(r) for r in ranks))
 
@@ -826,8 +834,8 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
             _orth_basis(np.swapaxes(slices, 1, 2).reshape(d * d, d).T),
             _orth_basis(slices.reshape(d * d, d).T),
         ]
-    except NonFiniteError:
-        checks.append(non_finite("D2"))
+    except (NonFiniteError, np.linalg.LinAlgError) as exc:
+        checks.append(unsolved("D2", exc))
     else:
         ranks = [b.shape[1] for b in bases]
         full = all(r == d for r in ranks)
@@ -1097,7 +1105,9 @@ def haar_linear_solve(G: FinitePQG, side: str = "both", tol: float = 1e-10) -> H
     rank of the first solve, solvability and uniqueness; the residual is
     that of the refined solution.  A system that holds inf or nan (an
     overflowing structure constant) is not solved: the states are zero and
-    `diagnostics["non_finite"]` names the stage.
+    `diagnostics["non_finite"]` names the stage.  A LinAlgError from the
+    corner bases or the solve leaves zero states too, with its message in
+    `diagnostics["linalg_error"]`.
     """
     if side not in ("left", "right", "both"):
         raise ValueError("side must be left, right, or both")
@@ -1105,16 +1115,15 @@ def haar_linear_solve(G: FinitePQG, side: str = "both", tol: float = 1e-10) -> H
         M, rhs, bases, segs = _haar_system(G, side)
         x, _, rank, _ = np.linalg.lstsq(_finite(M), rhs, rcond=RANK_CUTOFF)
         x += np.linalg.lstsq(M, _finite(rhs - M @ x), rcond=RANK_CUTOFF)[0]
-    except NonFiniteError:
+    except (NonFiniteError, np.linalg.LinAlgError) as exc:
         n = G.n_objects
+        if isinstance(exc, NonFiniteError):
+            reason = {"non_finite": "invariance system"}
+        else:
+            reason = {"linalg_error": str(exc)}
         return HaarFamily(
             states={(k, m): _zero_state(G, k, m) for k in range(n) for m in range(n)},
-            diagnostics={
-                "method": "linear_solve",
-                "side": side,
-                "non_finite": "invariance system",
-                "solvable": False,
-            },
+            diagnostics={"method": "linear_solve", "side": side, **reason, "solvable": False},
         )
     residual = float(np.abs(M @ x - rhs).max(initial=0.0))
     states = {}

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pcqg import cli, dynsu2
@@ -394,6 +395,31 @@ def test_overflowing_constant_is_a_failed_check(fixture_dir, tmp_path, argv, fai
         assert corners["1"] == {
             "converged": True, "iterations": 0, "residual": 0.0, "residual_trace": [0.0]
         }
+
+
+def _raise_linalg_error(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize(
+    "argv, patched, failed_checks",
+    [
+        (["check"], "svd", {"D1", "D2"}),
+        (["haar", "--method", "solve"], "lstsq", {"solve::finite"}),
+        (["haar", "--method", "solve"], "svd", {"solve::finite"}),
+    ],
+)
+def test_linalg_error_is_a_failed_check(fixture_dir, capsys, monkeypatch, argv, patched, failed_checks):
+    # a LinAlgError is a ValueError, which the CLI keeps for malformed input
+    # (exit 2); raised inside a check, it fails that check (exit 1)
+    monkeypatch.setattr(np.linalg, patched, _raise_linalg_error)
+    code = main(["fdqg", argv[0], str(fixture_dir / "pair2_fn.json"), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    failed = {c["label"]: c for c in json.loads(captured.out)["checks"] if not c["passed"]}
+    assert failed_checks <= set(failed)
+    for label in failed_checks:
+        assert failed[label]["detail"] == "LinAlgError: SVD did not converge"
 
 
 def _set_mult_index(d):
