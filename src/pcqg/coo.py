@@ -7,6 +7,14 @@ joint nonzero pattern and takes one dense product per component, components
 of equal shape stacked into one batched product.  Sparse operands give many
 small blocks and a dense pair a single block, so the work follows the
 nonzero entries and no array is larger than the densest component needs.
+
+Several contractions are stepped in lockstep, one matrix product per step
+for all of them: the operands of each step are placed in a direct sum, with
+row, key and column ids offset per contraction, so their blocks never mix,
+and the product is split back by row offset.  A product's fixed cost, the
+component labelling and the grouping of the blocks by shape, is then paid
+once per step rather than once per contraction, and every block is the one
+the contraction alone would multiply.
 """
 
 from __future__ import annotations
@@ -57,10 +65,10 @@ def components(r: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _stack(slot, i, j, val, shape) -> np.ndarray:
-    """Entries summed into a stack of dense blocks, at (slot, i, j)."""
-    block = np.zeros(shape)
-    np.add.at(block, (slot, i, j), val)
-    return block
+    """Entries summed into a stack of dense blocks, at (slot, i, j), in entry order."""
+    count, height, width = shape
+    flat = (slot * height + i) * width + j
+    return np.bincount(flat, val, minlength=count * height * width).reshape(shape)
 
 
 def coo_product(a: tuple, b: tuple) -> tuple:
@@ -84,9 +92,11 @@ def coo_product(a: tuple, b: tuple) -> tuple:
     comp_c = np.empty(cols.size, int)
     comp_c[cid] = comp_k[kid_b]
     n_comp = comp_k.max() + 1
-    sizes = np.stack([np.bincount(x, minlength=n_comp) for x in (comp_r, comp_k, comp_c)], axis=1)
-    shapes, kind = np.unique(sizes, axis=0, return_inverse=True)
-    kind = kind.reshape(-1)
+    sizes = [np.bincount(x, minlength=n_comp) for x in (comp_r, comp_k, comp_c)]
+    # one integer per block shape, ordered as the shapes are lexicographically
+    dims = tuple(int(x.max()) + 1 for x in sizes)
+    keys, kind = np.unique(np.ravel_multi_index(sizes, dims), return_inverse=True)
+    shapes = np.column_stack(np.unravel_index(keys, dims))
     slot = rank_within(kind)
     r_loc, k_loc, c_loc = rank_within(comp_r), rank_within(comp_k), rank_within(comp_c)
     ea, eb = comp_k[kid_a], comp_k[kid_b]  # component of each entry
@@ -111,38 +121,69 @@ def coo_product(a: tuple, b: tuple) -> tuple:
     return tuple(np.concatenate(x) for x in zip(*out))
 
 
-def coo_einsum(subscripts: str, *ops, dim: int) -> tuple:
-    """np.einsum over COO operands, as matrix products from the left.
-
-    Each step multiplies the running result by the next operand over their
-    shared letters, which must all be summed out there, and keeps the
-    letters that the output or a later operand names.  Group a contraction
-    into nested calls where a left-to-right order would keep too many.
-    """
+def _steps(subscripts: str) -> tuple:
+    """The steps of a contraction, (letters, spec, left, shared, right) each,
+    and the positions of the output letters in its last kept letters."""
     inputs, out = subscripts.split("->")
     specs = inputs.split(",")
-    letters, (idx, val) = specs[0], ops[0]
-
-    def key(ix, spec, keep):
-        return np.ravel_multi_index([ix[:, spec.index(c)] for c in keep], (dim,) * len(keep))
-
+    letters, steps = specs[0], []
     for pos in range(1, len(specs)):
-        spec, (idx2, val2) = specs[pos], ops[pos]
+        spec = specs[pos]
         later = out + "".join(specs[pos + 1 :])
         shared = [c for c in letters if c in spec]
         if not shared or any(c in later for c in shared):
             raise ValueError(f"{letters},{spec}: shared letters must be summed at this step")
         left = [c for c in letters if c not in spec and c in later]
         right = [c for c in spec if c not in letters and c in later]
-        r, c, val = coo_product(
-            (key(idx, letters, left), key(idx, letters, shared), val),
-            (key(idx2, spec, shared), key(idx2, spec, right), val2),
-        )
-        idx = np.column_stack(
-            np.unravel_index(r, (dim,) * len(left)) + np.unravel_index(c, (dim,) * len(right))
-        )
+        steps.append((letters, spec, left, shared, right))
         letters = "".join(left + right)
-    return idx[:, [letters.index(c) for c in out]], val
+    return steps, [letters.index(c) for c in out]
+
+
+def coo_einsum(*contractions, dim: int) -> list:
+    """np.einsum over COO operands, as matrix products from the left.
+
+    Each contraction is a tuple (subscripts, op, op, ...), and the result
+    the list of their outputs (idx, val).  Each step multiplies the running
+    result by the next operand over their shared letters, which must all be
+    summed out there, and keeps the letters that the output or a later
+    operand names.  Group a contraction into nested calls where a
+    left-to-right order would keep too many.
+
+    The k-th steps of all contractions are one `coo_product` over the direct
+    sum of their operands, row, key and column ids offset per contraction,
+    and its result is split back by row offset.  A call costs one product
+    per step of its longest contraction, and each output equals, bit for bit
+    and entry order included, what its contraction gives alone.
+    """
+    plans = [_steps(subscripts) for subscripts, *_ in contractions]
+    results = [ops[0] for _, *ops in contractions]
+
+    def key(ix, spec, keep):
+        return np.ravel_multi_index([ix[:, spec.index(c)] for c in keep], (dim,) * len(keep))
+
+    for pos in range(max(len(steps) for steps, _ in plans)):
+        live = [n for n, (steps, _) in enumerate(plans) if pos < len(steps)]
+        # start[m] = (row, key, column) offsets of the m-th live contraction
+        start = np.zeros((len(live) + 1, 3), dtype=np.int64)
+        a, b = [], []
+        for m, n in enumerate(live):
+            letters, spec, left, shared, right = plans[n][0][pos]
+            (idx, val), (idx2, val2) = results[n], contractions[n][pos + 2]
+            row0, key0, col0 = start[m]
+            a.append((key(idx, letters, left) + row0, key(idx, letters, shared) + key0, val))
+            b.append((key(idx2, spec, shared) + key0, key(idx2, spec, right) + col0, val2))
+            start[m + 1] = start[m] + [dim ** len(x) for x in (left, shared, right)]
+        r, c, val = coo_product(*(tuple(np.concatenate(x) for x in zip(*op)) for op in (a, b)))
+        which = np.searchsorted(start[:, 0], r, side="right") - 1
+        for m, n in enumerate(live):
+            _, _, left, _, right = plans[n][0][pos]
+            mine = which == m
+            results[n] = np.column_stack(
+                np.unravel_index(r[mine] - start[m, 0], (dim,) * len(left))
+                + np.unravel_index(c[mine] - start[m, 2], (dim,) * len(right))
+            ), val[mine]
+    return [(idx[:, order], val) for (idx, val), (_, order) in zip(results, plans)]
 
 
 def coo_max_diff(a: tuple, b: tuple, shape: tuple) -> float:

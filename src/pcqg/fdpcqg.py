@@ -15,7 +15,8 @@ The checks work along the grading by the unit projections 1^k_l, with
 Delta(1^k_l) = sum_m 1^k_m (x) 1^m_l, so their cost follows the nonzero
 structure constants rather than d^4 or d^6.  The d^4-sized identities are
 contracted from COO index/value arrays (`coo`), each pairwise contraction
-one dense product per connected block of the operands' nonzero pattern.
+one dense product per connected block of the operands' nonzero pattern,
+and the contractions of one dependency level one product in all.
 The density axiom D1 splits its three d^2-row column sets into the connected
 components of their joint nonzero pattern and takes one SVD per block, with
 ranks cut at RANK_CUTOFF times the largest singular value over all blocks
@@ -720,7 +721,11 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     The d^4-sized identities (assoc, delta_multiplicative, C) and the D1
     column sets are contracted from the nonzero structure constants, block
     by block; dense constants make a single block, as large as the dense
-    contraction's intermediates.  D1
+    contraction's intermediates.  The contractions are batched by dependency
+    level, each step one product over the direct sum of their operands
+    (`coo_einsum`): three products for the ten contractions and the
+    product of two of their results.  Each pair of sides is dropped once compared, so only the D1
+    column sets outlive the batch.  D1
     splits its three d^2-row column sets along the connected components of
     their joint nonzero pattern -- for a groupoid the unit grading makes
     every block a single row -- and takes one SVD per block, cutting ranks
@@ -733,43 +738,56 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     d, n = G.dim, G.n_objects
     mult, cop, star, units = G.mult, G.coproduct, G.star, G.units
     m_coo, c_coo = coo(mult), coo(cop)
+    delta_one = coo(np.einsum("kmx,mly->xy", units, units))
     checks = []
     add = lambda label, residual, detail="": checks.append(
         CheckResult(label, bool(residual <= tol), float(residual), detail)
     )
 
-    add(
-        "assoc",
-        coo_max_diff(
-            coo_einsum("ijx,xkl->ijkl", m_coo, m_coo, dim=d),
-            coo_einsum("jkx,ixl->ijkl", m_coo, m_coo, dim=d),
-            (d,) * 4,
-        ),
+    # every contraction of the structure constants, batched by dependency
+    # level: one coo_product per step of the first call, one for the second
+    (assoc_l, assoc_r, dm_l, dm_x, dm_y, c_l, c_r, *d1_sets) = coo_einsum(
+        ("ijx,xkl->ijkl", m_coo, m_coo),
+        ("jkx,ixl->ijkl", m_coo, m_coo),
+        ("ijm,mab->ijab", m_coo, c_coo),
+        ("ixy,xza->iyza", c_coo, m_coo),
+        ("jzw,ywb->jzyb", c_coo, m_coo),
+        ("ijk,jab->iabk", c_coo, c_coo),
+        ("iam,mbk->iabk", c_coo, c_coo),
+        # (D1): (A (x) A) Delta(1), (A (x) 1) Delta(A), (1 (x) A) Delta(A)
+        ("xy,axu,byv->uvab", delta_one, m_coo, m_coo),
+        ("ijk,aju->ukai", c_coo, m_coo),
+        ("ijk,bkv->jvbi", c_coo, m_coo),
+        dim=d,
     )
+    (dm_r,) = coo_einsum(("iyza,jzyb->ijab", dm_x, dm_y), dim=d)
+    # each side is dropped once compared, before the dense checks below
+    # allocate: at d = 216 C's two sides hold 1.1M entries each
+    shape = (d,) * 4
+    diff = {
+        "assoc": coo_max_diff(assoc_l, assoc_r, shape),
+        "delta_multiplicative": coo_max_diff(dm_l, dm_r, shape),
+        "C": coo_max_diff(c_l, c_r, shape),
+    }
+    del assoc_l, assoc_r, dm_l, dm_x, dm_y, dm_r, c_l, c_r
+    col_sets = [_as_columns(t, d) for t in d1_sets]
+    del d1_sets
+
+    add("assoc", diff["assoc"])
 
     add("star_involution", np.abs(star @ star - np.eye(d)).max())
     # (e_i e_j)^* = e_j^* e_i^*
     lhs = np.einsum("ijk,kl->ijl", mult, star)
     rhs = np.einsum("ja,ib,abl->ijl", star, star, mult, optimize=True)
     add("star_antimult", np.abs(lhs - rhs).max())
+    del lhs, rhs
 
     # Delta(e_i e_j) = Delta(e_i) Delta(e_j) with the componentwise product
-    add(
-        "delta_multiplicative",
-        coo_max_diff(
-            coo_einsum("ijm,mab->ijab", m_coo, c_coo, dim=d),
-            coo_einsum(
-                "iyza,jzyb->ijab",
-                coo_einsum("ixy,xza->iyza", c_coo, m_coo, dim=d),
-                coo_einsum("jzw,ywb->jzyb", c_coo, m_coo, dim=d),
-                dim=d,
-            ),
-            (d,) * 4,
-        ),
-    )
+    add("delta_multiplicative", diff["delta_multiplicative"])
     lhs = np.einsum("im,mab->iab", star, cop)
     rhs = np.einsum("ixy,xa,yb->iab", cop, star, star, optimize=True)
     add("delta_star", np.abs(lhs - rhs).max())
+    del lhs, rhs
 
     # (U1): mutually orthogonal self-adjoint idempotents summing to the unit,
     # over the (n^2, d) stack of unit vectors at once
@@ -792,14 +810,7 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
             res = np.maximum(res, np.abs(G.delta(units[k, l]) - target).max())
     add("U2", res)
 
-    add(
-        "C",
-        coo_max_diff(
-            coo_einsum("ijk,jab->iabk", c_coo, c_coo, dim=d),
-            coo_einsum("iam,mbk->iabk", c_coo, c_coo, dim=d),
-            (d,) * 4,
-        ),
-    )
+    add("C", diff["C"])
 
     missing = [G.objects[k] for k in range(n) if not np.any(np.abs(units[k, k]) > ZERO_TOL)]
     checks.append(
@@ -812,12 +823,6 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     )
 
     # (D1): (A (x) A) Delta(1) = span (A (x) 1) Delta(A) = span (1 (x) A) Delta(A)
-    delta_one = coo(np.einsum("kmx,mly->xy", units, units))
-    col_sets = [
-        _as_columns(coo_einsum("xy,axu,byv->uvab", delta_one, m_coo, m_coo, dim=d), d),
-        _as_columns(coo_einsum("ijk,aju->ukai", c_coo, m_coo, dim=d), d),
-        _as_columns(coo_einsum("ijk,bkv->jvbi", c_coo, m_coo, dim=d), d),
-    ]
     unsolved = lambda label, exc: CheckResult(label, False, np.inf, _unsolved_detail(exc))
     try:
         ranks, res = _split_spans(col_sets, ((0, 1), (1, 0), (0, 2), (2, 0)))
@@ -825,6 +830,7 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
         checks.append(unsolved("D1", exc))
     else:
         add("D1", res, "ranks " + "/".join(str(r) for r in ranks))
+    del col_sets
 
     # (D2): slices of Delta(P A P) span A in either leg
     P = sum(units[k, k] for k in range(n))

@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pcqg import coo as coo_module
 from pcqg.coo import coo, coo_einsum
 from pcqg.corep import trivial_rep, verify_rep
 from pcqg.fdpcqg import (
@@ -449,24 +450,70 @@ def test_split_spans_matches_dense_svd(seed):
     assert abs(worst - ref_worst) <= 1e-12
 
 
+SUBSCRIPTS = [
+    "ijx,xkl->ijkl",
+    "ijx,xkl->ikl",
+    "iyza,jzyb->ijab",
+    "xy,axu,byv->uvab",
+    "ijk,aju->ukai",
+    "ai,ij,jk,kb->ab",
+]
+
+
+def _random_operands(rng, subscripts, density, d):
+    return [
+        rng.standard_normal((d,) * len(spec)) * (rng.random((d,) * len(spec)) < density)
+        for spec in subscripts.split("->")[0].split(",")
+    ]
+
+
 @pytest.mark.parametrize("density", [0.05, 0.3, 1.0])
-@pytest.mark.parametrize(
-    "subscripts",
-    ["ijx,xkl->ijkl", "ijx,xkl->ikl", "iyza,jzyb->ijab", "xy,axu,byv->uvab", "ijk,aju->ukai"],
-)
+@pytest.mark.parametrize("subscripts", SUBSCRIPTS)
 def test_coo_einsum_matches_einsum(subscripts, density):
     """Sparse operands split into many blocks, dense ones into a single block."""
     rng = np.random.default_rng(len(subscripts) + int(100 * density))
     d = 5
-    ops = [
-        rng.standard_normal((d,) * len(spec)) * (rng.random((d,) * len(spec)) < density)
-        for spec in subscripts.split("->")[0].split(",")
-    ]
-    idx, val = coo_einsum(subscripts, *(coo(t) for t in ops), dim=d)
+    ops = _random_operands(rng, subscripts, density, d)
+    [(idx, val)] = coo_einsum((subscripts, *(coo(t) for t in ops)), dim=d)
     assert len({tuple(i) for i in idx}) == len(idx)  # one entry per index
     got = np.zeros((d,) * idx.shape[1])
     got[tuple(idx.T)] = val
     assert np.abs(got - np.einsum(subscripts, *ops)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("density", [0.05, 0.3, 1.0])
+def test_batched_coo_einsum_is_each_contraction_alone(density):
+    """A batch gives every contraction its own entries and bits, in its own order.
+
+    The batch mixes one, two and three steps, and one contraction whose
+    first operand has no nonzeros.
+    """
+    rng = np.random.default_rng(int(100 * density))
+    d = 5
+    contractions = [
+        (s, *(coo(t) for t in _random_operands(rng, s, density, d))) for s in SUBSCRIPTS
+    ]
+    empty = _random_operands(rng, "ijx,xkl->ijkl", density, d)
+    contractions.append(("ijx,xkl->ijkl", coo(np.zeros_like(empty[0])), coo(empty[1])))
+    batched = coo_einsum(*contractions, dim=d)
+    assert len(batched) == len(contractions)
+    for contraction, (idx, val) in zip(contractions, batched):
+        [(ref_idx, ref_val)] = coo_einsum(contraction, dim=d)
+        assert idx.dtype == ref_idx.dtype and idx.shape == ref_idx.shape
+        assert np.array_equal(idx, ref_idx)
+        assert val.tobytes() == ref_val.tobytes()
+    assert batched[-1][0].shape == (0, 4)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_verify_axioms_takes_one_product_per_level(monkeypatch, name):
+    """Three sparse products per check: the two steps of the first batch and
+    the outer product of delta_multiplicative, whatever the instance."""
+    calls = []
+    product = coo_module.coo_product
+    monkeypatch.setattr(coo_module, "coo_product", lambda a, b: calls.append(1) or product(a, b))
+    verify_axioms(INSTANCES[name])
+    assert len(calls) == 3
 
 
 def test_oracle_refuses_large_instances():
