@@ -157,10 +157,11 @@ def coo_einsum(*contractions, dim: int) -> list:
     and entry order included, what its contraction gives alone.
     """
     plans = [_steps(subscripts) for subscripts, *_ in contractions]
-    results = [ops[0] for _, *ops in contractions]
+    # a running result is one index column per kept letter, and the values
+    results = [(tuple(idx.T), val) for _, (idx, val), *_ in contractions]
 
-    def key(ix, spec, keep):
-        return np.ravel_multi_index([ix[:, spec.index(c)] for c in keep], (dim,) * len(keep))
+    def key(cols, spec, keep):
+        return np.ravel_multi_index([cols[spec.index(c)] for c in keep], (dim,) * len(keep))
 
     for pos in range(max(len(steps) for steps, _ in plans)):
         live = [n for n, (steps, _) in enumerate(plans) if pos < len(steps)]
@@ -169,21 +170,28 @@ def coo_einsum(*contractions, dim: int) -> list:
         a, b = [], []
         for m, n in enumerate(live):
             letters, spec, left, shared, right = plans[n][0][pos]
-            (idx, val), (idx2, val2) = results[n], contractions[n][pos + 2]
+            (cols, val), (idx2, val2) = results[n], contractions[n][pos + 2]
             row0, key0, col0 = start[m]
-            a.append((key(idx, letters, left) + row0, key(idx, letters, shared) + key0, val))
-            b.append((key(idx2, spec, shared) + key0, key(idx2, spec, right) + col0, val2))
+            a.append((key(cols, letters, left) + row0, key(cols, letters, shared) + key0, val))
+            b.append((key(idx2.T, spec, shared) + key0, key(idx2.T, spec, right) + col0, val2))
             start[m + 1] = start[m] + [dim ** len(x) for x in (left, shared, right)]
         r, c, val = coo_product(*(tuple(np.concatenate(x) for x in zip(*op)) for op in (a, b)))
+        # entries grouped by contraction, each group in product order
         which = np.searchsorted(start[:, 0], r, side="right") - 1
+        order = np.argsort(which, kind="stable")
+        r, c, val = r[order], c[order], val[order]
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(which, minlength=len(live)))])
         for m, n in enumerate(live):
             _, _, left, _, right = plans[n][0][pos]
-            mine = which == m
-            results[n] = np.column_stack(
+            mine = slice(bounds[m], bounds[m + 1])
+            results[n] = (
                 np.unravel_index(r[mine] - start[m, 0], (dim,) * len(left))
                 + np.unravel_index(c[mine] - start[m, 2], (dim,) * len(right))
             ), val[mine]
-    return [(idx[:, order], val) for (idx, val), (_, order) in zip(results, plans)]
+    return [
+        (np.column_stack([cols[i] for i in order]), val)
+        for (cols, val), (_, order) in zip(results, plans)
+    ]
 
 
 def coo_max_diff(a: tuple, b: tuple, shape: tuple) -> float:
