@@ -114,10 +114,12 @@ def coo_product(a: tuple, b: tuple) -> tuple:
         a_g, b_g = kind[ea] == g, kind[eb] == g
         left = _stack(slot[ea[a_g]], r_loc[rid[a_g]], k_loc[kid_a[a_g]], va[a_g], (count, nr, nk))
         right = _stack(slot[eb[b_g]], k_loc[kid_b[b_g]], c_loc[cid[b_g]], vb[b_g], (count, nk, nc))
-        prod = left @ right
-        s, i, j = np.nonzero(prod)
+        prod = (left @ right).reshape(-1)
+        # flat position at = (slot * nr + i) * nc + j of each nonzero entry
+        at = np.flatnonzero(prod)
         row_at, col_at = placed(comp_r, r_loc, g, count, nr), placed(comp_c, c_loc, g, count, nc)
-        out.append((rows[row_at[s, i]], cols[col_at[s, j]], prod[s, i, j]))
+        row, col = row_at.reshape(-1)[at // nc], col_at.reshape(-1)[at // (nr * nc) * nc + at % nc]
+        out.append((rows[row], cols[col], prod[at]))
     return tuple(np.concatenate(x) for x in zip(*out))
 
 
@@ -178,8 +180,8 @@ def coo_einsum(*contractions, dim: int) -> list:
         r, c, val = coo_product(*(tuple(np.concatenate(x) for x in zip(*op)) for op in (a, b)))
         # entries grouped by contraction, each group in product order
         which = np.searchsorted(start[:, 0], r, side="right") - 1
-        order = np.argsort(which, kind="stable")
-        r, c, val = r[order], c[order], val[order]
+        grouped = np.argsort(which, kind="stable")
+        r, c, val = r[grouped], c[grouped], val[grouped]
         bounds = np.concatenate([[0], np.cumsum(np.bincount(which, minlength=len(live)))])
         for m, n in enumerate(live):
             _, _, left, _, right = plans[n][0][pos]
