@@ -108,8 +108,8 @@ def coo_product(a: tuple, b: tuple) -> tuple:
         at[slot[comp[mine]], loc[mine]] = np.nonzero(mine)[0]
         return at
 
-    out = []
-    for g, (nr, nk, nc) in enumerate(shapes):
+    def entries(g, nr, nk, nc):
+        """The nonzero entries (r, c, v) of the block products of kind g."""
         count = int(np.count_nonzero(kind == g))
         a_g, b_g = kind[ea] == g, kind[eb] == g
         left = _stack(slot[ea[a_g]], r_loc[rid[a_g]], k_loc[kid_a[a_g]], va[a_g], (count, nr, nk))
@@ -117,9 +117,13 @@ def coo_product(a: tuple, b: tuple) -> tuple:
         prod = (left @ right).reshape(-1)
         # flat position at = (slot * nr + i) * nc + j of each nonzero entry
         at = np.flatnonzero(prod)
-        row_at, col_at = placed(comp_r, r_loc, g, count, nr), placed(comp_c, c_loc, g, count, nc)
-        row, col = row_at.reshape(-1)[at // nc], col_at.reshape(-1)[at // (nr * nc) * nc + at % nc]
-        out.append((rows[row], cols[col], prod[at]))
+        val = prod[at]
+        del left, right, prod  # a dense pair's blocks are as large as its output
+        row = rows[placed(comp_r, r_loc, g, count, nr).reshape(-1)[at // nc]]
+        col = cols[placed(comp_c, c_loc, g, count, nc).reshape(-1)[at // (nr * nc) * nc + at % nc]]
+        return row, col, val
+
+    out = [entries(g, *shape) for g, shape in enumerate(shapes)]
     return tuple(np.concatenate(x) for x in zip(*out))
 
 
@@ -159,41 +163,56 @@ def coo_einsum(*contractions, dim: int) -> list:
     and entry order included, what its contraction gives alone.
     """
     plans = [_steps(subscripts) for subscripts, *_ in contractions]
-    # a running result is one index column per kept letter, and the values
-    results = [(tuple(idx.T), val) for _, (idx, val), *_ in contractions]
+    operands = [ops for _, *ops in contractions]
+    # a running result is a list of (key, number of letters) parts, each key
+    # the raveled index of consecutive kept letters, and the values: a
+    # step's row and column ids, unraveled only where a letter is read
+    results = [([(col, 1) for col in ops[0][0].T], ops[0][1]) for ops in operands]
+
+    def columns(parts):
+        return [col for key, width in parts for col in np.unravel_index(key, (dim,) * width)]
 
     def key(cols, spec, keep):
         return np.ravel_multi_index([cols[spec.index(c)] for c in keep], (dim,) * len(keep))
 
-    for pos in range(max(len(steps) for steps, _ in plans)):
+    def step(pos):
+        """One product for the pos-th step of every contraction that has one."""
         live = [n for n, (steps, _) in enumerate(plans) if pos < len(steps)]
         # start[m] = (row, key, column) offsets of the m-th live contraction
         start = np.zeros((len(live) + 1, 3), dtype=np.int64)
         a, b = [], []
         for m, n in enumerate(live):
             letters, spec, left, shared, right = plans[n][0][pos]
-            (cols, val), (idx2, val2) = results[n], contractions[n][pos + 2]
+            (parts, val), (idx2, val2) = results[n], operands[n][pos + 1]
+            cols = columns(parts)
             row0, key0, col0 = start[m]
             a.append((key(cols, letters, left) + row0, key(cols, letters, shared) + key0, val))
             b.append((key(idx2.T, spec, shared) + key0, key(idx2.T, spec, right) + col0, val2))
             start[m + 1] = start[m] + [dim ** len(x) for x in (left, shared, right)]
         r, c, val = coo_product(*(tuple(np.concatenate(x) for x in zip(*op)) for op in (a, b)))
-        # entries grouped by contraction, each group in product order
         which = np.searchsorted(start[:, 0], r, side="right") - 1
-        grouped = np.argsort(which, kind="stable")
-        r, c, val = r[grouped], c[grouped], val[grouped]
         bounds = np.concatenate([[0], np.cumsum(np.bincount(which, minlength=len(live)))])
+        # entries grouped by contraction, each group in product order; the
+        # permutations go first, as a dense batch's output is its largest array
+        grouped = np.argsort(which, kind="stable")
+        del which
+        r, c, val = r[grouped], c[grouped], val[grouped]
+        del grouped
         for m, n in enumerate(live):
             _, _, left, _, right = plans[n][0][pos]
             mine = slice(bounds[m], bounds[m + 1])
-            results[n] = (
-                np.unravel_index(r[mine] - start[m, 0], (dim,) * len(left))
-                + np.unravel_index(c[mine] - start[m, 2], (dim,) * len(right))
-            ), val[mine]
-    return [
-        (np.column_stack([cols[i] for i in order]), val)
-        for (cols, val), (_, order) in zip(results, plans)
-    ]
+            parts = [(r[mine] - start[m, 0], len(left)), (c[mine] - start[m, 2], len(right))]
+            results[n] = parts, val[mine]
+
+    for pos in range(max(len(steps) for steps, _ in plans)):
+        step(pos)
+    out = []
+    for _, order in plans:
+        # each running result is dropped as its output is stacked
+        parts, val = results.pop(0)
+        cols = columns(parts)
+        out.append((np.column_stack([cols[i] for i in order]), val))
+    return out
 
 
 def coo_max_diff(a: tuple, b: tuple, shape: tuple) -> float:

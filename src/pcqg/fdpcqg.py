@@ -724,9 +724,9 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     contraction's intermediates.  The contractions are batched by dependency
     level, each step one product over the direct sum of their operands
     (`coo_einsum`): three products for the ten contractions and the
-    product of two of their results.  Each pair of sides is dropped once compared, so only the D1
-    column sets outlive the batch.  D1
-    splits its three d^2-row column sets along the connected components of
+    product of two of their results.  Each pair of sides is dropped once
+    compared, so only the D1 column sets outlive the batch.  D1 splits its
+    three d^2-row column sets along the connected components of
     their joint nonzero pattern -- for a groupoid the unit grading makes
     every block a single row -- and takes one SVD per block, cutting ranks
     at RANK_CUTOFF times the largest singular value over all blocks, as the
@@ -760,16 +760,15 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
         ("ijk,bkv->jvbi", c_coo, m_coo),
         dim=d,
     )
-    (dm_r,) = coo_einsum(("iyza,jzyb->ijab", dm_x, dm_y), dim=d)
-    # each side is dropped once compared, before the dense checks below
-    # allocate: at d = 216 C's two sides hold 1.1M entries each
+    # each side is dropped once compared, before the next product and the
+    # dense checks below allocate: at d = 216 C's two sides hold 1.1M
+    # entries each, and a dense instance makes every side d^4 entries
     shape = (d,) * 4
-    diff = {
-        "assoc": coo_max_diff(assoc_l, assoc_r, shape),
-        "delta_multiplicative": coo_max_diff(dm_l, dm_r, shape),
-        "C": coo_max_diff(c_l, c_r, shape),
-    }
-    del assoc_l, assoc_r, dm_l, dm_x, dm_y, dm_r, c_l, c_r
+    diff = {"assoc": coo_max_diff(assoc_l, assoc_r, shape), "C": coo_max_diff(c_l, c_r, shape)}
+    del assoc_l, assoc_r, c_l, c_r
+    (dm_r,) = coo_einsum(("iyza,jzyb->ijab", dm_x, dm_y), dim=d)
+    diff["delta_multiplicative"] = coo_max_diff(dm_l, dm_r, shape)
+    del dm_l, dm_x, dm_y, dm_r
     col_sets = [_as_columns(t, d) for t in d1_sets]
     del d1_sets
 
@@ -780,7 +779,7 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     lhs = np.einsum("ijk,kl->ijl", mult, star)
     rhs = np.einsum("ja,ib,abl->ijl", star, star, mult, optimize=True)
     add("star_antimult", np.abs(lhs - rhs).max())
-    del lhs, rhs
+    del lhs, rhs  # d^3 entries each, not to be held under D2's SVDs
 
     # Delta(e_i e_j) = Delta(e_i) Delta(e_j) with the componentwise product
     add("delta_multiplicative", diff["delta_multiplicative"])
