@@ -192,8 +192,8 @@ def coo_einsum(*contractions, dim: int) -> list:
         r, c, val = coo_product(*(tuple(np.concatenate(x) for x in zip(*op)) for op in (a, b)))
         which = np.searchsorted(start[:, 0], r, side="right") - 1
         bounds = np.concatenate([[0], np.cumsum(np.bincount(which, minlength=len(live)))])
-        # entries grouped by contraction, each group in product order; the
-        # permutations go first, as a dense batch's output is its largest array
+        # entries grouped by contraction, each group in product order; every
+        # index array here is as long as the output, so none outlives its use
         grouped = np.argsort(which, kind="stable")
         del which
         r, c, val = r[grouped], c[grouped], val[grouped]
