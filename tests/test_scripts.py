@@ -9,13 +9,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# script -> a line of its output, stripped of the padding around it
+# script -> a line of its output, stripped of the padding around it, or a
+# file holding its whole output
 SCRIPTS = {
     "relation_sweep.py": "c  half  worst residual  worst relation",
     "haar_demo.py": "instance  dim  iters  ces-vs-solve  worst resid  vs uniform",
     "spectrum_report.py": "total mismatches across 6 parameter pairs: 0",
-    # the digest of the golden `fdqg check fixtures/raum.json` report
-    "report_digest.py": "397dfd34cdcddb3ab80955fe81a5dc7fe28b8bf62a02e6eea170bc912e98a71d  fdqg check fixtures/raum.json",
+    # the digest of every finite-strand report, pinned byte for byte
+    "report_digest.py": ROOT / "tests" / "golden" / "finite_digests.txt",
 }
 
 
@@ -31,4 +32,8 @@ def test_script_runs(script):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert SCRIPTS[script] in [line.strip() for line in proc.stdout.splitlines()]
+    expected = SCRIPTS[script]
+    if isinstance(expected, Path):
+        assert proc.stdout == expected.read_text()
+    else:
+        assert expected in [line.strip() for line in proc.stdout.splitlines()]
