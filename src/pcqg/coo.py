@@ -170,9 +170,14 @@ def coo_einsum(*contractions, dim: int) -> list:
     results = [([(col, 1) for col in ops[0][0].T], ops[0][1]) for ops in operands]
 
     def columns(parts):
-        return [col for key, width in parts for col in np.unravel_index(key, (dim,) * width)]
+        return [
+            col for key, width in parts if width for col in np.unravel_index(key, (dim,) * width)
+        ]
 
-    def key(cols, spec, keep):
+    def key(cols, spec, keep, size):
+        """The raveled index of the letters `keep`; 0 for every entry when none."""
+        if not keep:
+            return np.zeros(size, dtype=np.int64)
         return np.ravel_multi_index([cols[spec.index(c)] for c in keep], (dim,) * len(keep))
 
     def step(pos):
@@ -186,8 +191,16 @@ def coo_einsum(*contractions, dim: int) -> list:
             (parts, val), (idx2, val2) = results[n], operands[n][pos + 1]
             cols = columns(parts)
             row0, key0, col0 = start[m]
-            a.append((key(cols, letters, left) + row0, key(cols, letters, shared) + key0, val))
-            b.append((key(idx2.T, spec, shared) + key0, key(idx2.T, spec, right) + col0, val2))
+            a.append((
+                key(cols, letters, left, val.size) + row0,
+                key(cols, letters, shared, val.size) + key0,
+                val,
+            ))
+            b.append((
+                key(idx2.T, spec, shared, val2.size) + key0,
+                key(idx2.T, spec, right, val2.size) + col0,
+                val2,
+            ))
             start[m + 1] = start[m] + [dim ** len(x) for x in (left, shared, right)]
         r, c, val = coo_product(*(tuple(np.concatenate(x) for x in zip(*op)) for op in (a, b)))
         which = np.searchsorted(start[:, 0], r, side="right") - 1
@@ -211,7 +224,10 @@ def coo_einsum(*contractions, dim: int) -> list:
         # each running result is dropped as its output is stacked
         parts, val = results.pop(0)
         cols = columns(parts)
-        out.append((np.column_stack([cols[i] for i in order]), val))
+        idx = np.empty((val.size, len(order)), dtype=np.int64)
+        for n, i in enumerate(order):
+            idx[:, n] = cols[i]
+        out.append((idx, val))
     return out
 
 

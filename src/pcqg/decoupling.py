@@ -310,12 +310,9 @@ def enumerate_irreps(q: float, x: float, c: float, window: int = 8) -> list[Irre
     The list is empty exactly when c is not an attainable Casimir value on
     these lattices. window only bounds the point previews in the sets.
     """
-    pairs = []
-    for S in compatible_sets(x, c, q, window=window):
-        for T in compatible_sets(1.0, -c, q, window=window):
-            if not pair_rejections(S, T, x):
-                pairs.append(IrrepPair(S=S, T=T))
-    return pairs
+    s_sets = compatible_sets(x, c, q, window=window)
+    t_sets = compatible_sets(1.0, -c, q, window=window) if s_sets else []
+    return [IrrepPair(S=S, T=T) for S in s_sets for T in t_sets if not pair_rejections(S, T, x)]
 
 
 # -- tensor-product model of the irreducible representations ---------------

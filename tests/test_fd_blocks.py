@@ -457,6 +457,9 @@ SUBSCRIPTS = [
     "xy,axu,byv->uvab",
     "ijk,aju->ukai",
     "ai,ij,jk,kb->ab",
+    # a step that keeps no letter of one side: matrix-vector, vector-vector
+    "ij,j->i",
+    "j,j->",
 ]
 
 
@@ -476,17 +479,18 @@ def test_coo_einsum_matches_einsum(subscripts, density):
     ops = _random_operands(rng, subscripts, density, d)
     [(idx, val)] = coo_einsum((subscripts, *(coo(t) for t in ops)), dim=d)
     assert len({tuple(i) for i in idx}) == len(idx)  # one entry per index
-    got = np.zeros((d,) * idx.shape[1])
-    got[tuple(idx.T)] = val
-    assert np.abs(got - np.einsum(subscripts, *ops)).max() <= 1e-12
+    rank = idx.shape[1]
+    got = np.zeros(d**rank)
+    got[idx @ d ** np.arange(rank)[::-1]] = val
+    assert np.abs(got.reshape((d,) * rank) - np.einsum(subscripts, *ops)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("density", [0.05, 0.3, 1.0])
 def test_batched_coo_einsum_is_each_contraction_alone(density):
     """A batch gives every contraction its own entries and bits, in its own order.
 
-    The batch mixes one, two and three steps, and one contraction whose
-    first operand has no nonzeros.
+    The batch mixes one, two and three steps, steps that keep no letter of
+    one side, and one contraction whose first operand has no nonzeros.
     """
     rng = np.random.default_rng(int(100 * density))
     d = 5
