@@ -429,6 +429,20 @@ def cmd_fdqg_haar(args) -> int:
             checks.append(
                 CheckResult(label=f"{name}::corner_trace", passed=False, residual=1.0, detail=error)
             )
+        # Cesaro corners that stopped above tol: stalled, out of budget or nan
+        unconverged = {
+            k: c
+            for k, c in fam.diagnostics.get("corners", {}).items()
+            if "residual" in c and not c["converged"]
+        }
+        if unconverged:
+            detail = "; ".join(
+                f"corner {k}: residual {c['residual']:.3e} after {c['iterations']} convolutions"
+                + (", stalled" if c.get("stalled") else "")
+                for k, c in unconverged.items()
+            )
+            worst = float(np.max([c["residual"] for c in unconverged.values()]))
+            checks.append(CheckResult(f"{name}::converged", passed=False, residual=worst, detail=detail))
         # a solve that could not run: an inf or nan, or a LinAlgError
         for key, prefix in (("non_finite", "non-finite"), ("linalg_error", "LinAlgError:")):
             if key in fam.diagnostics:

@@ -5,9 +5,9 @@ carries an object pair (k, l), and the operator X = sum_i e_i (x) coeffs[i]
 is stored through its algebra-coefficient slices.  Checks, the trivial
 representation, the regular representation of a groupoid function algebra,
 and the middle-matched tensor product are dense linear algebra; the block
-support check (co2) applies every corner projection, one batched
-`FinitePQG.sandwich` over the unit stack, to the nonzero coefficients as a
-COO product (`coo`).
+support check (co2) applies every corner projection, as the nonzero entries
+the instance keeps (`FinitePQG.corner_entries`), to the nonzero
+coefficients as a COO product (`coo`).
 """
 
 from __future__ import annotations
@@ -110,11 +110,12 @@ def tensor_reps(X: BigradedRep, Y: BigradedRep) -> BigradedRep:
     return BigradedRep(G=X.G, blocks=blocks, coeffs=coeffs)
 
 
-def _algebra_product_slices(G: FinitePQG, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Slices of (sum_a e_a (x) A_a)(sum_b e_b (x) B_b), via nonzero mult triples."""
+def _algebra_product_slices(triples: list, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Slices of (sum_a e_a (x) A_a)(sum_b e_b (x) B_b), over the nonzero
+    structure constants (a, b, c, mult[a, b, c])."""
     out = np.zeros_like(A)
-    for a, b, c in zip(*np.nonzero(G.mult)):
-        out[c] += G.mult[a, b, c] * (A[a] @ B[b])
+    for a, b, c, m in triples:
+        out[c] += m * (A[a] @ B[b])
     return out
 
 
@@ -131,21 +132,21 @@ def verify_rep(X: BigradedRep, tol: float = 1e-10) -> list:
     out = []
 
     res = 0.0
-    # every slice has the same shapes, so one path search serves them all
-    path = np.einsum_path("ib,iuv->buv", G.coproduct[:, 0, :], X.coeffs, optimize="greedy")[0]
+    flat = X.coeffs.reshape(d, N * N)
     for a in range(d):
-        lhs = np.einsum("ib,iuv->buv", G.coproduct[:, a, :], X.coeffs, optimize=path)
+        # sum_i Delta(e_i)[a, b] X_i, one matrix product over the (d, N^2) view
+        lhs = (G.coproduct[:, a, :].T @ flat).reshape(d, N, N)
         rhs = X.coeffs[a] @ X.coeffs
         res = np.maximum(res, np.abs(lhs - rhs).max(initial=0.0))
     out.append(CheckResult("co1", res <= tol, res))
 
     row_grade = np.array([b[0] for b in X.blocks])
     col_grade = np.array([b[1] for b in X.blocks])
-    # co2: proj[k, m, l, nn] is a -> 1^k_m a 1^l_nn, every corner in one
-    # batched sandwich over the unit stack, applied to the nonzero
-    # coefficients.  Each coefficient must be fixed by the projection of its
-    # own corner and killed by all others.
-    proj_idx, proj_val = coo(G.sandwich(G.units[:, :, None, None], G.units).reshape(n**4, d, d))
+    # co2: the entries of every corner projection a -> 1^k_m a 1^l_nn, kept
+    # with the instance, applied to the nonzero coefficients.  Each
+    # coefficient must be fixed by the projection of its own corner and
+    # killed by all others.
+    proj_idx, proj_val = G.corner_entries
     x_idx, x_val = coo(X.coeffs)
     r, c, val = coo_product(
         (proj_idx[:, 0] * d + proj_idx[:, 1], proj_idx[:, 2], proj_val),
@@ -163,10 +164,11 @@ def verify_rep(X: BigradedRep, tol: float = 1e-10) -> list:
     # column grade, X X^* with the source projection of its row grade
     star_slices = np.einsum("ia,iuv->avu", G.star, X.coeffs.conj(), optimize=True)
     slots = np.arange(N)
+    triples = [(*abc, G.mult[abc]) for abc in zip(*np.nonzero(G.mult))]
     residuals = []
     for prod, projections, grade in (
-        (_algebra_product_slices(G, star_slices, X.coeffs), G.units.sum(axis=0), col_grade),
-        (_algebra_product_slices(G, X.coeffs, star_slices), G.units.sum(axis=1), row_grade),
+        (_algebra_product_slices(triples, star_slices, X.coeffs), G.units.sum(axis=0), col_grade),
+        (_algebra_product_slices(triples, X.coeffs, star_slices), G.units.sum(axis=1), row_grade),
     ):
         target = np.zeros_like(prod)
         target[:, slots, slots] = projections[grade].T

@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .coo import components, coo, coo_einsum, coo_max_diff, rank_within
+from .coo import components, coo, coo_einsum, coo_max_diff, coo_product, rank_within
 
 __all__ = [
     "AXIOM_LABELS",
@@ -72,10 +73,12 @@ RANK_CUTOFF = 1e-10
 
 ZERO_TOL = 1e-12
 
-# Cesaro budget: convolutions per corner, and the averaging window between
-# residual checks
+# Cesaro budget: convolutions per corner, the averaging window between
+# residual checks, and how many averages may pass without a new lowest
+# residual before the corner counts as stalled
 CESARO_ITERATIONS = 100_000
 CESARO_WINDOW = 64
+CESARO_STALL = 8
 
 # the named axioms; the report carries structural sanity checks besides these
 AXIOM_LABELS = ("U1", "U2", "C", "U3", "D1", "D2")
@@ -425,6 +428,38 @@ class FinitePQG:
             "...i,ijc->...cj", left, self.mult
         )
 
+    @cached_property
+    def corner_entries(self) -> tuple:
+        """The nonzero entries of every corner map a -> 1^k_m a 1^l_n.
+
+        Entry (g, c, i) with value v is sandwich(1^k_m, 1^l_n)[c, i] = v for
+        the grading g = ravel(k, m, l, n).  The left and right multiplication
+        maps of the unit stack are contracted over their nonzeros in one
+        sparse product, so no (n^4, d, d) stack is formed; made on first use
+        and kept with the instance.
+        """
+        n, d = self.n_objects, self.dim
+        stack = self.units.reshape(n * n, d)
+        # x = 1^km e_i at [km, x, i], and 1^ln x at [ln, c, x]
+        lidx, lval = coo((stack @ self.mult.reshape(d, d * d)).reshape(n * n, d, d).transpose(0, 2, 1))
+        ridx, rval = coo((stack @ self.mult).transpose(1, 2, 0))
+        r, c, val = coo_product(
+            (ridx[:, 0] * d + ridx[:, 1], ridx[:, 2], rval),
+            (lidx[:, 1], lidx[:, 0] * d + lidx[:, 2], lval),
+        )
+        grading = c // d * (n * n) + r // d
+        return np.column_stack([grading, r % d, c % d]), val
+
+    @cached_property
+    def corners(self) -> np.ndarray:
+        """The diagonal corner maps, corners[k, m] = sandwich(1^k_m, 1^k_m).
+
+        One batched `sandwich` over the unit stack, shape (n, n, d, d),
+        made on first use and kept with the instance: the Haar routes and
+        the graded functionals all read their corners here.
+        """
+        return self.sandwich(self.units, self.units)
+
     def to_json_dict(self) -> dict:
         sparse = lambda t: [
             [int(i), int(j), int(k), float(t[i, j, k])]
@@ -629,12 +664,16 @@ def _unsolved_detail(exc: Exception) -> str:
 
 def _orth_basis(columns: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, rank-cut at RANK_CUTOFF * s_max."""
-    if columns.size == 0:
-        return np.zeros((columns.shape[0], 0))
-    u, s, _ = np.linalg.svd(_finite(columns), full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((columns.shape[0], 0))
-    return u[:, s > RANK_CUTOFF * s[0]]
+    return _orth_bases(columns[None])[0]
+
+
+def _orth_bases(stack: np.ndarray) -> list:
+    """`_orth_basis` of every matrix of a (count, rows, cols) stack, one batched SVD."""
+    count, rows, _ = stack.shape
+    if stack.size == 0:
+        return [np.zeros((rows, 0))] * count
+    u, s, _ = np.linalg.svd(_finite(stack), full_matrices=False)
+    return [u[q][:, s[q] > RANK_CUTOFF * s[q, 0]] for q in range(count)]
 
 
 # -- block-split column spans ---------------------------------------------------
@@ -893,8 +932,11 @@ class GradedFunctional:
     def graded(cls, G: FinitePQG, vector: np.ndarray, grading) -> "GradedFunctional":
         """Project a raw dual vector onto the grading's support block."""
         g = tuple(grading)
-        corner = G.sandwich(G.units[g[:2]], G.units[g[2:]]).T
-        return cls(vector=corner @ np.asarray(vector, dtype=float), grading=g)
+        if g[:2] == g[2:]:
+            corner = G.corners[g[:2]]
+        else:
+            corner = G.sandwich(G.units[g[:2]], G.units[g[2:]])
+        return cls(vector=corner.T @ np.asarray(vector, dtype=float), grading=g)
 
     def support_residual(self, G: FinitePQG) -> float:
         projected = self.graded(G, self.vector, self.grading).vector
@@ -927,7 +969,7 @@ def _corner_trace(G: FinitePQG, k: int, m: int) -> Optional[GradedFunctional]:
     u = G.units[k, m]
     if not np.any(np.abs(u) > ZERO_TOL):
         return _zero_state(G, k, m)
-    vec = G.sandwich(u, u).T @ G.trace_vector()
+    vec = G.corners[k, m].T @ G.trace_vector()
     norm = vec @ u
     if norm <= ZERO_TOL:
         return None
@@ -952,18 +994,17 @@ def _corner_invariance_residual(G: FinitePQG, k: int, h: GradedFunctional) -> fl
     """Two-sided invariance defect of h against the corner's spanning set.
 
     The set is the dual basis projected onto the (k, k) corner, zero
-    functionals dropped: the rows of the corner's sandwich matrix.
+    functionals dropped: the rows chi of the corner map.  Every chi * h and
+    h * chi is one row of a matrix product, with Delta contracted against h
+    once per side.
     """
-    u = G.units[k, k]
-    worst = 0.0
-    for row in G.sandwich(u, u):
-        chi = GradedFunctional(vector=row, grading=(k, k, k, k))
-        if chi.is_zero():
-            continue
-        left = convolve(G, chi, h).vector - chi(u) * h.vector
-        right = convolve(G, h, chi).vector - chi(u) * h.vector
-        worst = np.max([worst, np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0)])
-    return worst
+    rows = G.corners[k, k]
+    chi = rows[~(np.abs(rows).max(axis=1, initial=0.0) <= ZERO_TOL)]
+    mass = (chi @ G.units[k, k])[:, None] * h.vector
+    cop = G.coproduct
+    left = chi @ (cop @ h.vector).T - mass  # (chi * h)(e_i) = chi . Delta(e_i) h
+    right = chi @ (h.vector @ cop).T - mass  # h . Delta(e_i) chi
+    return np.max([0.0, np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0)])
 
 
 def haar_cesaro(
@@ -975,8 +1016,11 @@ def haar_cesaro(
 
     Per diagonal corner, averages convolution powers of the seed state over
     CESARO_WINDOW of them and restarts from the average (again a corner
-    state) until the corner invariance residual drops below `tol` or the
-    budget of CESARO_ITERATIONS convolutions is spent.  Off-diagonal states
+    state) until the corner invariance residual drops below `tol`, the
+    budget of CESARO_ITERATIONS convolutions is spent, or CESARO_STALL
+    averages in a row bring no new lowest residual: a corner with no
+    invariant state stalls there, and its diagnostics say `stalled`.
+    Off-diagonal states
     are corner-trace transports of the diagonal ones.  Non-convergence is
     reported in `diagnostics`, not raised.  So is a corner trace that is
     degenerate or not corner-supported on an instance that breaks the
@@ -1004,8 +1048,9 @@ def haar_cesaro(
                 continue
         h = seed
         used = 0
+        stalled = False
         trace = [float(_corner_invariance_residual(G, k, h))]
-        while trace[-1] > tol and used < CESARO_ITERATIONS:
+        while trace[-1] > tol and used < CESARO_ITERATIONS and not stalled:
             acc = np.zeros(G.dim)
             cur = h
             for _ in range(min(CESARO_WINDOW, CESARO_ITERATIONS - used)):
@@ -1017,6 +1062,8 @@ def haar_cesaro(
                 break  # averaged mass collapsed; leave the last iterate and report
             h = GradedFunctional(vector=acc / norm, grading=h.grading)
             trace.append(float(_corner_invariance_residual(G, k, h)))
+            recent, before = trace[-CESARO_STALL:], trace[:-CESARO_STALL]
+            stalled = bool(before) and not min(recent) < min(before)
         diag[k] = h
         diagnostics[k] = {
             "iterations": used,
@@ -1024,6 +1071,8 @@ def haar_cesaro(
             "residual_trace": trace,
             "converged": trace[-1] <= tol,
         }
+        if stalled:
+            diagnostics[k]["stalled"] = True
     states = {}
     for r in range(n):
         for m in range(n):
@@ -1044,6 +1093,16 @@ def haar_cesaro(
     return HaarFamily(states=states, diagnostics=out)
 
 
+def _matches(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Index pairs (a, b) with x[a] == y[b], a ascending, b ascending within each a."""
+    order = y.argsort(kind="stable")
+    lo = y.searchsorted(x, sorter=order)
+    count = y.searchsorted(x, side="right", sorter=order) - lo
+    a = np.arange(x.size).repeat(count)
+    b = order[np.arange(a.size) + (lo - count.cumsum() + count).repeat(count)]
+    return a, b
+
+
 def _haar_system(G: FinitePQG, side: str) -> tuple:
     """The invariance system without its all-zero rows: (M, rhs, bases, segs).
 
@@ -1055,45 +1114,78 @@ def _haar_system(G: FinitePQG, side: str) -> tuple:
             Delta(e_i)[j, :] on phi_kl, -units[m, k, j] e_i on phi_ml;
       right (phi_kl (x) id) Delta(e_i) = sum_m phi_km(e_i) 1^l_m, at e_j:
             Delta(e_i)[:, j] on phi_kl, -units[l, m, j] e_i on phi_km.
-    A block keeps only its rows with a nonzero entry, so memory is
-    O(d^2 * unknowns) per block.  The unit normalizations come last.
+    The bases come from one batched SVD of the diagonal corner maps.  The
+    entries are made from nonzeros alone: each nonzero basis entry meets
+    the unit-stack entries that share its corner index and the coproduct
+    entries that share its row.  Only the rows that receive an entry are
+    laid out, in (k, l, i, side, j) order, and those whose entries cancel
+    are dropped, so M is the full system without its all-zero rows.  The
+    unit normalizations come last.
     """
     n, d = G.n_objects, G.dim
-    nonzero = [
-        (k, m)
-        for k in range(n)
-        for m in range(n)
-        if np.any(np.abs(G.units[k, m]) > ZERO_TOL)
-    ]
-    bases, segs, total = {}, {}, 0
-    for km in nonzero:
-        bases[km] = _orth_basis(G.sandwich(G.units[km], G.units[km]).T)
-        segs[km] = slice(total, total + bases[km].shape[1])
-        total = segs[km].stop
-    legs = {"left": (0,), "right": (1,), "both": (0, 1)}[side]
-    cops = (G.coproduct, np.swapaxes(G.coproduct, 1, 2))
-    rows = []
-    for k in range(n):
-        for l in range(n):
-            block = np.zeros((d, len(legs), d, total))
-            for s, leg in enumerate(legs):
-                for (a, b), basis in bases.items():
-                    if leg == 0 and b == l:
-                        u = G.units[a, k]
-                    elif leg == 1 and a == k:
-                        u = G.units[l, b]
-                    else:
-                        continue
-                    block[:, s, :, segs[(a, b)]] = -u[None, :, None] * basis[:, None, :]
-                    if (a, b) == (k, l):
-                        block[:, s, :, segs[(a, b)]] += cops[leg] @ basis
-            block = block.reshape(d * len(legs) * d, total)
-            rows.append(block[np.any(block != 0.0, axis=1)])
-    norm = np.zeros((len(nonzero), total))
-    for row, km in enumerate(nonzero):
-        norm[row, segs[km]] = G.units[km] @ bases[km]
-    rows.append(norm)
-    M = np.concatenate(rows)
+    ka, kb = (np.abs(G.units) > ZERO_TOL).any(axis=2).nonzero()
+    nonzero = list(zip(ka.tolist(), kb.tolist()))
+    found = _orth_bases(np.swapaxes(G.corners[ka, kb], 1, 2))
+    widths = [b.shape[1] for b in found]
+    bases = dict(zip(nonzero, found))
+    ends = list(itertools.accumulate(widths))
+    segs = {km: slice(end - w, end) for km, w, end in zip(nonzero, widths, ends)}
+    total = ends[-1] if ends else 0
+    # every basis entry: its corner (ba, bb), row bp, column bc and value
+    stacked = np.concatenate([np.zeros((d, 0)), *found], axis=1)
+    bp, bc = stacked.nonzero()
+    bval = stacked[bp, bc]
+    owner = np.arange(len(nonzero)).repeat(widths)  # the corner of each column
+    ba, bb = ka[owner[bc]], kb[owner[bc]]
+    ux, uy, uj = G.units.nonzero()
+    ci, cj, ck = G.coproduct.nonzero()
+    uval, cval = -G.units[ux, uy, uj], G.coproduct[ci, cj, ck]
+    legs = {"left": ("left",), "right": ("right",), "both": ("left", "right")}[side]
+    # The row key of (k, l, i, side, j) is k wk + l wl + i wi + side d + j,
+    # so each entry of a pair adds the part of the indices it gives.  The
+    # coproduct terms of both legs meet a basis entry on its row p; the unit
+    # terms meet it on one index of its corner, each leg with its own offset.
+    wi = len(legs) * d
+    wl, wk = d * wi, n * d * wi
+    span = max(n, d)
+    mine, my_part = [bp], [ba * wk + bb * wl]
+    theirs, their_part, their_val = [], [], []
+    for s, leg in enumerate(legs):
+        offset = (s + 1) * span
+        if leg == "left":
+            # Delta(e_i)[j, :] on phi_kl; -units[m, k, j] e_i on phi_ml
+            theirs += [ck, ux + offset]
+            their_part += [ci * wi + cj + s * d, uy * wk + uj + s * d]
+            mine.append(ba + offset)
+            my_part.append(bb * wl + bp * wi)
+        else:
+            # Delta(e_i)[:, j] on phi_kl; -units[l, m, j] e_i on phi_km
+            theirs += [cj, uy + offset]
+            their_part += [ci * wi + ck + s * d, ux * wl + uj + s * d]
+            mine.append(bb + offset)
+            my_part.append(ba * wk + bp * wi)
+        their_val += [cval, uval]
+    a, b = _matches(np.concatenate(mine), np.concatenate(theirs))
+    key = np.concatenate(my_part)[a] + np.concatenate(their_part)[b]
+    factor = np.concatenate(their_val)[b]
+    a %= bp.size
+    rows = np.sort(key)
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    rows = rows[first]  # the keys, each once
+    # entries summed into their rows, with the unit normalizations below them
+    height = rows.size + len(nonzero)
+    norm = [G.units[km] @ bases[km] for km in nonzero]
+    at = np.concatenate([
+        rows.searchsorted(key) * total + bc[a],
+        (rows.size + owner) * total + np.arange(total),
+    ])
+    val = np.concatenate([factor * bval[a], *norm])
+    M = np.bincount(at, val, minlength=height * total).reshape(height, total)
+    keep = (M != 0.0).any(axis=1)
+    keep[rows.size :] = True
+    if not keep.all():  # rows whose entries cancelled
+        M = M[keep]
     rhs = np.zeros(M.shape[0])
     rhs[M.shape[0] - len(nonzero) :] = 1.0
     return M, rhs, bases, segs
@@ -1172,13 +1264,17 @@ def haar_residuals(G: FinitePQG, fam: HaarFamily, tol: float = 1e-10) -> list:
 
     # left: Delta(e_i)[j, :] . phi_kl = sum_m phi_ml(e_i) units[m, k, j]
     # right: Delta(e_i)[:, j] . phi_kl = sum_m phi_km(e_i) units[l, m, j]
+    # the coproduct sides as matrix products over its (d^2, d) and (d, d) slices
+    d = G.dim
     phi = np.stack([[fam.phi(k, m).vector for m in range(n)] for k in range(n)])
+    flat = phi.reshape(n * n, d)
     cop = G.coproduct
     res_l = np.abs(
-        np.einsum("ijp,klp->klij", cop, phi) - np.einsum("mli,mkj->klij", phi, G.units)
+        (cop.reshape(d * d, d) @ flat.T).reshape(d, d, n, n)
+        - np.einsum("mli,mkj->ijkl", phi, G.units)
     ).max(initial=0.0)
     res_r = np.abs(
-        np.einsum("ipj,klp->klij", cop, phi) - np.einsum("kmi,lmj->klij", phi, G.units)
+        (flat @ cop).reshape(d, n, n, d) - np.einsum("kmi,lmj->iklj", phi, G.units)
     ).max(initial=0.0)
     out.append(CheckResult("invariance_left", res_l <= tol, float(res_l)))
     out.append(CheckResult("invariance_right", res_r <= tol, float(res_r)))

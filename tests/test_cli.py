@@ -12,7 +12,13 @@ import pytest
 
 from pcqg import cli, dynsu2
 from pcqg.cli import main
-from pcqg.fdpcqg import symmetric_groupoid, transitive_groupoid
+from pcqg.fdpcqg import (
+    CESARO_ITERATIONS,
+    CESARO_STALL,
+    CESARO_WINDOW,
+    symmetric_groupoid,
+    transitive_groupoid,
+)
 from pcqg.words import RuleSet
 
 GENS = ("alpha", "beta", "gamma", "delta")
@@ -395,6 +401,39 @@ def test_overflowing_constant_is_a_failed_check(fixture_dir, tmp_path, argv, fai
         assert corners["1"] == {
             "converged": True, "iterations": 0, "residual": 0.0, "residual_trace": [0.0]
         }
+
+
+def test_stalled_cesaro_run_is_a_failed_check(fixture_dir, tmp_path):
+    # a revalued coproduct entry leaves corner 0 with no invariant state:
+    # its averages stop improving, and the run stops there instead of
+    # spending CESARO_ITERATIONS convolutions (about a second); a subprocess
+    # with a timeout, so a run that does not stop fails the test
+    data = json.loads((fixture_dir / "z3_fn.json").read_text())
+    data["coproduct"][0][3] = 2.0
+    path = tmp_path / "stalled.json"
+    path.write_text(json.dumps(data))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcqg.cli", "fdqg", "haar", str(path), "--method", "cesaro"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    corner = report["cesaro_diagnostics"]["corners"]["0"]
+    assert corner["stalled"] is True and corner["converged"] is False
+    assert corner["iterations"] < CESARO_ITERATIONS
+    # no new lowest residual in the last CESARO_STALL averages
+    trace = corner["residual_trace"]
+    assert len(trace) > CESARO_STALL and min(trace[-CESARO_STALL:]) >= min(trace[:-CESARO_STALL])
+    assert corner["iterations"] == CESARO_WINDOW * (len(trace) - 1)
+    failed = {c["label"]: c for c in report["checks"] if not c["passed"]}
+    assert failed["cesaro::converged"]["residual"] == corner["residual"]
+    assert failed["cesaro::converged"]["detail"].endswith(", stalled")
 
 
 def _raise_linalg_error(*args, **kwargs):

@@ -355,13 +355,15 @@ def test_haar_linear_solve_matches_dense(name):
 
 @pytest.mark.parametrize("name", sorted(n for n in INSTANCES if "rotated" not in n))
 def test_haar_system_is_the_dense_one_without_zero_rows(name):
+    """Entry for entry: every entry of an unrotated system is one product, or
+    the sum of two, so the order of summation cannot show."""
     G = INSTANCES[name]
     for side in ("both", "left", "right") if G.dim < 25 else ("both",):
         M, rhs, _, _ = _haar_system(G, side)
         ref, ref_rhs, _, _ = dense_haar_system(G, side)
         keep = np.any(ref != 0.0, axis=1)
         assert M.shape == ref[keep].shape
-        assert np.abs(M - ref[keep]).max(initial=0.0) <= TOL
+        assert np.array_equal(M, ref[keep])
         assert np.array_equal(rhs, ref_rhs[keep])
 
 
