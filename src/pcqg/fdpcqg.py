@@ -424,9 +424,19 @@ class FinitePQG:
         so left = 1^k_m and right = 1^l_n give the corner projection of the
         grading (k, m, l, n).
         """
-        return np.einsum("...j,ijc->...ci", right, self.mult) @ np.einsum(
-            "...i,ijc->...cj", left, self.mult
-        )
+        return self._right_map(right) @ self._left_map(left)
+
+    def _left_map(self, left: np.ndarray) -> np.ndarray:
+        """(left e_i)_x at [..., x, i], one matrix product over mult's rows."""
+        d = self.dim
+        maps = left.reshape(-1, d) @ self.mult.reshape(d, d * d)
+        return maps.reshape(*left.shape[:-1], d, d).swapaxes(-1, -2)
+
+    def _right_map(self, right: np.ndarray) -> np.ndarray:
+        """(e_x right)_c at [..., c, x], one matrix product per slice mult[x]."""
+        d = self.dim
+        maps = (right.reshape(-1, d) @ self.mult).transpose(1, 2, 0)
+        return maps.reshape(*right.shape[:-1], d, d)
 
     @cached_property
     def corner_entries(self) -> tuple:
@@ -440,9 +450,8 @@ class FinitePQG:
         """
         n, d = self.n_objects, self.dim
         stack = self.units.reshape(n * n, d)
-        # x = 1^km e_i at [km, x, i], and 1^ln x at [ln, c, x]
-        lidx, lval = coo((stack @ self.mult.reshape(d, d * d)).reshape(n * n, d, d).transpose(0, 2, 1))
-        ridx, rval = coo((stack @ self.mult).transpose(1, 2, 0))
+        lidx, lval = coo(self._left_map(stack))  # [km, x, i]
+        ridx, rval = coo(self._right_map(stack))  # [ln, c, x]
         r, c, val = coo_product(
             (ridx[:, 0] * d + ridx[:, 1], ridx[:, 2], rval),
             (lidx[:, 1], lidx[:, 0] * d + lidx[:, 2], lval),
@@ -454,11 +463,15 @@ class FinitePQG:
     def corners(self) -> np.ndarray:
         """The diagonal corner maps, corners[k, m] = sandwich(1^k_m, 1^k_m).
 
-        One batched `sandwich` over the unit stack, shape (n, n, d, d),
-        made on first use and kept with the instance: the Haar routes and
-        the graded functionals all read their corners here.
+        Shape (n, n, d, d), made on first use and kept with the instance:
+        the Haar routes and the graded functionals all read their corners
+        here.  One batched `sandwich` per object k, so the build holds the
+        multiplication maps of one row of the unit stack at a time.
         """
-        return self.sandwich(self.units, self.units)
+        out = np.empty((self.n_objects, self.n_objects, self.dim, self.dim))
+        for k, row in enumerate(self.units):
+            out[k] = self.sandwich(row, row)
+        return out
 
     def to_json_dict(self) -> dict:
         sparse = lambda t: [
@@ -932,15 +945,20 @@ class GradedFunctional:
     def graded(cls, G: FinitePQG, vector: np.ndarray, grading) -> "GradedFunctional":
         """Project a raw dual vector onto the grading's support block."""
         g = tuple(grading)
-        if g[:2] == g[2:]:
-            corner = G.corners[g[:2]]
-        else:
-            corner = G.sandwich(G.units[g[:2]], G.units[g[2:]])
-        return cls(vector=corner.T @ np.asarray(vector, dtype=float), grading=g)
+        return cls(vector=_project(G, np.asarray(vector, dtype=float), g), grading=g)
 
     def support_residual(self, G: FinitePQG) -> float:
-        projected = self.graded(G, self.vector, self.grading).vector
+        projected = _project(G, self.vector, self.grading)
         return float(np.abs(self.vector - projected).max(initial=0.0))
+
+
+def _project(G: FinitePQG, vector: np.ndarray, grading: tuple) -> np.ndarray:
+    """A dual vector restricted to 1^k_m A 1^l_n, through the kept corner
+    map when the grading is diagonal."""
+    k, m, l, n = grading
+    if (k, m) == (l, n):
+        return G.corners[k, m].T @ vector
+    return G.sandwich(G.units[k, m], G.units[l, n]).T @ vector
 
 
 def convolve(G: FinitePQG, chi: GradedFunctional, omega: GradedFunctional) -> GradedFunctional:
@@ -1004,7 +1022,7 @@ def _corner_invariance_residual(G: FinitePQG, k: int, h: GradedFunctional) -> fl
     cop = G.coproduct
     left = chi @ (cop @ h.vector).T - mass  # (chi * h)(e_i) = chi . Delta(e_i) h
     right = chi @ (h.vector @ cop).T - mass  # h . Delta(e_i) chi
-    return np.max([0.0, np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0)])
+    return np.maximum(np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0))
 
 
 def haar_cesaro(
@@ -1136,7 +1154,8 @@ def _haar_system(G: FinitePQG, side: str) -> tuple:
     bp, bc = stacked.nonzero()
     bval = stacked[bp, bc]
     owner = np.arange(len(nonzero)).repeat(widths)  # the corner of each column
-    ba, bb = ka[owner[bc]], kb[owner[bc]]
+    corner = owner[bc]
+    ba, bb = ka[corner], kb[corner]
     ux, uy, uj = G.units.nonzero()
     ci, cj, ck = G.coproduct.nonzero()
     uval, cval = -G.units[ux, uy, uj], G.coproduct[ci, cj, ck]
@@ -1150,18 +1169,19 @@ def _haar_system(G: FinitePQG, side: str) -> tuple:
     span = max(n, d)
     mine, my_part = [bp], [ba * wk + bb * wl]
     theirs, their_part, their_val = [], [], []
+    ci_wi = ci * wi
     for s, leg in enumerate(legs):
         offset = (s + 1) * span
-        if leg == "left":
+        if leg == "left":  # always side 0
             # Delta(e_i)[j, :] on phi_kl; -units[m, k, j] e_i on phi_ml
             theirs += [ck, ux + offset]
-            their_part += [ci * wi + cj + s * d, uy * wk + uj + s * d]
+            their_part += [ci_wi + cj, uy * wk + uj]
             mine.append(ba + offset)
             my_part.append(bb * wl + bp * wi)
         else:
             # Delta(e_i)[:, j] on phi_kl; -units[l, m, j] e_i on phi_km
             theirs += [cj, uy + offset]
-            their_part += [ci * wi + ck + s * d, ux * wl + uj + s * d]
+            their_part += [ci_wi + (ck + s * d), ux * wl + (uj + s * d)]
             mine.append(bb + offset)
             my_part.append(ba * wk + bp * wi)
         their_val += [cval, uval]
@@ -1259,23 +1279,27 @@ def haar_residuals(G: FinitePQG, fam: HaarFamily, tol: float = 1e-10) -> list:
                 res = np.maximum(res, np.abs(phi.vector).max(initial=0.0))
     out.append(CheckResult("I1", res <= tol, float(res)))
 
-    res = np.max([fam.phi(k, m).support_residual(G) for k in range(n) for m in range(n)])
+    res = 0.0
+    for k in range(n):
+        for m in range(n):
+            res = np.maximum(res, fam.phi(k, m).support_residual(G))
     out.append(CheckResult("support", res <= tol, float(res)))
 
     # left: Delta(e_i)[j, :] . phi_kl = sum_m phi_ml(e_i) units[m, k, j]
     # right: Delta(e_i)[:, j] . phi_kl = sum_m phi_km(e_i) units[l, m, j]
-    # the coproduct sides as matrix products over its (d^2, d) and (d, d) slices
+    # one row k of states at a time, the coproduct sides as matrix products
+    # over its (d^2, d) and (d, d) slices, the defects taken in place
     d = G.dim
     phi = np.stack([[fam.phi(k, m).vector for m in range(n)] for k in range(n)])
-    flat = phi.reshape(n * n, d)
     cop = G.coproduct
-    res_l = np.abs(
-        (cop.reshape(d * d, d) @ flat.T).reshape(d, d, n, n)
-        - np.einsum("mli,mkj->ijkl", phi, G.units)
-    ).max(initial=0.0)
-    res_r = np.abs(
-        (flat @ cop).reshape(d, n, n, d) - np.einsum("kmi,lmj->iklj", phi, G.units)
-    ).max(initial=0.0)
+    res_l = res_r = 0.0
+    for k in range(n):
+        left = (cop.reshape(d * d, d) @ phi[k].T).reshape(d, d, n)
+        left -= np.einsum("mli,mj->ijl", phi, G.units[:, k])
+        res_l = np.maximum(res_l, np.abs(left, out=left).max(initial=0.0))
+        right = phi[k] @ cop
+        right -= np.einsum("mi,lmj->ilj", phi[k], G.units)
+        res_r = np.maximum(res_r, np.abs(right, out=right).max(initial=0.0))
     out.append(CheckResult("invariance_left", res_l <= tol, float(res_l)))
     out.append(CheckResult("invariance_right", res_r <= tol, float(res_r)))
     return out
