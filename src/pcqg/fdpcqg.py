@@ -20,16 +20,26 @@ and the contractions of one dependency level one product in all.
 The density axiom D1 splits its three d^2-row column sets into the connected
 components of their joint nonzero pattern and takes one SVD per block, with
 ranks cut at RANK_CUTOFF times the largest singular value over all blocks
-(the s_max of one dense SVD).  A dense instance is simply one block.  The
-Haar linear system is assembled one (k, l) row block at a time and keeps
-only the rows with a nonzero entry.
+(the s_max of one dense SVD).  A dense instance is simply one block.
+
+The Haar states phi_km live on the diagonal corners 1^k_m A 1^k_m.  Their
+linear system is built from nonzeros: each nonzero entry of a corner basis
+is matched with the unit-stack entries and coproduct entries it meets, and
+only the rows that receive an entry are laid out, so the cost follows the
+system's nonzeros rather than its d^2 rows per (k, l) block.  The Cesaro
+route and the residual checks contract the coproduct with whole stacks of
+functionals as matrix products.
 
 Every check reads the grading through one corner map, a -> 1^k_m a 1^l_n,
-written once as `FinitePQG.sandwich`: the graded functionals, the corner
-traces and bases of both Haar routes, D2's P A P and the corepresentation
-block-support check.  Intermediates are checked for inf and nan before they
-reach LAPACK (`NonFiniteError`); an overflowing structure constant makes the
-stage that sees it a failed check, never a hang or a usage error.
+written once as `FinitePQG.sandwich`.  An instance keeps what its checks
+reuse: the diagonal corner maps (`FinitePQG.corners`), which give the
+graded functionals, the corner traces and bases of both Haar routes, and
+the nonzero entries of every corner map (`FinitePQG.corner_entries`), which
+the corepresentation block-support check applies; D2 takes P A P directly.
+Intermediates are checked for inf and nan before they reach LAPACK
+(`NonFiniteError`); an overflowing structure constant makes the stage that
+sees it a failed check, never a hang or a usage error.  A Cesaro corner
+with no invariant state stops once its averages stop improving.
 """
 
 from __future__ import annotations
@@ -978,8 +988,9 @@ def _zero_state(G: FinitePQG, k: int, m: int) -> GradedFunctional:
     return GradedFunctional(vector=np.zeros(G.dim), grading=(k, m, k, m))
 
 
-def _corner_trace(G: FinitePQG, k: int, m: int) -> Optional[GradedFunctional]:
-    """Normalized left-regular trace restricted to the (k, m) corner.
+def _corner_trace(G: FinitePQG, k: int, m: int, trace: np.ndarray) -> Optional[GradedFunctional]:
+    """Normalized left-regular trace (`trace`, G.trace_vector()) restricted
+    to the (k, m) corner.
 
     None when the trace has no positive mass on the corner's unit, which a
     well-formed instance that breaks the axioms can produce.
@@ -987,7 +998,7 @@ def _corner_trace(G: FinitePQG, k: int, m: int) -> Optional[GradedFunctional]:
     u = G.units[k, m]
     if not np.any(np.abs(u) > ZERO_TOL):
         return _zero_state(G, k, m)
-    vec = G.corners[k, m].T @ G.trace_vector()
+    vec = G.corners[k, m].T @ trace
     norm = vec @ u
     if norm <= ZERO_TOL:
         return None
@@ -1046,6 +1057,7 @@ def haar_cesaro(
     names the corner.  Malformed `seed_states` raise.
     """
     n = G.n_objects
+    regular_trace = G.trace_vector()
     diagnostics = {}
     errors = []
     diag = {}
@@ -1057,7 +1069,7 @@ def haar_cesaro(
             if seed.support_residual(G) > 1e-12:
                 raise ValueError(f"seed state for corner {k} is not corner-supported")
         else:
-            seed = _corner_trace(G, k, k)
+            seed = _corner_trace(G, k, k, regular_trace)
             if seed is None or seed.support_residual(G) > 1e-12:
                 fault = "degenerate" if seed is None else "not corner-supported"
                 errors.append(f"corner trace is {fault} at ({k}, {k})")
@@ -1097,7 +1109,7 @@ def haar_cesaro(
             if r == m:
                 states[(r, m)] = diag[r]
             elif np.any(np.abs(G.units[r, m]) > ZERO_TOL):
-                theta = _corner_trace(G, r, m)
+                theta = _corner_trace(G, r, m, regular_trace)
                 if theta is None:
                     errors.append(f"corner trace is degenerate at ({r}, {m})")
                     states[(r, m)] = _zero_state(G, r, m)
@@ -1125,20 +1137,22 @@ def _haar_system(G: FinitePQG, side: str) -> tuple:
     """The invariance system without its all-zero rows: (M, rhs, bases, segs).
 
     Unknowns are the coefficients of each phi_{km} in an orthonormal basis of
-    its corner, `bases[km]`, in the columns `segs[km]`.  The rows come one
-    (k, l) block at a time, one row per (i, side, j), each the dual vectors
-    applied to the phi_{ml} it involves, times that corner's basis:
+    its corner, `bases[km]`, in the columns `segs[km]`; the bases come from
+    one batched SVD of the diagonal corner maps (`FinitePQG.corners`).  The
+    full system has one row per (k, l, i, side, j), in that order, each the
+    dual vectors applied to the phi_{ml} it involves, times that corner's
+    basis:
       left  (id (x) phi_kl) Delta(e_i) = sum_m phi_ml(e_i) 1^m_k, at e_j:
             Delta(e_i)[j, :] on phi_kl, -units[m, k, j] e_i on phi_ml;
       right (phi_kl (x) id) Delta(e_i) = sum_m phi_km(e_i) 1^l_m, at e_j:
             Delta(e_i)[:, j] on phi_kl, -units[l, m, j] e_i on phi_km.
-    The bases come from one batched SVD of the diagonal corner maps.  The
-    entries are made from nonzeros alone: each nonzero basis entry meets
-    the unit-stack entries that share its corner index and the coproduct
-    entries that share its row.  Only the rows that receive an entry are
-    laid out, in (k, l, i, side, j) order, and those whose entries cancel
-    are dropped, so M is the full system without its all-zero rows.  The
-    unit normalizations come last.
+    Its entries are made from nonzeros alone: each nonzero basis entry is
+    matched with the coproduct entries that share its row and with the
+    unit-stack entries that share its corner's first (left) or second
+    (right) object.  Only the rows that receive an entry are laid out, and
+    those whose entries cancel are dropped, so M is the full system without
+    its all-zero rows, in the same order.  The unit normalizations come
+    last.
     """
     n, d = G.n_objects, G.dim
     ka, kb = (np.abs(G.units) > ZERO_TOL).any(axis=2).nonzero()
@@ -1172,7 +1186,7 @@ def _haar_system(G: FinitePQG, side: str) -> tuple:
     ci_wi = ci * wi
     for s, leg in enumerate(legs):
         offset = (s + 1) * span
-        if leg == "left":  # always side 0
+        if leg == "left":  # side 0 whenever it is in the system
             # Delta(e_i)[j, :] on phi_kl; -units[m, k, j] e_i on phi_ml
             theirs += [ck, ux + offset]
             their_part += [ci_wi + cj, uy * wk + uj]
@@ -1268,13 +1282,13 @@ def haar_residuals(G: FinitePQG, fam: HaarFamily, tol: float = 1e-10) -> list:
     n = G.n_objects
     out = []
 
+    live = (np.abs(G.units) > ZERO_TOL).any(axis=2)
     res = 0.0
     for k in range(n):
         for m in range(n):
-            u = G.units[k, m]
             phi = fam.phi(k, m)
-            if np.any(np.abs(u) > ZERO_TOL):
-                res = np.maximum(res, abs(phi(u) - 1.0))
+            if live[k, m]:
+                res = np.maximum(res, abs(phi(G.units[k, m]) - 1.0))
             else:
                 res = np.maximum(res, np.abs(phi.vector).max(initial=0.0))
     out.append(CheckResult("I1", res <= tol, float(res)))
@@ -1292,9 +1306,10 @@ def haar_residuals(G: FinitePQG, fam: HaarFamily, tol: float = 1e-10) -> list:
     d = G.dim
     phi = np.stack([[fam.phi(k, m).vector for m in range(n)] for k in range(n)])
     cop = G.coproduct
+    by_pair = cop.reshape(d * d, d)
     res_l = res_r = 0.0
     for k in range(n):
-        left = (cop.reshape(d * d, d) @ phi[k].T).reshape(d, d, n)
+        left = (by_pair @ phi[k].T).reshape(d, d, n)
         left -= np.einsum("mli,mj->ijl", phi, G.units[:, k])
         res_l = np.maximum(res_l, np.abs(left, out=left).max(initial=0.0))
         right = phi[k] @ cop
