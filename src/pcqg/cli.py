@@ -442,7 +442,9 @@ def cmd_fdqg_haar(args) -> int:
                 for k, c in unconverged.items()
             )
             worst = float(np.max([c["residual"] for c in unconverged.values()]))
-            checks.append(CheckResult(f"{name}::converged", passed=False, residual=worst, detail=detail))
+            checks.append(
+                CheckResult(f"{name}::converged", passed=False, residual=worst, detail=detail)
+            )
         # a solve that could not run: an inf or nan, or a LinAlgError
         for key, prefix in (("non_finite", "non-finite"), ("linalg_error", "LinAlgError:")):
             if key in fam.diagnostics:
