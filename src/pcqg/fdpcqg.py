@@ -1049,12 +1049,12 @@ def haar_cesaro(
     budget of CESARO_ITERATIONS convolutions is spent, or CESARO_STALL
     averages in a row bring no new lowest residual: a corner with no
     invariant state stalls there, and its diagnostics say `stalled`.
-    Off-diagonal states
-    are corner-trace transports of the diagonal ones.  Non-convergence is
-    reported in `diagnostics`, not raised.  So is a corner trace that is
-    degenerate or not corner-supported on an instance that breaks the
-    axioms: the corner's state is left zero and `diagnostics["errors"]`
-    names the corner.  Malformed `seed_states` raise.
+    Off-diagonal states are corner-trace transports of the diagonal ones.
+    Non-convergence is reported in `diagnostics`, not raised.  So is a
+    corner trace that is degenerate or not corner-supported on an instance
+    that breaks the axioms: the corner's state is left zero and
+    `diagnostics["errors"]` names the corner.  Malformed `seed_states`
+    raise.
     """
     n = G.n_objects
     regular_trace = G.trace_vector()
