@@ -1203,10 +1203,7 @@ def _haar_system(G: FinitePQG, side: str) -> tuple:
     key = np.concatenate(my_part)[a] + np.concatenate(their_part)[b]
     factor = np.concatenate(their_val)[b]
     a %= bp.size
-    rows = np.sort(key)
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    rows = rows[first]  # the keys, each once
+    rows = np.unique(key)
     # entries summed into their rows, with the unit normalizations below them
     height = rows.size + len(nonzero)
     norm = [G.units[km] @ bases[km] for km in nonzero]
