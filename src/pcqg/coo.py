@@ -8,13 +8,21 @@ of equal shape stacked into one batched product.  Sparse operands give many
 small blocks and a dense pair a single block, so the work follows the
 nonzero entries and no array is larger than the densest component needs.
 
+A product's fixed cost does not grow with its blocks: one sort relabels the
+row, key and column ids together, one labelling finds the components, one
+sort lays out every block in one flat buffer per operand, and one pass maps
+the product's nonzeros back to ids; only the batched matrix product is taken
+once per block shape.
+
 Several contractions are stepped in lockstep, one matrix product per step
 for all of them: the operands of each step are placed in a direct sum, with
 row, key and column ids offset per contraction, so their blocks never mix,
-and the product is split back by row offset.  A product's fixed cost, the
-component labelling and the grouping of the blocks by shape, is then paid
-once per step rather than once per contraction, and every block is the one
-the contraction alone would multiply.
+and the product is split back by row offset.  Each contraction's keys for a
+step are one integer matrix product of its index array with a weight matrix,
+so a step costs a few numpy calls per contraction and a few per step, and
+every block is the one the contraction alone would multiply.  Outputs are
+raveled keys, which the comparisons of several outputs (`coo_max_diffs`)
+take as they are.
 """
 
 from __future__ import annotations
@@ -23,10 +31,12 @@ import numpy as np
 
 __all__ = [
     "coo",
+    "unravel",
     "rank_within",
     "components",
     "coo_product",
     "coo_einsum",
+    "coo_max_diffs",
     "coo_max_diff",
 ]
 
@@ -35,6 +45,11 @@ def coo(t: np.ndarray) -> tuple:
     """The nonzero entries of a dense array."""
     nz = np.nonzero(t)
     return np.stack(nz, axis=1), t[nz]
+
+
+def unravel(key: np.ndarray, rank: int, dim: int) -> np.ndarray:
+    """The (nnz, rank) index array of keys raveled in base `dim`."""
+    return key[:, None] // dim ** np.arange(rank - 1, -1, -1) % dim
 
 
 def rank_within(group: np.ndarray) -> np.ndarray:
@@ -46,29 +61,39 @@ def rank_within(group: np.ndarray) -> np.ndarray:
     return out
 
 
+def _relabel(x: np.ndarray) -> tuple:
+    """The distinct values of x in increasing order, and the position of each
+    element of x among them (np.unique with return_inverse, in fewer calls)."""
+    order = x.argsort(kind="stable")  # ids come in sorted runs
+    xs = x[order]
+    step = np.empty(xs.size, dtype=bool)
+    step[:1] = True
+    np.not_equal(xs[1:], xs[:-1], out=step[1:])
+    inverse = np.empty(xs.size, dtype=np.intp)
+    inverse[order] = step.cumsum() - 1
+    return xs[step], inverse
+
+
 def components(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Component of each node 0..r.max(), nodes linked through a shared link id.
 
     Entry e joins node r[e] to link c[e].  Minimum-label propagation with
-    pointer jumping, vectorized over entries; labels are 0..#components-1.
+    pointer jumping, vectorized over entries; labels are 0..#components-1,
+    in the order of each component's smallest node.
     """
-    label = np.arange(r.max() + 1)
+    label = np.arange(np.maximum.reduce(r) + 1)
+    link_min = np.empty(np.maximum.reduce(c) + 1, dtype=label.dtype)
     while True:
-        link_min = np.full(c.max() + 1, label.size)
+        link_min.fill(label.size)
         np.minimum.at(link_min, c, label[r])
         new = label.copy()
         np.minimum.at(new, r, link_min[c])
         new = new[new]
-        if np.array_equal(new, label):
-            return np.unique(label, return_inverse=True)[1]
+        if not (new != label).any():
+            break
         label = new
-
-
-def _stack(slot, i, j, val, shape) -> np.ndarray:
-    """Entries summed into a stack of dense blocks, at (slot, i, j), in entry order."""
-    count, height, width = shape
-    flat = (slot * height + i) * width + j
-    return np.bincount(flat, val, minlength=count * height * width).reshape(shape)
+    # a converged label is the component's smallest node, its own label
+    return ((label == np.arange(label.size)).cumsum() - 1)[label]
 
 
 def coo_product(a: tuple, b: tuple) -> tuple:
@@ -77,163 +102,241 @@ def coo_product(a: tuple, b: tuple) -> tuple:
     Shared keys are linked through a common row of A or column of B; each
     connected component is one dense block product, and components of equal
     shape share one batched product.  Returns the entries (r, c, v) of the
-    product, its exact zeros dropped.
+    product, its exact zeros dropped, ordered by block shape, then component
+    (by its smallest key), then row and column within the block.
     """
     (ra, ka, va), (kb, cb, vb) = a, b
-    if ka.size == 0 or kb.size == 0:
+    na, nb = ka.size, kb.size
+    if na == 0 or nb == 0:
         return np.zeros(0, int), np.zeros(0, int), np.zeros(0)
-    _, kid = np.unique(np.concatenate([ka, kb]), return_inverse=True)
-    rows, rid = np.unique(ra, return_inverse=True)
-    cols, cid = np.unique(cb, return_inverse=True)
-    kid_a, kid_b = kid[: ka.size], kid[ka.size :]
-    comp_k = components(kid, np.concatenate([rid, rows.size + cid]))
-    comp_r = np.empty(rows.size, int)
-    comp_r[rid] = comp_k[kid_a]
-    comp_c = np.empty(cols.size, int)
-    comp_c[cid] = comp_k[kid_b]
-    n_comp = comp_k.max() + 1
-    sizes = [np.bincount(x, minlength=n_comp) for x in (comp_r, comp_k, comp_c)]
-    # one integer per block shape, ordered as the shapes are lexicographically
-    dims = tuple(int(x.max()) + 1 for x in sizes)
-    keys, kind = np.unique(np.ravel_multi_index(sizes, dims), return_inverse=True)
-    shapes = np.column_stack(np.unravel_index(keys, dims))
-    slot = rank_within(kind)
-    r_loc, k_loc, c_loc = rank_within(comp_r), rank_within(comp_k), rank_within(comp_c)
-    ea, eb = comp_k[kid_a], comp_k[kid_b]  # component of each entry
+    # one relabelling of every id, rows before keys before columns: node
+    # holds the rows of A, the keys of A and of B, then the columns of B
+    k0 = int(np.maximum.reduce(ra)) + 1
+    c0 = k0 + int(max(np.maximum.reduce(ka), np.maximum.reduce(kb))) + 1
+    ids, node = _relabel(np.concatenate([ra, ka + k0, kb + k0, cb + c0]))
+    n_rows, n_cols = ids.searchsorted((k0, c0)).tolist()
+    n_keys, n_cols = n_cols - n_rows, ids.size - n_cols
+    key = node[na : 2 * na + nb] - n_rows
+    link = np.concatenate([node[:na], node[2 * na + nb :]])
+    comp_k = components(key, link)
+    n_comp = int(np.maximum.reduce(comp_k)) + 1
+    comp = np.empty(ids.size, dtype=np.intp)
+    comp[n_rows : n_rows + n_keys] = comp_k
+    comp[link] = comp_k[key]
+    # each node's position among the nodes of its kind in its component;
+    # `order` lists the nodes by (component, kind, id)
+    group = comp * 3
+    group[n_rows:] += 1
+    group[n_rows + n_keys :] += 1
+    order = group.argsort(kind="stable")
+    count = np.bincount(group, minlength=3 * n_comp)
+    start = count.cumsum() - count
+    local = np.empty(ids.size, dtype=np.intp)
+    local[order] = np.arange(ids.size) - start.repeat(count)
+    del group
+    # components sorted by block shape (rows, keys, columns), each block at
+    # its offset in one flat buffer per operand and one for the product
+    shape = count.reshape(n_comp, 3)
+    by_shape = np.lexsort(shape.T[::-1])
+    s = shape[by_shape]
+    size = s[:, [0, 1, 0]] * s[:, [1, 2, 2]]  # left, right and product blocks
+    base = size.cumsum(axis=0) - size
+    total = (base[-1] + size[-1]).tolist()
+    first = [0, *((s[1:] != s[:-1]).any(axis=1).nonzero()[0] + 1).tolist()]
+    comp_base = np.empty_like(base)
+    comp_base[by_shape] = base
+    ea = comp[node[:na]]
+    left = np.bincount(
+        comp_base[ea, 0] + local[node[:na]] * shape[ea, 1] + local[node[na : 2 * na]],
+        va,
+        minlength=total[0],
+    )
+    eb = comp_k[key[na:]]
+    right = np.bincount(
+        comp_base[eb, 1] + local[node[2 * na : 2 * na + nb]] * shape[eb, 2]
+        + local[node[2 * na + nb :]],
+        vb,
+        minlength=total[1],
+    )
+    del ea, eb, key, link, node, local, comp
+    prod = np.zeros(total[2])
+    for lo, hi, (nr, nk, nc), (bl, br, bp) in zip(
+        first, first[1:] + [n_comp], s[first].tolist(), base[first].tolist()
+    ):
+        if nr and nc:
+            n = hi - lo
+            np.matmul(
+                left[bl : bl + n * nr * nk].reshape(n, nr, nk),
+                right[br : br + n * nk * nc].reshape(n, nk, nc),
+                out=prod[bp : bp + n * nr * nc].reshape(n, nr, nc),
+            )
+    del left, right  # a dense pair's blocks are as large as its output
+    # each nonzero's block and position (i, j) in it, then its row and column
+    at = np.flatnonzero(prod)
+    val = prod[at]
+    del prod
+    blk = base[:, 2].searchsorted(at, side="right") - 1
+    at -= base[blk, 2]
+    i, j = np.divmod(at, s[blk, 2])
+    del at
+    whose = 3 * by_shape[blk]
+    del blk
+    i += start[whose]
+    j += start[whose + 2]
+    del whose
+    return ids[order[i]], ids[order[j]] - c0, val
 
-    def placed(comp, loc, g, count, width):
-        """Index of the rows (or columns) of kind g at their block positions."""
-        mine = kind[comp] == g
-        at = np.empty((count, width), int)
-        at[slot[comp[mine]], loc[mine]] = np.nonzero(mine)[0]
-        return at
 
-    def entries(g, nr, nk, nc):
-        """The nonzero entries (r, c, v) of the block products of kind g."""
-        count = int(np.count_nonzero(kind == g))
-        a_g, b_g = kind[ea] == g, kind[eb] == g
-        left = _stack(slot[ea[a_g]], r_loc[rid[a_g]], k_loc[kid_a[a_g]], va[a_g], (count, nr, nk))
-        right = _stack(slot[eb[b_g]], k_loc[kid_b[b_g]], c_loc[cid[b_g]], vb[b_g], (count, nk, nc))
-        prod = (left @ right).reshape(-1)
-        # flat position at = (slot * nr + i) * nc + j of each nonzero entry
-        at = np.flatnonzero(prod)
-        val = prod[at]
-        del left, right, prod  # a dense pair's blocks are as large as its output
-        row = rows[placed(comp_r, r_loc, g, count, nr).reshape(-1)[at // nc]]
-        col = cols[placed(comp_c, c_loc, g, count, nc).reshape(-1)[at // (nr * nc) * nc + at % nc]]
-        return row, col, val
+def _plan(letters: str, spec: str, later: frozenset, power: list) -> tuple:
+    """One step of a contraction: (wa, wb, sizes, kept).
 
-    out = [entries(g, *shape) for g, shape in enumerate(shapes)]
-    return tuple(np.concatenate(x) for x in zip(*out))
-
-
-def _steps(subscripts: str) -> tuple:
-    """The steps of a contraction, (letters, spec, left, shared, right) each,
-    and the positions of the output letters in its last kept letters."""
-    inputs, out = subscripts.split("->")
-    specs = inputs.split(",")
-    letters, steps = specs[0], []
-    for pos in range(1, len(specs)):
-        spec = specs[pos]
-        later = out + "".join(specs[pos + 1 :])
-        shared = [c for c in letters if c in spec]
-        if not shared or any(c in later for c in shared):
-            raise ValueError(f"{letters},{spec}: shared letters must be summed at this step")
-        left = [c for c in letters if c not in spec and c in later]
-        right = [c for c in spec if c not in letters and c in later]
-        steps.append((letters, spec, left, shared, right))
-        letters = "".join(left + right)
-    return steps, [letters.index(c) for c in out]
+    The running result, with `letters`, is multiplied by an operand, with
+    `spec`, over their shared letters, which must all be summed out there;
+    the step keeps the letters in `later` (those of the output and the
+    later operands), the running result's first.  wa holds the (row, key)
+    weights of each running-result letter, wb the (key, column) weights of
+    each operand letter, `power` the powers of dim from 1 up, and sizes
+    the sizes of the row, key and column spaces.
+    """
+    shared = [c for c in letters if c in spec]
+    if not shared or any([c in later for c in shared]):
+        raise ValueError(f"{letters},{spec}: shared letters must be summed at this step")
+    left = [c for c in letters if c not in spec and c in later]
+    right = [c for c in spec if c not in letters and c in later]
+    w_left, w_shared, w_right = (dict(zip(x[::-1], power)) for x in (left, shared, right))
+    return (
+        [(w_left.get(c, 0), w_shared.get(c, 0)) for c in letters],
+        [(w_shared.get(c, 0), w_right.get(c, 0)) for c in spec],
+        (power[len(left)], power[len(shared)], power[len(right)]),
+        "".join(left + right),
+    )
 
 
 def coo_einsum(*contractions, dim: int) -> list:
     """np.einsum over COO operands, as matrix products from the left.
 
-    Each contraction is a tuple (subscripts, op, op, ...), and the result
-    the list of their outputs (idx, val).  Each step multiplies the running
+    Each contraction is a tuple (subscripts, op, op, ...) with every
+    operand an (idx, val) pair, idx either the (nnz, ndim) index array or
+    the raveled keys of an output, and the result the list of their outputs
+    (key, val): key the output index raveled in base `dim`, as `unravel`
+    reads it, and one entry per key.  Each step multiplies the running
     result by the next operand over their shared letters, which must all be
     summed out there, and keeps the letters that the output or a later
     operand names.  Group a contraction into nested calls where a
     left-to-right order would keep too many.
 
-    The k-th steps of all contractions are one `coo_product` over the direct
-    sum of their operands, row, key and column ids offset per contraction,
-    and its result is split back by row offset.  A call costs one product
-    per step of its longest contraction, and each output equals, bit for bit
-    and entry order included, what its contraction gives alone.
+    The k-th steps of all contractions are planned together, their letters
+    compared as arrays, and are one `coo_product` over the direct sum of
+    their operands, row, key and column ids offset per contraction; its
+    result is split back by row offset.  The keys of every use of one
+    operand array in a step are one integer matrix product, the offsets
+    included.  A call costs one product per step of its longest
+    contraction, and each output equals, bit for bit and entry order
+    included, what its contraction gives alone.
     """
-    plans = [_steps(subscripts) for subscripts, *_ in contractions]
+    specs = [subscripts.replace("->", ",").split(",") for subscripts, *_ in contractions]
     operands = [ops for _, *ops in contractions]
-    # a running result is a list of (key, number of letters) parts, each key
-    # the raveled index of consecutive kept letters, and the values: a
-    # step's row and column ids, unraveled only where a letter is read
-    results = [([(col, 1) for col in ops[0][0].T], ops[0][1]) for ops in operands]
-
-    def columns(parts):
-        return [
-            col for key, width in parts if width for col in np.unravel_index(key, (dim,) * width)
-        ]
-
-    def key(cols, spec, keep, size):
-        """The raveled index of the letters `keep`; 0 for every entry when none."""
-        if not keep:
-            return np.zeros(size, dtype=np.int64)
-        return np.ravel_multi_index([cols[spec.index(c)] for c in keep], (dim,) * len(keep))
-
-    def step(pos):
-        """One product for the pos-th step of every contraction that has one."""
-        live = [n for n, (steps, _) in enumerate(plans) if pos < len(steps)]
-        # start[m] = (row, key, column) offsets of the m-th live contraction
+    # dim ** k for every group size k, up to the number of letters
+    power = [dim**k for k in range(max(len(set(s) - set(",->")) for s, *_ in contractions) + 1)]
+    # the running result of each contraction as (idx, val) and its letters;
+    # a finished one as its output (key, val)
+    results = [ops[0] for ops in operands]
+    letters = [x[0] for x in specs]
+    known = {}
+    for pos in range(1, max(map(len, specs)) - 1):
+        live = [n for n, x in enumerate(specs) if pos + 1 < len(x)]
+        # contractions with the same letters share their plan
+        plans = []
+        for n in live:
+            step = letters[n], specs[n][pos], frozenset("".join(specs[n][pos + 1 :]))
+            plan = known.get(step)
+            if plan is None:
+                plan = known[step] = _plan(*step, power)
+            plans.append(plan)
+        # start[m] = (row, key, column) offsets of the m-th live contraction,
+        # and the offsets of each use: a running result's (row, key), a
+        # next operand's (key, column)
+        if sum(a * b * c for _, _, (a, b, c), _ in plans) >= 2**62:
+            raise ValueError("contraction keys overflow int64; lower dim or the letters kept")
         start = np.zeros((len(live) + 1, 3), dtype=np.int64)
-        a, b = [], []
-        for m, n in enumerate(live):
-            letters, spec, left, shared, right = plans[n][0][pos]
-            (parts, val), (idx2, val2) = results[n], operands[n][pos + 1]
-            cols = columns(parts)
-            row0, key0, col0 = start[m]
-            a.append((
-                key(cols, letters, left, val.size) + row0,
-                key(cols, letters, shared, val.size) + key0,
-                val,
-            ))
-            b.append((
-                key(idx2.T, spec, shared, val2.size) + key0,
-                key(idx2.T, spec, right, val2.size) + col0,
-                val2,
-            ))
-            start[m + 1] = start[m] + [dim ** len(x) for x in (left, shared, right)]
-        r, c, val = coo_product(*(tuple(np.concatenate(x) for x in zip(*op)) for op in (a, b)))
-        which = np.searchsorted(start[:, 0], r, side="right") - 1
-        bounds = np.concatenate([[0], np.cumsum(np.bincount(which, minlength=len(live)))])
-        # entries grouped by contraction, each group in product order; every
-        # index array here is as long as the output, so none outlives its use
-        grouped = np.argsort(which, kind="stable")
+        np.cumsum([sizes for _, _, sizes, _ in plans], axis=0, out=start[1:])
+        offsets = start.tolist()
+        uses = {}
+        for m, (n, (wa, wb, _, _)) in enumerate(zip(live, plans)):
+            row0, key0, col0 = offsets[m]
+            for side, op, w, off in ((0, results[n], wa, (row0, key0)), (1, operands[n][pos], wb, (key0, col0))):
+                use = uses.setdefault(id(op[0]), (op, [], []))
+                use[1].append(side)
+                use[2].append(w + [off])
+        parts = ([], [], [], [], [], [])  # rows, keys, values of A; keys, columns, values of B
+        for (idx, val), sides, ws in uses.values():
+            if idx.ndim == 1:  # an output's keys, unraveled once for all its uses
+                idx = unravel(idx, len(ws[0]) - 1, dim)
+            w = np.array(ws, dtype=np.int64).transpose(1, 0, 2).reshape(len(ws[0]), -1)
+            k = idx @ w[:-1]
+            k += w[-1]
+            for q, side in enumerate(sides):
+                first, second, vals = parts[3 * side : 3 * side + 3]
+                first.append(k[:, 2 * q])
+                second.append(k[:, 2 * q + 1])
+                vals.append(val)
+        del uses
+        r, c, val = coo_product(*(tuple(map(np.concatenate, parts[i : i + 3])) for i in (0, 3)))
+        del parts
+        # entries grouped by contraction, each group in product order, and
+        # each entry's kept key, row key then column key
+        which = np.searchsorted(start[1:-1, 0], r, side="right")
+        count = np.bincount(which, minlength=len(live))
+        grouped = np.argsort(which.astype(np.min_scalar_type(len(live))), kind="stable")
         del which
-        r, c, val = r[grouped], c[grouped], val[grouped]
+        key = r[grouped]
+        del r
+        key -= np.repeat(start[:-1, 0], count)
+        key *= np.repeat([sizes[2] for _, _, sizes, _ in plans], count)
+        key += c[grouped]
+        del c
+        key -= np.repeat(start[:-1, 2], count)
+        val = val[grouped]
         del grouped
-        for m, n in enumerate(live):
-            _, _, left, _, right = plans[n][0][pos]
-            mine = slice(bounds[m], bounds[m + 1])
-            parts = [(r[mine] - start[m, 0], len(left)), (c[mine] - start[m, 2], len(right))]
-            results[n] = parts, val[mine]
+        bounds = np.cumsum(count).tolist()
+        for n, (_, _, _, kept), lo, hi in zip(live, plans, [0, *bounds], bounds):
+            k, v = key[lo:hi], val[lo:hi]
+            out = specs[n][-1]
+            if pos + 2 < len(specs[n]):
+                results[n], letters[n] = (unravel(k, len(kept), dim), v), kept
+            elif kept == out:
+                results[n] = k, v
+            else:  # each kept letter weighs dim ** (its place from the output's end)
+                results[n] = unravel(k, len(kept), dim) @ [power[len(out) - 1 - out.index(c)] for c in kept], v
+    return results
 
-    for pos in range(max(len(steps) for steps, _ in plans)):
-        step(pos)
-    out = []
-    for _, order in plans:
-        # each running result is dropped as its output is stacked
-        parts, val = results.pop(0)
-        cols = columns(parts)
-        idx = np.empty((val.size, len(order)), dtype=np.int64)
-        for n, i in enumerate(order):
-            idx[:, n] = cols[i]
-        out.append((idx, val))
+
+def coo_max_diffs(pairs: list) -> np.ndarray:
+    """max |a - b| over the union of both supports, for every pair (a, b).
+
+    Each side is (key, val), its entries' raveled indices and values, with
+    one entry per key; the two sides of a pair ravel alike.  All pairs are
+    summed in one pass: keys offset per pair, one sort, one sum per key and
+    one maximum per pair.  A nan propagates to its pair's maximum.
+    """
+    sides = [side for pair in pairs for side in pair]
+    keys = np.concatenate([key for key, _ in sides])
+    vals = np.concatenate([v if s % 2 == 0 else -v for s, (_, v) in enumerate(sides)])
+    span = int(keys.max(initial=-1)) + 1
+    width = [a[0].size + b[0].size for a, b in pairs]
+    keys += np.repeat(np.arange(len(pairs), dtype=np.int64) * span, width)
+    distinct, inverse = _relabel(keys)
+    del keys
+    # |sum| per key, and a zero past the end so that every pair's first
+    # position is a valid index; a pair with no keys reads 0
+    diff = np.abs(np.bincount(inverse, vals, minlength=distinct.size + 1))
+    first = np.searchsorted(distinct, np.arange(len(pairs)) * span)
+    out = np.maximum.reduceat(diff, first)
+    out[first == np.append(first[1:], distinct.size)] = 0.0
     return out
 
 
 def coo_max_diff(a: tuple, b: tuple, shape: tuple) -> float:
-    """max |a - b| over the union of both supports."""
-    keys = np.ravel_multi_index(np.concatenate([a[0], b[0]]).T, shape)
-    _, inv = np.unique(keys, return_inverse=True)
-    diff = np.bincount(inv, np.concatenate([a[1], -b[1]]))
-    return float(np.abs(diff).max(initial=0.0))
+    """max |a - b| over the union of both supports, for (idx, val) tensors of `shape`."""
+    key = lambda t: np.ravel_multi_index(t[0].T, shape)
+    return float(coo_max_diffs([((key(a), a[1]), (key(b), b[1]))])[0])

@@ -433,9 +433,9 @@ def antipode_block_check(b: PiCBundle, tol: float = 1e-12) -> RelationResidual:
             # swapped-block adjoint: u_{nu,eps} localized at (j, i)
             sw_name = EPSNU_TO_NAME[nu, eps]
             rhs = (b.u(sw_name) @ b.mul_fn(dirac_projection(j, i, q, x))).adjoint()
-            worst = max(worst, (lhs - rhs).max_abs())
+            worst = np.maximum(worst, (lhs - rhs).max_abs())
     return RelationResidual(
-        label="antipode_block", residual=worst, margins=b.margins(), tol=tol
+        label="antipode_block", residual=float(worst), margins=b.margins(), tol=tol
     )
 
 
@@ -455,9 +455,9 @@ def antipode_square_check(b: PiCBundle, tol: float = 1e-12) -> RelationResidual:
             yv, zv = x * q**i, x * q**j
             scalar = (tau(yv) * tau(q**-nu * zv)) / (tau(q**-eps * yv) * tau(zv))
             rhs = scalar * (letter_operator(letter, b) @ b.mul_fn(dirac_projection(i, j, q, x)))
-            worst = max(worst, (lhs - rhs).max_abs())
+            worst = np.maximum(worst, (lhs - rhs).max_abs())
     return RelationResidual(
-        label="antipode_square", residual=worst, margins=b.margins(), tol=tol
+        label="antipode_square", residual=float(worst), margins=b.margins(), tol=tol
     )
 
 
@@ -520,9 +520,9 @@ def lattice_rebase_check(b1: PiCBundle, tol: float = 1e-12) -> RelationResidual:
     for name in GEN_NAMES:
         # same shape and point values, so b2's grids read on b1's window
         rebased = WindowedOperator(b1.window, b2.u(name).grids)
-        worst = max(worst, (b1.u(name) - rebased).max_abs())
+        worst = np.maximum(worst, (b1.u(name) - rebased).max_abs())
     return RelationResidual(
-        label="rebase", residual=worst, margins=b1.margins(0), tol=tol
+        label="rebase", residual=float(worst), margins=b1.margins(0), tol=tol
     )
 
 

@@ -233,8 +233,8 @@ class WindowedOperator:
 
     def max_abs(self, margin: int = 0) -> float:
         """Largest |entry| whose row and column lie `margin` inside the window."""
-        inner = (g[_region(d, g.shape, margin)] for d, g in self.grids.items())
-        return max((float(np.abs(g).max(initial=0.0)) for g in inner), default=0.0)
+        inner = [g[_region(d, g.shape, margin)] for d, g in self.grids.items()]
+        return float(np.max([np.abs(g).max(initial=0.0) for g in inner], initial=0.0))
 
     # -- dense view ------------------------------------------------------
 

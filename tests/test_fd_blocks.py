@@ -1,14 +1,18 @@
 """Block-split finite strand against the dense reference it replaced.
 
 `verify_axioms` contracts the structure constants over their nonzero entries
-and splits the D1 column spans along the connected components of their
-nonzero pattern; `haar_linear_solve` assembles its system one (k, l) row
-block at a time and drops the all-zero rows.  The dense code both replaced is
-kept here as the oracle: d^4 tensors, one SVD per d^2 x d^2 column set, one
-Python call per system row, all-zero rows included.  Both Haar solves take
-one refinement step after their lstsq.  The oracle refuses instances past
-ORACLE_MAX_DIM before allocating anything; past it, function forms are
-checked against the exact uniform Haar states instead.
+and splits the D1 and D2 column spans along the connected components of
+their nonzero pattern; `haar_linear_solve` assembles its system one (k, l)
+row block at a time and drops the all-zero rows.  The dense code both
+replaced is kept here as the oracle: d^4 tensors, one SVD per d^2 x d^2
+column set, one Python call per system row, all-zero rows included.  Both
+Haar solves take one refinement step after their lstsq.  The oracle refuses
+instances past ORACLE_MAX_DIM before allocating anything; past it, function
+forms are checked against the exact uniform Haar states instead.
+
+The sparse product `coo.coo_product` is checked against the kernel it
+replaced, `oracle_coo_product` below: the same entries, in the same order,
+with the same bits.
 """
 
 from dataclasses import replace
@@ -17,6 +21,7 @@ import numpy as np
 import pytest
 
 from pcqg import coo as coo_module
+from pcqg import fdpcqg
 from pcqg.coo import coo, coo_einsum
 from pcqg.corep import trivial_rep, verify_rep
 from pcqg.fdpcqg import (
@@ -26,7 +31,6 @@ from pcqg.fdpcqg import (
     CheckResult,
     FinitePQG,
     _haar_system,
-    _orth_basis,
     _split_spans,
     from_finite_groupoid_algebra,
     from_finite_groupoid_functions,
@@ -55,6 +59,14 @@ D1_TOL = 1e-14
 def _refuse_large(G):
     if G.dim > ORACLE_MAX_DIM:
         raise ValueError(f"dense oracle refuses d = {G.dim} > {ORACLE_MAX_DIM}")
+
+
+def _orth_basis(columns):
+    """Orthonormal basis of the column span, rank-cut at RANK_CUTOFF * s_max."""
+    if columns.size == 0:
+        return np.zeros((columns.shape[0], 0))
+    u, s, _ = np.linalg.svd(columns, full_matrices=False)
+    return u[:, s > RANK_CUTOFF * s[0]]
 
 
 def dense_sandwich(G, left, right):
@@ -267,6 +279,97 @@ def dense_co2(X):
     return res
 
 
+def _oracle_rank_within(group):
+    order = np.argsort(group, kind="stable")
+    count = np.bincount(group)
+    out = np.empty_like(group)
+    out[order] = np.arange(group.size) - np.repeat(np.cumsum(count) - count, count)
+    return out
+
+
+def _oracle_components(r, c):
+    label = np.arange(r.max() + 1)
+    while True:
+        link_min = np.full(c.max() + 1, label.size)
+        np.minimum.at(link_min, c, label[r])
+        new = label.copy()
+        np.minimum.at(new, r, link_min[c])
+        new = new[new]
+        if np.array_equal(new, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = new
+
+
+def _oracle_stack(slot, i, j, val, shape):
+    count, height, width = shape
+    flat = (slot * height + i) * width + j
+    return np.bincount(flat, val, minlength=count * height * width).reshape(shape)
+
+
+def oracle_coo_product(a, b):
+    """The block product as first written: three np.unique relabellings,
+    label propagation over the keys, and one stack, product and index map
+    per block shape.  The entries (r, c, v) of sum_k A[r, k] B[k, c], in
+    shape-major, component, row, column order, exact zeros dropped."""
+    (ra, ka, va), (kb, cb, vb) = a, b
+    if ka.size == 0 or kb.size == 0:
+        return np.zeros(0, int), np.zeros(0, int), np.zeros(0)
+    _, kid = np.unique(np.concatenate([ka, kb]), return_inverse=True)
+    rows, rid = np.unique(ra, return_inverse=True)
+    cols, cid = np.unique(cb, return_inverse=True)
+    kid_a, kid_b = kid[: ka.size], kid[ka.size :]
+    comp_k = _oracle_components(kid, np.concatenate([rid, rows.size + cid]))
+    comp_r = np.empty(rows.size, int)
+    comp_r[rid] = comp_k[kid_a]
+    comp_c = np.empty(cols.size, int)
+    comp_c[cid] = comp_k[kid_b]
+    n_comp = comp_k.max() + 1
+    sizes = [np.bincount(x, minlength=n_comp) for x in (comp_r, comp_k, comp_c)]
+    dims = tuple(int(x.max()) + 1 for x in sizes)
+    keys, kind = np.unique(np.ravel_multi_index(sizes, dims), return_inverse=True)
+    shapes = np.column_stack(np.unravel_index(keys, dims))
+    slot = _oracle_rank_within(kind)
+    r_loc, k_loc, c_loc = (_oracle_rank_within(x) for x in (comp_r, comp_k, comp_c))
+    ea, eb = comp_k[kid_a], comp_k[kid_b]
+
+    def placed(comp, loc, g, count, width):
+        mine = kind[comp] == g
+        at = np.empty((count, width), int)
+        at[slot[comp[mine]], loc[mine]] = np.nonzero(mine)[0]
+        return at
+
+    def entries(g, nr, nk, nc):
+        count = int(np.count_nonzero(kind == g))
+        a_g, b_g = kind[ea] == g, kind[eb] == g
+        left = _oracle_stack(slot[ea[a_g]], r_loc[rid[a_g]], k_loc[kid_a[a_g]], va[a_g], (count, nr, nk))
+        right = _oracle_stack(slot[eb[b_g]], k_loc[kid_b[b_g]], c_loc[cid[b_g]], vb[b_g], (count, nk, nc))
+        prod = (left @ right).reshape(-1)
+        at = np.flatnonzero(prod)
+        row = rows[placed(comp_r, r_loc, g, count, nr).reshape(-1)[at // nc]]
+        col = cols[placed(comp_c, c_loc, g, count, nc).reshape(-1)[at // (nr * nc) * nc + at % nc]]
+        return row, col, prod[at]
+
+    out = [entries(g, *shape) for g, shape in enumerate(shapes)]
+    return tuple(np.concatenate(x) for x in zip(*out))
+
+
+def _checked_product(monkeypatch):
+    """Make every coo_product compare itself with the oracle; returns the
+    list that counts the products."""
+    calls = []
+    product = coo_module.coo_product
+
+    def checked(a, b):
+        got, want = product(a, b), oracle_coo_product(a, b)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2].tobytes() == want[2].tobytes()
+        calls.append(1)
+        return got
+
+    monkeypatch.setattr(coo_module, "coo_product", checked)
+    return calls
+
+
 # -- instances ------------------------------------------------------------------
 
 
@@ -416,7 +519,8 @@ def _dense_split_reference(sets, pairs, rows):
         mats.append(m)
     bases = [_orth_basis(m) for m in mats]
     worst = max(_span_containment(mats[x], bases[y]) for x, y in pairs)
-    return [b.shape[1] for b in bases], worst
+    cover = np.stack([np.square(b).sum(axis=1) for b in bases])
+    return [b.shape[1] for b in bases], worst, cover
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -446,10 +550,12 @@ def test_split_spans_matches_dense_svd(seed):
     perm = rng.permutation(row0)
     sets = [(perm[r], c, v) for r, c, v in sets]
     pairs = ((0, 1), (1, 0), (0, 2), (2, 0))
-    ranks, worst = _split_spans(sets, pairs)
-    ref_ranks, ref_worst = _dense_split_reference(sets, pairs, row0)
+    ranks, worst, rows, cover = _split_spans(sets, pairs)
+    ref_ranks, ref_worst, ref_cover = _dense_split_reference(sets, pairs, row0)
     assert ranks == ref_ranks
     assert abs(worst - ref_worst) <= 1e-12
+    # the diagonal of each projection, on the rows the sets touch
+    assert np.abs(cover - ref_cover[:, rows]).max() <= 1e-12
 
 
 SUBSCRIPTS = [
@@ -474,17 +580,20 @@ def _random_operands(rng, subscripts, density, d):
 
 @pytest.mark.parametrize("density", [0.05, 0.3, 1.0])
 @pytest.mark.parametrize("subscripts", SUBSCRIPTS)
-def test_coo_einsum_matches_einsum(subscripts, density):
-    """Sparse operands split into many blocks, dense ones into a single block."""
+def test_coo_einsum_matches_einsum(monkeypatch, subscripts, density):
+    """Sparse operands split into many blocks, dense ones into a single block;
+    every product gives the oracle's entries and bits."""
+    calls = _checked_product(monkeypatch)
     rng = np.random.default_rng(len(subscripts) + int(100 * density))
     d = 5
     ops = _random_operands(rng, subscripts, density, d)
-    [(idx, val)] = coo_einsum((subscripts, *(coo(t) for t in ops)), dim=d)
-    assert len({tuple(i) for i in idx}) == len(idx)  # one entry per index
-    rank = idx.shape[1]
+    [(key, val)] = coo_einsum((subscripts, *(coo(t) for t in ops)), dim=d)
+    assert len(set(key.tolist())) == len(key)  # one entry per index
+    rank = len(subscripts.split("->")[1])
     got = np.zeros(d**rank)
-    got[idx @ d ** np.arange(rank)[::-1]] = val
+    got[key] = val
     assert np.abs(got.reshape((d,) * rank) - np.einsum(subscripts, *ops)).max() <= 1e-12
+    assert len(calls) == subscripts.count(",")
 
 
 @pytest.mark.parametrize("density", [0.05, 0.3, 1.0])
@@ -503,23 +612,45 @@ def test_batched_coo_einsum_is_each_contraction_alone(density):
     contractions.append(("ijx,xkl->ijkl", coo(np.zeros_like(empty[0])), coo(empty[1])))
     batched = coo_einsum(*contractions, dim=d)
     assert len(batched) == len(contractions)
-    for contraction, (idx, val) in zip(contractions, batched):
-        [(ref_idx, ref_val)] = coo_einsum(contraction, dim=d)
-        assert idx.dtype == ref_idx.dtype and idx.shape == ref_idx.shape
-        assert np.array_equal(idx, ref_idx)
+    for contraction, (key, val) in zip(contractions, batched):
+        [(ref_key, ref_val)] = coo_einsum(contraction, dim=d)
+        assert key.dtype == ref_key.dtype and key.shape == ref_key.shape
+        assert np.array_equal(key, ref_key)
         assert val.tobytes() == ref_val.tobytes()
-    assert batched[-1][0].shape == (0, 4)
+    assert batched[-1][0].shape == (0,)
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_verify_axioms_takes_one_product_per_level(monkeypatch, name):
-    """Three sparse products per check: the two steps of the first batch and
-    the outer product of delta_multiplicative, whatever the instance."""
-    calls = []
-    product = coo_module.coo_product
-    monkeypatch.setattr(coo_module, "coo_product", lambda a, b: calls.append(1) or product(a, b))
+    """Two sparse products per check, whatever the instance: the products of
+    two structure constants, then those of a first product with a third
+    constant or with another first product; each gives the oracle's
+    entries and bits.  One span pass takes the column sets of D1 and D2."""
+    calls = _checked_product(monkeypatch)
+    spans = []
+    split = fdpcqg._split_spans
+    monkeypatch.setattr(fdpcqg, "_split_spans", lambda *a: spans.append(1) or split(*a))
     verify_axioms(INSTANCES[name])
-    assert len(calls) == 3
+    assert len(calls) == 2
+    assert len(spans) == 1
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_verify_axioms_takes_no_dense_d3_operand(monkeypatch, name):
+    """No einsum or tensordot of the check sees a (d, d, d)-sized array."""
+    G = INSTANCES[name]
+
+    def guarded(real):
+        def call(*args, **kwargs):
+            sizes = [np.size(a) for a in args if isinstance(a, np.ndarray)]
+            assert max(sizes, default=0) < G.dim**3, sizes
+            return real(*args, **kwargs)
+
+        return call
+
+    for fn in ("einsum", "tensordot"):
+        monkeypatch.setattr(fdpcqg.np, fn, guarded(getattr(fdpcqg.np, fn)))
+    verify_axioms(G)
 
 
 def test_oracle_refuses_large_instances():
