@@ -314,25 +314,33 @@ def coo_einsum(*contractions, dim: int) -> list:
 def coo_max_diffs(pairs: list) -> np.ndarray:
     """max |a - b| over the union of both supports, for every pair (a, b).
 
-    Each side is (key, val), its entries' raveled indices and values, with
-    one entry per key; the two sides of a pair ravel alike.  All pairs are
-    summed in one pass: keys offset per pair, one sort, one sum per key and
-    one maximum per pair.  A nan propagates to its pair's maximum.
+    Each side is (key, val), its entries' raveled indices and values; the
+    two sides of a pair ravel alike, and a side's value at a key is the sum
+    of its entries there.  All pairs are summed in one pass: keys offset per
+    pair, one stable sort, one sum per key (a's entries, then b's, in their
+    order) and one maximum per pair.  A nan propagates to its pair's maximum.
     """
     sides = [side for pair in pairs for side in pair]
     keys = np.concatenate([key for key, _ in sides])
     vals = np.concatenate([v if s % 2 == 0 else -v for s, (_, v) in enumerate(sides)])
+    del sides
     span = int(keys.max(initial=-1)) + 1
-    width = [a[0].size + b[0].size for a, b in pairs]
-    keys += np.repeat(np.arange(len(pairs), dtype=np.int64) * span, width)
-    distinct, inverse = _relabel(keys)
+    keys += np.repeat(np.arange(len(pairs)) * span, [a[0].size + b[0].size for a, b in pairs])
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    vals = vals[order]
+    del order
+    # the first entry of each key, and of each pair among them
+    first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    head = keys[first]
     del keys
-    # |sum| per key, and a zero past the end so that every pair's first
-    # position is a valid index; a pair with no keys reads 0
-    diff = np.abs(np.bincount(inverse, vals, minlength=distinct.size + 1))
-    first = np.searchsorted(distinct, np.arange(len(pairs)) * span)
-    out = np.maximum.reduceat(diff, first)
-    out[first == np.append(first[1:], distinct.size)] = 0.0
+    diff = np.abs(np.add.reduceat(vals, first)) if first.size else np.zeros(0)
+    del vals
+    # a zero past the end, so that a pair with no keys reads 0
+    diff = np.append(diff, 0.0)
+    at = head.searchsorted(np.arange(len(pairs)) * span)
+    out = np.maximum.reduceat(diff, at)
+    out[at == np.append(at[1:], head.size)] = 0.0
     return out
 
 

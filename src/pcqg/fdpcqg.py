@@ -793,19 +793,19 @@ def _split_spans(col_sets: list, pairs: tuple) -> tuple:
         stacks.append((members, blocks, u, sv))
     ranks = np.zeros(n_sets, dtype=int)
     worst = 0.0
-    xs, ys = (list(x) for x in zip(*pairs)) if pairs else ([], [])
     for members, blocks, u, sv in stacks:
         keep = sv > RANK_CUTOFF * s_max[:, None]
         ranks += keep.sum(axis=(0, 2))
         u *= keep[:, :, None, :]
         rows = by_comp[row_start[members][:, None] + np.arange(u.shape[2])]
         cover[:, rows] = np.square(u).sum(axis=3).transpose(1, 0, 2)
-        cols, basis = blocks[:, xs], u[:, ys]
-        resid = cols - basis @ (np.swapaxes(basis, 2, 3) @ cols)
-        norm = np.linalg.norm(cols, axis=2)
-        live = norm > 0.0
-        if live.any():
-            worst = np.maximum(worst, (np.linalg.norm(resid, axis=2)[live] / norm[live]).max())
+        for x, y in pairs:  # one pair at a time: a dense block is d^2 x d^2
+            cols, basis = blocks[:, x], u[:, y]
+            resid = cols - basis @ (np.swapaxes(basis, 1, 2) @ cols)
+            norm = np.linalg.norm(cols, axis=1)
+            live = norm > 0.0
+            if live.any():
+                worst = np.maximum(worst, (np.linalg.norm(resid, axis=1)[live] / norm[live]).max())
     return ranks.tolist(), worst, row_ids, cover
 
 
