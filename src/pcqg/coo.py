@@ -17,21 +17,24 @@ once per block shape.
 Several contractions are stepped in lockstep, one matrix product per step
 for all of them: the operands of each step are placed in a direct sum, with
 row, key and column ids offset per contraction, so their blocks never mix,
-and the product is split back by row offset.  Each contraction's keys for a
-step are one integer matrix product of its index array with a weight matrix,
-so a step costs a few numpy calls per contraction and a few per step, and
-every block is the one the contraction alone would multiply.  Outputs are
-raveled keys, which the comparisons of several outputs (`coo_max_diffs`)
-take as they are.
+and the product is split back by row offset.  The keys of every use of one
+operand array in a step are one integer matrix product of its index array
+with the uses' weights, and contractions written with the same letters
+share their plan, so a step costs a few numpy calls per operand array and
+per step, and every block is the one the contraction alone would multiply.
+Outputs are raveled keys, which `coo_max_diffs` compares for many pairs of
+outputs in one sorted pass.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 __all__ = [
     "coo",
-    "unravel",
+    "relabel",
     "rank_within",
     "components",
     "coo_product",
@@ -47,11 +50,6 @@ def coo(t: np.ndarray) -> tuple:
     return np.stack(nz, axis=1), t[nz]
 
 
-def unravel(key: np.ndarray, rank: int, dim: int) -> np.ndarray:
-    """The (nnz, rank) index array of keys raveled in base `dim`."""
-    return key[:, None] // dim ** np.arange(rank - 1, -1, -1) % dim
-
-
 def rank_within(group: np.ndarray) -> np.ndarray:
     """Position of each element among the elements of its group, in index order."""
     order = np.argsort(group, kind="stable")
@@ -61,7 +59,7 @@ def rank_within(group: np.ndarray) -> np.ndarray:
     return out
 
 
-def _relabel(x: np.ndarray) -> tuple:
+def relabel(x: np.ndarray) -> tuple:
     """The distinct values of x in increasing order, and the position of each
     element of x among them (np.unique with return_inverse, in fewer calls)."""
     order = x.argsort(kind="stable")  # ids come in sorted runs
@@ -86,12 +84,11 @@ def components(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     while True:
         link_min.fill(label.size)
         np.minimum.at(link_min, c, label[r])
-        new = label.copy()
-        np.minimum.at(new, r, link_min[c])
-        new = new[new]
-        if not (new != label).any():
-            break
-        label = new
+        least = link_min[c]
+        if (least == label[r]).all():
+            break  # every node carries the least label of its links
+        np.minimum.at(label, r, least)
+        label = label[label]
     # a converged label is the component's smallest node, its own label
     return ((label == np.arange(label.size)).cumsum() - 1)[label]
 
@@ -113,7 +110,7 @@ def coo_product(a: tuple, b: tuple) -> tuple:
     # holds the rows of A, the keys of A and of B, then the columns of B
     k0 = int(np.maximum.reduce(ra)) + 1
     c0 = k0 + int(max(np.maximum.reduce(ka), np.maximum.reduce(kb))) + 1
-    ids, node = _relabel(np.concatenate([ra, ka + k0, kb + k0, cb + c0]))
+    ids, node = relabel(np.concatenate([ra, ka + k0, kb + k0, cb + c0]))
     n_rows, n_cols = ids.searchsorted((k0, c0)).tolist()
     n_keys, n_cols = n_cols - n_rows, ids.size - n_cols
     key = node[na : 2 * na + nb] - n_rows
@@ -128,7 +125,8 @@ def coo_product(a: tuple, b: tuple) -> tuple:
     group = comp * 3
     group[n_rows:] += 1
     group[n_rows + n_keys :] += 1
-    order = group.argsort(kind="stable")
+    # a stable sort of small labels is a radix sort once they fit 16 bits
+    order = group.astype(np.min_scalar_type(3 * n_comp)).argsort(kind="stable")
     count = np.bincount(group, minlength=3 * n_comp)
     start = count.cumsum() - count
     local = np.empty(ids.size, dtype=np.intp)
@@ -218,8 +216,8 @@ def coo_einsum(*contractions, dim: int) -> list:
     Each contraction is a tuple (subscripts, op, op, ...) with every
     operand an (idx, val) pair, idx either the (nnz, ndim) index array or
     the raveled keys of an output, and the result the list of their outputs
-    (key, val): key the output index raveled in base `dim`, as `unravel`
-    reads it, and one entry per key.  Each step multiplies the running
+    (key, val): key the output index raveled in base `dim`, its last letter
+    varying fastest, and one entry per key.  Each step multiplies the running
     result by the next operand over their shared letters, which must all be
     summed out there, and keeps the letters that the output or a later
     operand names.  Group a contraction into nested calls where a
@@ -236,8 +234,10 @@ def coo_einsum(*contractions, dim: int) -> list:
     """
     specs = [subscripts.replace("->", ",").split(",") for subscripts, *_ in contractions]
     operands = [ops for _, *ops in contractions]
-    # dim ** k for every group size k, up to the number of letters
+    # dim ** k for every group size k, up to the number of letters, and the
+    # digit weights that unravel a key of k letters (the last k)
     power = [dim**k for k in range(max(len(set(s) - set(",->")) for s, *_ in contractions) + 1)]
+    digits = np.array(power[::-1])
     # the running result of each contraction as (idx, val) and its letters;
     # a finished one as its output (key, val)
     results = [ops[0] for ops in operands]
@@ -258,9 +258,12 @@ def coo_einsum(*contractions, dim: int) -> list:
         # next operand's (key, column)
         if sum(a * b * c for _, _, (a, b, c), _ in plans) >= 2**62:
             raise ValueError("contraction keys overflow int64; lower dim or the letters kept")
-        start = np.zeros((len(live) + 1, 3), dtype=np.int64)
-        np.cumsum([sizes for _, _, sizes, _ in plans], axis=0, out=start[1:])
-        offsets = start.tolist()
+        offsets = list(itertools.accumulate(
+            (sizes for _, _, sizes, _ in plans),
+            lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2]),
+            initial=(0, 0, 0),
+        ))
+        start = np.array(offsets, dtype=np.int64)
         uses = {}
         for m, (n, (wa, wb, _, _)) in enumerate(zip(live, plans)):
             row0, key0, col0 = offsets[m]
@@ -271,7 +274,7 @@ def coo_einsum(*contractions, dim: int) -> list:
         parts = ([], [], [], [], [], [])  # rows, keys, values of A; keys, columns, values of B
         for (idx, val), sides, ws in uses.values():
             if idx.ndim == 1:  # an output's keys, unraveled once for all its uses
-                idx = unravel(idx, len(ws[0]) - 1, dim)
+                idx = idx[:, None] // digits[digits.size - len(ws[0]) + 1 :] % dim
             w = np.array(ws, dtype=np.int64).transpose(1, 0, 2).reshape(len(ws[0]), -1)
             k = idx @ w[:-1]
             k += w[-1]
@@ -303,11 +306,12 @@ def coo_einsum(*contractions, dim: int) -> list:
             k, v = key[lo:hi], val[lo:hi]
             out = specs[n][-1]
             if pos + 2 < len(specs[n]):
-                results[n], letters[n] = (unravel(k, len(kept), dim), v), kept
+                results[n], letters[n] = (k[:, None] // digits[digits.size - len(kept) :] % dim, v), kept
             elif kept == out:
                 results[n] = k, v
             else:  # each kept letter weighs dim ** (its place from the output's end)
-                results[n] = unravel(k, len(kept), dim) @ [power[len(out) - 1 - out.index(c)] for c in kept], v
+                weights = [power[len(out) - 1 - out.index(c)] for c in kept]
+                results[n] = k[:, None] // digits[digits.size - len(kept) :] % dim @ weights, v
     return results
 
 

@@ -13,13 +13,14 @@ form (cocommutative, group-like basis).
 
 The checks work along the grading by the unit projections 1^k_l, with
 Delta(1^k_l) = sum_m 1^k_m (x) 1^m_l, so their cost follows the nonzero
-structure constants rather than d^4 or d^6.  The d^4-sized identities are
-contracted from COO index/value arrays (`coo`), each pairwise contraction
-one dense product per connected block of the operands' nonzero pattern,
-and the contractions of one dependency level one product in all.
-The density axiom D1 splits its three d^2-row column sets into the connected
-components of their joint nonzero pattern and takes one SVD per block, with
-ranks cut at RANK_CUTOFF times the largest singular value over all blocks
+structure constants rather than d^4 or d^6.  Every identity of the axiom
+checker is contracted from COO index/value arrays (`coo`) of the structure
+constants, the star and the unit stack, each pairwise contraction one dense
+product per connected block of the operands' nonzero pattern, and the
+contractions of one dependency level one product in all.  The density
+axioms D1 and D2 split their five column sets into the connected components
+of their nonzero pattern and take one SVD per distinct block, with ranks cut
+at RANK_CUTOFF times the largest singular value over all blocks of a set
 (the s_max of one dense SVD).  A dense instance is simply one block.
 
 The Haar states phi_km live on the diagonal corners 1^k_m A 1^k_m.  Their
@@ -35,7 +36,8 @@ written once as `FinitePQG.sandwich`.  An instance keeps what its checks
 reuse: the diagonal corner maps (`FinitePQG.corners`), which give the
 graded functionals, the corner traces and bases of both Haar routes, and
 the nonzero entries of every corner map (`FinitePQG.corner_entries`), which
-the corepresentation block-support check applies; D2 takes P A P directly.
+the corepresentation block-support check applies; D2 contracts P A P from
+the nonzero entries of mult.
 Intermediates are checked for inf and nan before they reach LAPACK
 (`NonFiniteError`); an overflowing structure constant makes the stage that
 sees it a failed check, never a hang or a usage error.  A Cesaro corner
@@ -52,13 +54,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coo import (
-    _relabel,
     components,
     coo,
     coo_einsum,
     coo_max_diffs,
     coo_product,
     rank_within,
+    relabel,
 )
 
 __all__ = [
@@ -747,11 +749,11 @@ def _split_spans(col_sets: list, pairs: tuple) -> tuple:
     n_sets = len(col_sets)
     which = np.repeat(np.arange(n_sets), [len(s[0]) for s in col_sets])
     vals = _finite(np.concatenate([s[2] for s in col_sets]))
-    row_ids, r = _relabel(np.concatenate([s[0] for s in col_sets]))
+    row_ids, r = relabel(np.concatenate([s[0] for s in col_sets]))
     cover = np.zeros((n_sets, row_ids.size))
     if vals.size == 0:
         return [0] * n_sets, 0.0, row_ids, cover
-    _, c = _relabel(np.concatenate([s[1] for s in col_sets]) * n_sets + which)
+    _, c = relabel(np.concatenate([s[1] for s in col_sets]) * n_sets + which)
     comp = components(r, c)
     # rows listed by component, and each row's and column's place in its block
     by_comp = np.argsort(comp, kind="stable")
@@ -821,16 +823,19 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     Every check reads from a fixed number of passes over the nonzero
     structure constants, the star and the unit stack (`coo`), whatever the
     instance: one batched sparse contraction per dependency level
-    (`coo_einsum`, each step one `coo_product` for all contractions, three
-    in all), one comparison of all (lhs, rhs) pairs (`coo_max_diffs`), and
-    one block-split span pass (`_split_spans`) for the three column sets of
-    D1 and the two of D2.  Dense constants make a single block, as large as
-    the dense contraction's intermediates.  The span pass splits each
-    row space along the connected components of the sets' joint nonzero
-    pattern -- for a groupoid the unit grading makes every block a single
-    row -- and takes one SVD per block, cutting ranks at RANK_CUTOFF times
-    the largest singular value over all blocks of a set, as the dense SVD
-    of the whole set would.  The reported ranks are block sums, and D2's
+    (`coo_einsum`, one `coo_product` for all its contractions, two in all:
+    products of two constants, then products of a first product with a
+    third factor), one comparison of all (lhs, rhs) pairs (`coo_max_diffs`),
+    and one block-split span pass (`_split_spans`) for the three column sets
+    of D1 and the two of D2.  Products with a vector (the algebra unit, and
+    D2's P = sum_k 1^k_k) scale the entries of mult instead.  Dense
+    constants make a single block, as large as the dense contraction's
+    intermediates.  The span pass splits each row space along the
+    connected components of the sets' joint nonzero pattern -- for a
+    groupoid the unit grading makes every block a single row -- and takes
+    one SVD per distinct block, cutting ranks at RANK_CUTOFF times the
+    largest singular value over all blocks of a set, as the dense SVD of
+    the whole set would.  The reported ranks are block sums, and D2's
     missing directions are the rows its span covers least.  A density check
     whose column sets hold inf or nan (an overflowing structure constant)
     fails with a detail saying so, before any SVD, and so does one whose

@@ -12,10 +12,13 @@ A second test sets one entry of an instance file's `mult`, `coproduct`,
 well-formed but may break the axioms, which is a failed check: exit 0 or 1,
 never 2, and no traceback.  A third does the same for `fdqg check` and
 `fdqg haar` at the ends of the float range: values up to +-1e308, whose
-products overflow to inf and nan, and subnormals.  Each of its examples
-must also finish within EXAMPLE_SECONDS, so a stage that stalls on a
-non-finite intermediate fails rather than passes slowly, and must raise no
-RuntimeWarning: an overflow or a nan is reported as a failed check.  The searches are
+products overflow to inf and nan, and subnormals.  A fourth scales every
+constant of one `mult` or `coproduct` row (one first index) by a factor up
+to +-1e308, so that whole blocks of the sparse products overflow at once.
+Each example of these two must also finish within EXAMPLE_SECONDS, so a
+stage that stalls on a non-finite intermediate fails rather than passes
+slowly, and must raise no RuntimeWarning: an overflow or a nan is reported
+as a failed check.  The searches are
 seeded and small; together they cost a few seconds, most of it Cesaro runs
 that spend their iteration budget on instances with no invariant state.
 """
@@ -218,6 +221,12 @@ def _run_revalued(fixtures, data, values, modes):
         rows = doc["star"] if key == "star" else [doc["units"][k] for k in sorted(doc["units"])]
         row = rows[_position(data.draw, rows)]
         row[_position(data.draw, row)] = value
+    return _run_doc(root, data, doc, modes)
+
+
+def _run_doc(root, data, doc, modes):
+    """Run one drawn `fdqg` mode and form on an instance document; return
+    the exit code, stderr and seconds."""
     path = root / "revalued.json"
     path.write_text(json.dumps(doc))
     mode = data.draw(st.sampled_from(modes), label="mode")
@@ -256,4 +265,25 @@ def test_fdqg_extreme_values_are_checks_not_usage_errors(fixtures, data):
     assert code in (0, 1), err
     assert seconds < EXAMPLE_SECONDS
     # an overflow or a nan is a failed check, not a numpy warning
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fdqg_scaled_row_is_a_check_not_a_usage_error(fixtures, data):
+    root, sources = fixtures
+    doc = copy.deepcopy(sources[data.draw(st.sampled_from(INSTANCES), label="file")])
+    key = data.draw(st.sampled_from(["mult", "coproduct"]), label="tensor")
+    first = data.draw(st.sampled_from(sorted({r[0] for r in doc[key]})), label="row")
+    factor = data.draw(st.one_of(st.sampled_from(EXTREMES), st.floats(-1e308, 1e308)), label="factor")
+    for r in doc[key]:
+        if r[0] == first:
+            r[3] *= factor
+    assert all(abs(r[3]) <= 1e308 for r in doc[key])  # the file stays well-formed
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err, seconds = _run_doc(root, data, doc, ["check", "haar"])
+    assert "Traceback" not in err
+    assert code in (0, 1), err
+    assert seconds < EXAMPLE_SECONDS
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

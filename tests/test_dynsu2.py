@@ -290,3 +290,15 @@ def test_x_symmetry_needs_sign():
 def test_lattice_rebase():
     assert lattice_rebase_check(bundle(half=6)).passed
     assert lattice_rebase_check(bundle(x=0.7, c=-0.5, half=6)).passed
+
+
+@pytest.mark.parametrize(
+    "check", [antipode_block_check, antipode_square_check, lattice_rebase_check]
+)
+def test_block_checks_keep_a_nan_residual(monkeypatch, check):
+    """A nan block defect after a finite one fails the check: the running
+    maximum propagates it instead of keeping the finite value."""
+    values = iter([1e-16, float("nan")])
+    monkeypatch.setattr(WindowedOperator, "max_abs", lambda self, margin=0: next(values, 0.0))
+    r = check(bundle(half=6))
+    assert math.isnan(r.residual) and not r.passed

@@ -230,3 +230,12 @@ def test_mixed_displacement_margins(d1, d2, n):
         assert s.displacement == (None,)
         lo, hi = required_margins([(1.0, [s])], w)[0]
         assert lo == max(abs(d1), abs(d2)) and hi == lo
+
+
+def test_max_abs_keeps_a_nan_in_any_grid():
+    """A nan in a later grid is the maximum, not dropped behind a finite one."""
+    w = w1(-3, 3)
+    grid = np.ones(w.shape)
+    op = WindowedOperator(w, {(0,): grid, (1,): np.where(np.arange(w.size) == 2, np.nan, grid)})
+    assert np.isnan(op.max_abs())
+    assert WindowedOperator(w, {(0,): grid, (1,): 2 * grid}).max_abs() == 2.0
