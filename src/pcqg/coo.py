@@ -24,11 +24,14 @@ share their plan, so a step costs a few numpy calls per operand array and
 per step, and every block is the one the contraction alone would multiply.
 Outputs are raveled keys, which `coo_max_diffs` compares for many pairs of
 outputs in one sorted pass.
+
+The span of a COO column set is split the same way (`split_spans`): its
+rows fall into the connected components of the sets' nonzero pattern, and
+each block takes one SVD, blocks of one shape batched and identical blocks
+taken once.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -41,6 +44,7 @@ __all__ = [
     "coo_einsum",
     "coo_max_diffs",
     "coo_max_diff",
+    "split_spans",
 ]
 
 
@@ -111,8 +115,8 @@ def coo_product(a: tuple, b: tuple) -> tuple:
     k0 = int(np.maximum.reduce(ra)) + 1
     c0 = k0 + int(max(np.maximum.reduce(ka), np.maximum.reduce(kb))) + 1
     ids, node = relabel(np.concatenate([ra, ka + k0, kb + k0, cb + c0]))
-    n_rows, n_cols = ids.searchsorted((k0, c0)).tolist()
-    n_keys, n_cols = n_cols - n_rows, ids.size - n_cols
+    n_rows, k_end = ids.searchsorted((k0, c0)).tolist()
+    n_keys, n_cols = k_end - n_rows, ids.size - k_end
     key = node[na : 2 * na + nb] - n_rows
     link = np.concatenate([node[:na], node[2 * na + nb :]])
     comp_k = components(key, link)
@@ -258,12 +262,9 @@ def coo_einsum(*contractions, dim: int) -> list:
         # next operand's (key, column)
         if sum(a * b * c for _, _, (a, b, c), _ in plans) >= 2**62:
             raise ValueError("contraction keys overflow int64; lower dim or the letters kept")
-        offsets = list(itertools.accumulate(
-            (sizes for _, _, sizes, _ in plans),
-            lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2]),
-            initial=(0, 0, 0),
-        ))
-        start = np.array(offsets, dtype=np.int64)
+        start = np.zeros((len(live) + 1, 3), dtype=np.int64)
+        np.cumsum([sizes for _, _, sizes, _ in plans], axis=0, out=start[1:])
+        offsets = start.tolist()
         uses = {}
         for m, (n, (wa, wb, _, _)) in enumerate(zip(live, plans)):
             row0, key0, col0 = offsets[m]
@@ -352,3 +353,106 @@ def coo_max_diff(a: tuple, b: tuple, shape: tuple) -> float:
     """max |a - b| over the union of both supports, for (idx, val) tensors of `shape`."""
     key = lambda t: np.ravel_multi_index(t[0].T, shape)
     return float(coo_max_diffs([((key(a), a[1]), (key(b), b[1]))])[0])
+
+
+def _distinct(rows: np.ndarray) -> tuple:
+    """The distinct rows of a 2-d array, and the one each row equals.
+
+    Rows are ordered by a fixed projection and each compared with the row
+    before it, so equal rows with equal projections fold into one; a row
+    may keep a twin elsewhere, which costs a repeated SVD, never a wrong
+    one.
+    """
+    order = (rows @ np.cos(np.arange(rows.shape[1]))).argsort(kind="stable")
+    ordered = rows[order]
+    new = np.empty(len(rows), dtype=bool)
+    new[:1] = True
+    (ordered[1:] != ordered[:-1]).any(axis=1, out=new[1:])
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = new.cumsum() - 1
+    return ordered[new], inverse
+
+
+def split_spans(col_sets: list, pairs: tuple, cutoff: float) -> tuple:
+    """Ranks of several column sets, their worst span containment, and how
+    much of each row their spans cover.
+
+    col_sets holds (rows, cols, vals) COO matrices over one row space, their
+    values finite (LAPACK may not return on inf or nan).  The rows split
+    into the connected components of the joint nonzero pattern; every
+    column lies inside one component, so each span is the direct sum of its
+    blocks.  Components with equal row counts are stacked (columns
+    zero-padded to the widest block of any set), and the nonempty blocks of
+    one width go through one batched SVD, each distinct block once and
+    without its padding.  Ranks cut singular values at `cutoff` times the
+    largest over all blocks of the set, the s_max of the dense SVD.  For
+    each (x, y) in `pairs` the containment is the largest relative distance
+    of a set-x column from span(set y).
+
+    Returns (ranks, worst, rows, cover): `rows` the distinct row ids in
+    increasing order and cover[s, q] the squared norm of row rows[q] of set
+    s's basis, the diagonal of the projection onto its span.
+    """
+    n_sets = len(col_sets)
+    which = np.repeat(np.arange(n_sets), [len(s[0]) for s in col_sets])
+    vals = np.concatenate([s[2] for s in col_sets])
+    row_ids, r = relabel(np.concatenate([s[0] for s in col_sets]))
+    cover = np.zeros((n_sets, row_ids.size))
+    if vals.size == 0:
+        return [0] * n_sets, 0.0, row_ids, cover
+    _, c = relabel(np.concatenate([s[1] for s in col_sets]) * n_sets + which)
+    comp = components(r, c)
+    # rows listed by component, and each row's and column's place in its block
+    by_comp = np.argsort(comp, kind="stable")
+    height = np.bincount(comp)
+    row_start = np.cumsum(height) - height
+    local_row = np.empty(comp.size, dtype=np.intp)
+    local_row[by_comp] = np.arange(comp.size) - np.repeat(row_start, height)
+    col_group = np.empty(c.max() + 1, dtype=np.intp)
+    col_group[c] = comp[r] * n_sets + which
+    local_col = rank_within(col_group)
+    width = np.bincount(col_group, minlength=height.size * n_sets).reshape(-1, n_sets)
+    entry_comp = comp[r]
+
+    stacks = []  # per height: (members, blocks, bases, singular values)
+    s_max = np.zeros(n_sets)
+    by_height = height.argsort(kind="stable")
+    hs = height[by_height]
+    edges = [0, *((hs[1:] != hs[:-1]).nonzero()[0] + 1).tolist(), hs.size]
+    kind, slot = np.empty_like(by_height), np.empty_like(by_height)
+    for g, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        kind[by_height[lo:hi]] = g
+        slot[by_height[lo:hi]] = np.arange(hi - lo)
+    entry_kind = kind[entry_comp]
+    for g, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        members, h = by_height[lo:hi], int(hs[lo])
+        wide = width[members]
+        blocks = np.zeros((members.size, n_sets, h, int(wide.max())))
+        e = entry_kind == g
+        blocks[slot[entry_comp[e]], which[e], local_row[r[e]], local_col[c[e]]] = vals[e]
+        u = np.zeros((members.size, n_sets, h, min(h, blocks.shape[3])))
+        sv = np.zeros(u.shape[:2] + u.shape[3:])
+        # one SVD per block width, each distinct block once, without its padding
+        for w in set(wide[wide > 0].tolist()):
+            at, k = wide == w, min(h, w)
+            distinct, inverse = _distinct(blocks[at][:, :, :w].reshape(-1, h * w))
+            ud, sd, _ = np.linalg.svd(distinct.reshape(-1, h, w), full_matrices=False)
+            u[at, :, :k], sv[at, :k] = ud[inverse], sd[inverse]
+        s_max = np.maximum(s_max, sv.max(axis=(0, 2)))
+        stacks.append((members, blocks, u, sv))
+    ranks = np.zeros(n_sets, dtype=int)
+    worst = 0.0
+    for members, blocks, u, sv in stacks:
+        keep = sv > cutoff * s_max[:, None]
+        ranks += keep.sum(axis=(0, 2))
+        u *= keep[:, :, None, :]
+        rows = by_comp[row_start[members][:, None] + np.arange(u.shape[2])]
+        cover[:, rows] = np.square(u).sum(axis=3).transpose(1, 0, 2)
+        for x, y in pairs:  # one pair at a time: a dense block is d^2 x d^2
+            cols, basis = blocks[:, x], u[:, y]
+            resid = cols - basis @ (np.swapaxes(basis, 1, 2) @ cols)
+            norm = np.linalg.norm(cols, axis=1)
+            live = norm > 0.0
+            if live.any():
+                worst = np.maximum(worst, (np.linalg.norm(resid, axis=1)[live] / norm[live]).max())
+    return ranks.tolist(), worst, row_ids, cover

@@ -53,15 +53,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coo import (
-    components,
-    coo,
-    coo_einsum,
-    coo_max_diffs,
-    coo_product,
-    rank_within,
-    relabel,
-)
+from .coo import coo, coo_einsum, coo_max_diffs, coo_product, split_spans
 
 __all__ = [
     "AXIOM_LABELS",
@@ -706,111 +698,6 @@ def _orth_bases(stack: np.ndarray) -> list:
     return [u[q][:, s[q] > RANK_CUTOFF * s[q, 0]] for q in range(count)]
 
 
-# -- block-split column spans ---------------------------------------------------
-
-
-def _distinct(rows: np.ndarray) -> tuple:
-    """The distinct rows of a 2-d array, and the one each row equals.
-
-    Rows are ordered by a fixed projection and each compared with the row
-    before it, so equal rows with equal projections fold into one; a row
-    may keep a twin elsewhere, which costs a repeated SVD, never a wrong
-    one.
-    """
-    order = (rows @ np.cos(np.arange(rows.shape[1]))).argsort(kind="stable")
-    ordered = rows[order]
-    new = np.empty(len(rows), dtype=bool)
-    new[:1] = True
-    (ordered[1:] != ordered[:-1]).any(axis=1, out=new[1:])
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = new.cumsum() - 1
-    return ordered[new], inverse
-
-
-def _split_spans(col_sets: list, pairs: tuple) -> tuple:
-    """Ranks of several column sets, their worst span containment, and how
-    much of each row their spans cover.
-
-    col_sets holds (rows, cols, vals) COO matrices over one row space.  The
-    rows split into the connected components of the joint nonzero pattern;
-    every column lies inside one component, so each span is the direct sum
-    of its blocks.  Components with equal row counts are stacked (columns
-    zero-padded to the widest block of any set), and the nonempty blocks of
-    one width go through one batched SVD, without their padding.  Ranks cut singular values at
-    RANK_CUTOFF times the largest over all blocks of the set, the s_max of
-    the dense SVD.  For each (x, y) in `pairs` the containment is the
-    largest relative distance of a set-x column from span(set y).
-
-    Returns (ranks, worst, rows, cover): `rows` the distinct row ids in
-    increasing order and cover[s, q] the squared norm of row rows[q] of set
-    s's basis, the diagonal of the projection onto its span.  NonFiniteError
-    when a value is inf or nan.
-    """
-    n_sets = len(col_sets)
-    which = np.repeat(np.arange(n_sets), [len(s[0]) for s in col_sets])
-    vals = _finite(np.concatenate([s[2] for s in col_sets]))
-    row_ids, r = relabel(np.concatenate([s[0] for s in col_sets]))
-    cover = np.zeros((n_sets, row_ids.size))
-    if vals.size == 0:
-        return [0] * n_sets, 0.0, row_ids, cover
-    _, c = relabel(np.concatenate([s[1] for s in col_sets]) * n_sets + which)
-    comp = components(r, c)
-    # rows listed by component, and each row's and column's place in its block
-    by_comp = np.argsort(comp, kind="stable")
-    height = np.bincount(comp)
-    local_row = np.empty_like(r, shape=comp.size)
-    local_row[by_comp] = np.arange(comp.size) - np.repeat(np.cumsum(height) - height, height)
-    col_group = np.empty(c.max() + 1, dtype=np.intp)
-    col_group[c] = comp[r] * n_sets + which
-    local_col = rank_within(col_group)
-    width = np.bincount(col_group, minlength=height.size * n_sets).reshape(-1, n_sets)
-    row_start = np.cumsum(height) - height
-    entry_comp = comp[r]
-
-    stacks = []  # per height: (members, blocks, bases, singular values)
-    s_max = np.zeros(n_sets)
-    by_height = height.argsort(kind="stable")
-    hs = height[by_height]
-    edges = [0, *((hs[1:] != hs[:-1]).nonzero()[0] + 1).tolist(), hs.size]
-    kind, slot = np.empty_like(by_height), np.empty_like(by_height)
-    for g, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        kind[by_height[lo:hi]] = g
-        slot[by_height[lo:hi]] = np.arange(hi - lo)
-    entry_kind = kind[entry_comp]
-    for g, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        members, h = by_height[lo:hi], int(hs[lo])
-        wide = width[members]
-        blocks = np.zeros((members.size, n_sets, h, int(wide.max())))
-        e = entry_kind == g
-        blocks[slot[entry_comp[e]], which[e], local_row[r[e]], local_col[c[e]]] = vals[e]
-        u = np.zeros((members.size, n_sets, h, min(h, blocks.shape[3])))
-        sv = np.zeros(u.shape[:2] + u.shape[3:])
-        # one SVD per block width, each distinct block once, without its padding
-        for w in set(wide[wide > 0].tolist()):
-            at, k = wide == w, min(h, w)
-            distinct, inverse = _distinct(blocks[at][:, :, :w].reshape(-1, h * w))
-            ud, sd, _ = np.linalg.svd(distinct.reshape(-1, h, w), full_matrices=False)
-            u[at, :, :k], sv[at, :k] = ud[inverse], sd[inverse]
-        s_max = np.maximum(s_max, sv.max(axis=(0, 2)))
-        stacks.append((members, blocks, u, sv))
-    ranks = np.zeros(n_sets, dtype=int)
-    worst = 0.0
-    for members, blocks, u, sv in stacks:
-        keep = sv > RANK_CUTOFF * s_max[:, None]
-        ranks += keep.sum(axis=(0, 2))
-        u *= keep[:, :, None, :]
-        rows = by_comp[row_start[members][:, None] + np.arange(u.shape[2])]
-        cover[:, rows] = np.square(u).sum(axis=3).transpose(1, 0, 2)
-        for x, y in pairs:  # one pair at a time: a dense block is d^2 x d^2
-            cols, basis = blocks[:, x], u[:, y]
-            resid = cols - basis @ (np.swapaxes(basis, 1, 2) @ cols)
-            norm = np.linalg.norm(cols, axis=1)
-            live = norm > 0.0
-            if live.any():
-                worst = np.maximum(worst, (np.linalg.norm(resid, axis=1)[live] / norm[live]).max())
-    return ranks.tolist(), worst, row_ids, cover
-
-
 def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     """Check the defining axioms by finite linear algebra.
 
@@ -826,7 +713,7 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     (`coo_einsum`, one `coo_product` for all its contractions, two in all:
     products of two constants, then products of a first product with a
     third factor), one comparison of all (lhs, rhs) pairs (`coo_max_diffs`),
-    and one block-split span pass (`_split_spans`) for the three column sets
+    and one block-split span pass (`split_spans`) for the three column sets
     of D1 and the two of D2.  Products with a vector (the algebra unit, and
     D2's P = sum_k 1^k_k) scale the entries of mult instead.  Dense
     constants make a single block, as large as the dense contraction's
@@ -951,16 +838,19 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     diff = dict(zip(labels, diffs))
     diff["U1"] = np.max(diffs[4:8])
 
-    # (D1) and (D2) in one span pass over the sets that are finite
+    # (D1) and (D2) in one span pass over the sets that are finite; D2's
+    # sets follow D1's when both are there
     live = [label for label, sets in col_sets.items()
             if all(np.isfinite(v).all() for _, _, v in sets)]
-    density, failure = {}, None
+    failure = None
     if live:
         try:
-            sets = [x for label in live for x in col_sets[label]]
-            d1 = ((0, 1), (1, 0), (0, 2), (2, 0)) if "D1" in live else ()
-            density = dict(zip(("ranks", "worst", "rows", "cover"), _split_spans(sets, d1)))
-        except (NonFiniteError, np.linalg.LinAlgError) as exc:
+            ranks, worst, rows, cover = split_spans(
+                [x for label in live for x in col_sets[label]],
+                ((0, 1), (1, 0), (0, 2), (2, 0)) if "D1" in live else (),
+                RANK_CUTOFF,
+            )
+        except np.linalg.LinAlgError as exc:
             failure = _unsolved_detail(exc)
     del col_sets
 
@@ -988,23 +878,22 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     if "D1" not in live or failure:
         checks.append(unsolved("D1", failure or _unsolved_detail(NonFiniteError())))
     else:
-        add("D1", density["worst"], "ranks " + "/".join(str(r) for r in density["ranks"][:3]))
+        add("D1", worst, "ranks " + "/".join(str(r) for r in ranks[:3]))
     # (D2): slices of Delta(P A P) span A in either leg
     if "D2" not in live or failure:
         checks.append(unsolved("D2", failure or _unsolved_detail(NonFiniteError())))
     else:
         first = 3 if "D1" in live else 0
-        ranks = density["ranks"][first : first + 2]
+        ranks = ranks[first : first + 2]
         full = all(r == d for r in ranks)
         detail = f"span ranks {ranks}"
         if not full:
             # witness: the basis direction each deficient span covers least
-            rows, witness = density["rows"], []
-            mine = rows >= sq
+            mine, witness = rows >= sq, []
             for k, r in enumerate(ranks):
                 if r < d:
                     lack = np.ones(d)
-                    lack[rows[mine] - sq] -= density["cover"][first + k, mine]
+                    lack[rows[mine] - sq] -= cover[first + k, mine]
                     witness.append(G.basis[int(np.argmax(lack))])
             detail = f"span ranks {ranks} < dim {d}, missing directions {witness}"
         checks.append(CheckResult("D2", full, 0.0 if full else float(d - min(ranks)), detail))

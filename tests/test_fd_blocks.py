@@ -22,7 +22,7 @@ import pytest
 
 from pcqg import coo as coo_module
 from pcqg import fdpcqg
-from pcqg.coo import coo, coo_einsum
+from pcqg.coo import coo, coo_einsum, split_spans
 from pcqg.corep import trivial_rep, verify_rep
 from pcqg.fdpcqg import (
     RANK_CUTOFF,
@@ -31,7 +31,6 @@ from pcqg.fdpcqg import (
     CheckResult,
     FinitePQG,
     _haar_system,
-    _split_spans,
     from_finite_groupoid_algebra,
     from_finite_groupoid_functions,
     haar_linear_solve,
@@ -550,7 +549,7 @@ def test_split_spans_matches_dense_svd(seed):
     perm = rng.permutation(row0)
     sets = [(perm[r], c, v) for r, c, v in sets]
     pairs = ((0, 1), (1, 0), (0, 2), (2, 0))
-    ranks, worst, rows, cover = _split_spans(sets, pairs)
+    ranks, worst, rows, cover = split_spans(sets, pairs, RANK_CUTOFF)
     ref_ranks, ref_worst, ref_cover = _dense_split_reference(sets, pairs, row0)
     assert ranks == ref_ranks
     assert abs(worst - ref_worst) <= 1e-12
@@ -628,8 +627,8 @@ def test_verify_axioms_takes_one_product_per_level(monkeypatch, name):
     entries and bits.  One span pass takes the column sets of D1 and D2."""
     calls = _checked_product(monkeypatch)
     spans = []
-    split = fdpcqg._split_spans
-    monkeypatch.setattr(fdpcqg, "_split_spans", lambda *a: spans.append(1) or split(*a))
+    split = fdpcqg.split_spans
+    monkeypatch.setattr(fdpcqg, "split_spans", lambda *a: spans.append(1) or split(*a))
     verify_axioms(INSTANCES[name])
     assert len(calls) == 2
     assert len(spans) == 1
