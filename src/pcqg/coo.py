@@ -37,7 +37,6 @@ import numpy as np
 
 __all__ = [
     "coo",
-    "relabel",
     "rank_within",
     "components",
     "coo_product",
@@ -63,7 +62,7 @@ def rank_within(group: np.ndarray) -> np.ndarray:
     return out
 
 
-def relabel(x: np.ndarray) -> tuple:
+def _relabel(x: np.ndarray) -> tuple:
     """The distinct values of x in increasing order, and the position of each
     element of x among them (np.unique with return_inverse, in fewer calls)."""
     order = x.argsort(kind="stable")  # ids come in sorted runs
@@ -114,7 +113,7 @@ def coo_product(a: tuple, b: tuple) -> tuple:
     # holds the rows of A, the keys of A and of B, then the columns of B
     k0 = int(np.maximum.reduce(ra)) + 1
     c0 = k0 + int(max(np.maximum.reduce(ka), np.maximum.reduce(kb))) + 1
-    ids, node = relabel(np.concatenate([ra, ka + k0, kb + k0, cb + c0]))
+    ids, node = _relabel(np.concatenate([ra, ka + k0, kb + k0, cb + c0]))
     n_rows, k_end = ids.searchsorted((k0, c0)).tolist()
     n_keys, n_cols = k_end - n_rows, ids.size - k_end
     key = node[na : 2 * na + nb] - n_rows
@@ -396,11 +395,11 @@ def split_spans(col_sets: list, pairs: tuple, cutoff: float) -> tuple:
     n_sets = len(col_sets)
     which = np.repeat(np.arange(n_sets), [len(s[0]) for s in col_sets])
     vals = np.concatenate([s[2] for s in col_sets])
-    row_ids, r = relabel(np.concatenate([s[0] for s in col_sets]))
+    row_ids, r = _relabel(np.concatenate([s[0] for s in col_sets]))
     cover = np.zeros((n_sets, row_ids.size))
     if vals.size == 0:
         return [0] * n_sets, 0.0, row_ids, cover
-    _, c = relabel(np.concatenate([s[1] for s in col_sets]) * n_sets + which)
+    _, c = _relabel(np.concatenate([s[1] for s in col_sets]) * n_sets + which)
     comp = components(r, c)
     # rows listed by component, and each row's and column's place in its block
     by_comp = np.argsort(comp, kind="stable")
