@@ -226,10 +226,10 @@ def coo_einsum(*contractions, dim: int) -> list:
     operand names.  Group a contraction into nested calls where a
     left-to-right order would keep too many.
 
-    The k-th steps of all contractions are planned together, their letters
-    compared as arrays, and are one `coo_product` over the direct sum of
-    their operands, row, key and column ids offset per contraction; its
-    result is split back by row offset.  The keys of every use of one
+    The k-th steps of all contractions are one `coo_product` over the
+    direct sum of their operands, row, key and column ids offset per
+    contraction, and its result is split back by row offset.  Steps with
+    the same letters share one plan, and the keys of every use of one
     operand array in a step are one integer matrix product, the offsets
     included.  A call costs one product per step of its longest
     contraction, and each output equals, bit for bit and entry order
