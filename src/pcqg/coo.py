@@ -27,8 +27,7 @@ outputs in one sorted pass.
 
 The span of a COO column set is split the same way (`split_spans`): its
 rows fall into the connected components of the sets' nonzero pattern, and
-each block takes one SVD, blocks of one shape batched and identical blocks
-taken once.
+each block takes one SVD, blocks of one shape batched.
 """
 
 from __future__ import annotations
@@ -44,7 +43,11 @@ __all__ = [
     "coo_max_diffs",
     "coo_max_diff",
     "split_spans",
+    "RANK_CUTOFF",
 ]
+
+# Rank decisions (D1/D2, solver uniqueness) use a scaled singular value cutoff.
+RANK_CUTOFF = 1e-10
 
 
 def coo(t: np.ndarray) -> tuple:
@@ -354,25 +357,7 @@ def coo_max_diff(a: tuple, b: tuple, shape: tuple) -> float:
     return float(coo_max_diffs([((key(a), a[1]), (key(b), b[1]))])[0])
 
 
-def _distinct(rows: np.ndarray) -> tuple:
-    """The distinct rows of a 2-d array, and the one each row equals.
-
-    Rows are ordered by a fixed projection and each compared with the row
-    before it, so equal rows with equal projections fold into one; a row
-    may keep a twin elsewhere, which costs a repeated SVD, never a wrong
-    one.
-    """
-    order = (rows @ np.cos(np.arange(rows.shape[1]))).argsort(kind="stable")
-    ordered = rows[order]
-    new = np.empty(len(rows), dtype=bool)
-    new[:1] = True
-    (ordered[1:] != ordered[:-1]).any(axis=1, out=new[1:])
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = new.cumsum() - 1
-    return ordered[new], inverse
-
-
-def split_spans(col_sets: list, pairs: tuple, cutoff: float) -> tuple:
+def split_spans(col_sets: list, pairs: tuple) -> tuple:
     """Ranks of several column sets, their worst span containment, and how
     much of each row their spans cover.
 
@@ -382,11 +367,11 @@ def split_spans(col_sets: list, pairs: tuple, cutoff: float) -> tuple:
     column lies inside one component, so each span is the direct sum of its
     blocks.  Components with equal row counts are stacked (columns
     zero-padded to the widest block of any set), and the nonempty blocks of
-    one width go through one batched SVD, each distinct block once and
-    without its padding.  Ranks cut singular values at `cutoff` times the
-    largest over all blocks of the set, the s_max of the dense SVD.  For
-    each (x, y) in `pairs` the containment is the largest relative distance
-    of a set-x column from span(set y).
+    one width go through one batched SVD without their padding.  Ranks cut
+    singular values at RANK_CUTOFF times the largest over all blocks of the
+    set, the s_max of the dense SVD.  For each (x, y) in `pairs` the
+    containment is the largest relative distance of a set-x column from
+    span(set y).
 
     Returns (ranks, worst, rows, cover): `rows` the distinct row ids in
     increasing order and cover[s, q] the squared norm of row rows[q] of set
@@ -431,18 +416,16 @@ def split_spans(col_sets: list, pairs: tuple, cutoff: float) -> tuple:
         blocks[slot[entry_comp[e]], which[e], local_row[r[e]], local_col[c[e]]] = vals[e]
         u = np.zeros((members.size, n_sets, h, min(h, blocks.shape[3])))
         sv = np.zeros(u.shape[:2] + u.shape[3:])
-        # one SVD per block width, each distinct block once, without its padding
+        # one SVD per block width, without its padding
         for w in set(wide[wide > 0].tolist()):
             at, k = wide == w, min(h, w)
-            distinct, inverse = _distinct(blocks[at][:, :, :w].reshape(-1, h * w))
-            ud, sd, _ = np.linalg.svd(distinct.reshape(-1, h, w), full_matrices=False)
-            u[at, :, :k], sv[at, :k] = ud[inverse], sd[inverse]
+            u[at, :, :k], sv[at, :k], _ = np.linalg.svd(blocks[at][:, :, :w], full_matrices=False)
         s_max = np.maximum(s_max, sv.max(axis=(0, 2)))
         stacks.append((members, blocks, u, sv))
     ranks = np.zeros(n_sets, dtype=int)
     worst = 0.0
     for members, blocks, u, sv in stacks:
-        keep = sv > cutoff * s_max[:, None]
+        keep = sv > RANK_CUTOFF * s_max[:, None]
         ranks += keep.sum(axis=(0, 2))
         u *= keep[:, :, None, :]
         rows = by_comp[row_start[members][:, None] + np.arange(u.shape[2])]

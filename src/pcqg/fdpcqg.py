@@ -19,7 +19,7 @@ constants, the star and the unit stack, each pairwise contraction one dense
 product per connected block of the operands' nonzero pattern, and the
 contractions of one dependency level one product in all.  The density
 axioms D1 and D2 split their five column sets into the connected components
-of their nonzero pattern and take one SVD per distinct block, with ranks cut
+of their nonzero pattern and take one SVD per block, with ranks cut
 at RANK_CUTOFF times the largest singular value over all blocks of a set
 (the s_max of one dense SVD).  A dense instance is simply one block.
 
@@ -53,7 +53,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coo import coo, coo_einsum, coo_max_diffs, coo_product, split_spans
+from .coo import RANK_CUTOFF, coo, coo_einsum, coo_max_diffs, coo_product, split_spans
 
 __all__ = [
     "AXIOM_LABELS",
@@ -79,9 +79,6 @@ __all__ = [
     "haar_residuals",
     "uniform_haar_oracle",
 ]
-
-# Rank decisions (D1/D2, solver uniqueness) use a scaled singular value cutoff.
-RANK_CUTOFF = 1e-10
 
 ZERO_TOL = 1e-12
 
@@ -726,7 +723,7 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     missing directions are the rows its span covers least.  A density check
     whose column sets hold inf or nan (an overflowing structure constant)
     fails with a detail saying so, before any SVD, and so does one whose
-    SVD raises LinAlgError.
+    SVD raises LinAlgError; the other density check keeps its result.
     """
     d, n = G.dim, G.n_objects
     dim = max(d, n)  # letters range over basis elements and objects
@@ -838,20 +835,29 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     diff = dict(zip(labels, diffs))
     diff["U1"] = np.max(diffs[4:8])
 
-    # (D1) and (D2) in one span pass over the sets that are finite; D2's
-    # sets follow D1's when both are there
-    live = [label for label, sets in col_sets.items()
-            if all(np.isfinite(v).all() for _, _, v in sets)]
-    failure = None
-    if live:
-        try:
-            ranks, worst, rows, cover = split_spans(
-                [x for label in live for x in col_sets[label]],
-                ((0, 1), (1, 0), (0, 2), (2, 0)) if "D1" in live else (),
-                RANK_CUTOFF,
-            )
-        except np.linalg.LinAlgError as exc:
-            failure = _unsolved_detail(exc)
+    # (D1) and (D2) in one span pass over the sets that are finite, D2's
+    # after D1's; on LinAlgError each axiom's sets go through alone, so an
+    # SVD that fails in one axiom's blocks leaves the other's result
+    def span_pass(labels):
+        ranks, worst, rows, cover = split_spans(
+            [x for label in labels for x in col_sets[label]],
+            ((0, 1), (1, 0), (0, 2), (2, 0)) if "D1" in labels else (),
+        )
+        ends = np.cumsum([len(col_sets[label]) for label in labels]).tolist()
+        return {label: (ranks[lo:hi], worst, rows, cover[lo:hi])
+                for label, lo, hi in zip(labels, [0, *ends], ends)}
+
+    spans = {label: _unsolved_detail(NonFiniteError()) for label, sets in col_sets.items()
+             if not all(np.isfinite(v).all() for _, _, v in sets)}
+    live = [label for label in col_sets if label not in spans]
+    try:
+        spans.update(span_pass(live) if live else {})
+    except np.linalg.LinAlgError:
+        for label in live:
+            try:
+                spans.update(span_pass([label]))
+            except np.linalg.LinAlgError as exc:
+                spans[label] = _unsolved_detail(exc)
     del col_sets
 
     add("assoc", diff["assoc"])
@@ -875,16 +881,16 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
 
     unsolved = lambda label, detail: CheckResult(label, False, np.inf, detail)
     # (D1): (A (x) A) Delta(1) = span (A (x) 1) Delta(A) = span (1 (x) A) Delta(A)
-    if "D1" not in live or failure:
-        checks.append(unsolved("D1", failure or _unsolved_detail(NonFiniteError())))
+    if isinstance(spans["D1"], str):
+        checks.append(unsolved("D1", spans["D1"]))
     else:
-        add("D1", worst, "ranks " + "/".join(str(r) for r in ranks[:3]))
+        ranks, worst, _, _ = spans["D1"]
+        add("D1", worst, "ranks " + "/".join(str(r) for r in ranks))
     # (D2): slices of Delta(P A P) span A in either leg
-    if "D2" not in live or failure:
-        checks.append(unsolved("D2", failure or _unsolved_detail(NonFiniteError())))
+    if isinstance(spans["D2"], str):
+        checks.append(unsolved("D2", spans["D2"]))
     else:
-        first = 3 if "D1" in live else 0
-        ranks = ranks[first : first + 2]
+        ranks, _, rows, cover = spans["D2"]
         full = all(r == d for r in ranks)
         detail = f"span ranks {ranks}"
         if not full:
@@ -893,7 +899,7 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
             for k, r in enumerate(ranks):
                 if r < d:
                     lack = np.ones(d)
-                    lack[rows[mine] - sq] -= cover[first + k, mine]
+                    lack[rows[mine] - sq] -= cover[k, mine]
                     witness.append(G.basis[int(np.argmax(lack))])
             detail = f"span ranks {ranks} < dim {d}, missing directions {witness}"
         checks.append(CheckResult("D2", full, 0.0 if full else float(d - min(ranks)), detail))

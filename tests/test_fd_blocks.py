@@ -549,7 +549,7 @@ def test_split_spans_matches_dense_svd(seed):
     perm = rng.permutation(row0)
     sets = [(perm[r], c, v) for r, c, v in sets]
     pairs = ((0, 1), (1, 0), (0, 2), (2, 0))
-    ranks, worst, rows, cover = split_spans(sets, pairs, RANK_CUTOFF)
+    ranks, worst, rows, cover = split_spans(sets, pairs)
     ref_ranks, ref_worst, ref_cover = _dense_split_reference(sets, pairs, row0)
     assert ranks == ref_ranks
     assert abs(worst - ref_worst) <= 1e-12
@@ -632,6 +632,30 @@ def test_verify_axioms_takes_one_product_per_level(monkeypatch, name):
     verify_axioms(INSTANCES[name])
     assert len(calls) == 2
     assert len(spans) == 1
+
+
+@pytest.mark.parametrize("name", ["raum", "s3x2_fn_corner_rotated"])
+@pytest.mark.parametrize("kept, n_sets", [("D1", 3), ("D2", 2)])
+def test_linalg_error_in_one_density_check_keeps_the_other(monkeypatch, name, kept, n_sets):
+    """An SVD that fails on one axiom's column sets fails that axiom alone:
+    the other density check reports what it reports without the failure."""
+    G = INSTANCES[name]
+    expected = {c.label: c for c in verify_axioms(G).checks}
+    split = fdpcqg.split_spans
+
+    def failing(col_sets, pairs):
+        if len(col_sets) != n_sets:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return split(col_sets, pairs)
+
+    monkeypatch.setattr(fdpcqg, "split_spans", failing)
+    checks = {c.label: c for c in verify_axioms(G).checks}
+    failed = "D2" if kept == "D1" else "D1"
+    assert not checks[failed].passed
+    assert checks[failed].detail == "LinAlgError: SVD did not converge"
+    assert {label: c for label, c in checks.items() if label != failed} == {
+        label: c for label, c in expected.items() if label != failed
+    }
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
