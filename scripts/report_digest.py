@@ -1,9 +1,9 @@
 """SHA-256 digests of every finite-strand report, to compare two checkouts.
 
-Writes the `fixtures generate` zoo and four generated groupoids (pair(4),
-pair(5), pair(6) and transitive(2, S3)) into a temporary directory, then
-runs `fdqg check`, `fdqg haar` and `fdqg reps` on every file there, in
-process, from that directory.  Prints one `sha256  argv` line per report,
+Writes the `fixtures generate` zoo and six generated groupoids (pair(4),
+pair(5), pair(6), pair(7), transitive(2, S3) and transitive(3, S3)) into a
+temporary directory, then runs `fdqg check`, `fdqg haar` and `fdqg reps` on
+every file there, in process, from that directory.  Prints one `sha256  argv` line per report,
 with paths relative to that directory, so the output does not depend on
 where the checkout or the directory lives.  Two checkouts produce
 byte-identical reports exactly when their outputs show no diff:
@@ -26,7 +26,9 @@ GENERATED = {
     "pair4": pair_groupoid(list("abcd")),
     "pair5": pair_groupoid(list("abcde")),
     "pair6": pair_groupoid(list("abcdef")),
+    "pair7": pair_groupoid(list("abcdefg")),
     "transitive2_s3": transitive_groupoid(["a", "b"], symmetric_groupoid(3)),
+    "transitive3_s3": transitive_groupoid(["a", "b", "c"], symmetric_groupoid(3)),
 }
 
 
