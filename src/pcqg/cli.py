@@ -487,13 +487,12 @@ def cmd_fdqg_reps(args) -> int:
             checks.append(replace(r, label=f"{tag}::{r.label}"))
         return X.space_dim
 
-    dims = {"trivial": _collect("trivial", trivial_rep(G))}
+    E = trivial_rep(G)
+    dims = {"trivial": _collect("trivial", E)}
     if gpd is not None and args.form == "functions":
         R = regular_rep(G, gpd)
         dims["regular"] = _collect("regular", R)
-        dims["regular_x_trivial"] = _collect(
-            "regular_x_trivial", tensor_reps(R, trivial_rep(G))
-        )
+        dims["regular_x_trivial"] = _collect("regular_x_trivial", tensor_reps(R, E))
     payload = {"space_dims": dims}
     return _finish(args, "fdqg reps", payload, checks=checks, tolerances={"tol": args.tol})
 

@@ -38,6 +38,7 @@ __all__ = [
     "coo",
     "rank_within",
     "components",
+    "matches",
     "coo_product",
     "coo_einsum",
     "coo_max_diffs",
@@ -63,6 +64,17 @@ def rank_within(group: np.ndarray) -> np.ndarray:
     out = np.empty_like(group)
     out[order] = np.arange(group.size) - np.repeat(np.cumsum(count) - count, count)
     return out
+
+
+def matches(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Index pairs (a, b) with x[a] == y[b], a ascending, b ascending within
+    each a: the equi-join of two key arrays, from one sort of y."""
+    order = y.argsort(kind="stable")
+    lo = y.searchsorted(x, sorter=order)
+    count = y.searchsorted(x, side="right", sorter=order) - lo
+    a = np.arange(x.size).repeat(count)
+    b = order[np.arange(a.size) + (lo - count.cumsum() + count).repeat(count)]
+    return a, b
 
 
 def _relabel(x: np.ndarray) -> tuple:
@@ -338,7 +350,7 @@ def coo_max_diffs(pairs: list) -> np.ndarray:
     vals = vals[order]
     del order
     # the first entry of each key, and of each pair among them
-    first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
     head = keys[first]
     del keys
     diff = np.abs(np.add.reduceat(vals, first)) if first.size else np.zeros(0)

@@ -1,13 +1,21 @@
-"""Bigraded representations of finite-dimensional instances.
+"""Bigraded corepresentations of finite-dimensional instances.
 
-A representation lives on a finite bigraded Hilbert space: each basis slot
-carries an object pair (k, l), and the operator X = sum_i e_i (x) coeffs[i]
-is stored through its algebra-coefficient slices.  Checks, the trivial
-representation, the regular representation of a groupoid function algebra,
-and the middle-matched tensor product are dense linear algebra; the block
-support check (co2) applies every corner projection, as the nonzero entries
-the instance keeps (`FinitePQG.corner_entries`), to the nonzero
-coefficients as a COO product (`coo`).
+A corepresentation lives on a finite bigraded Hilbert space: each basis slot
+carries an object pair (k, l), and the operator X = sum_i e_i (x) X_i is
+stored as the nonzero entries (i, u, v) -> X_i[u, v] of its coefficient
+slices.  The unit grading makes these sparse: every slice of the regular
+corepresentation of a groupoid is a partial permutation, d times a hom-set's
+size in all, where dense slices would hold d N^2 numbers.
+
+Everything is made from entries.  The trivial corepresentation is the unit
+stack, the regular one has one entry per composable pair of arrows, and the
+middle-matched tensor product pairs its factors' entries through the
+nonzero structure constants, keeping the matched slots only.  The checks of
+`verify_rep` are joins of entries on one (raveled) key (`coo.matches`, the
+join the Haar system is built with), and their four (lhs, rhs) pairs are
+compared in one `coo_max_diffs` pass, so no step forms a dense slice and
+the cost follows the entries and the instance's nonzeros
+(`FinitePQG.entries`, `FinitePQG.corner_entries`).
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coo import coo, coo_max_diff, coo_product
+from .coo import coo, coo_max_diffs, matches
 from .fdpcqg import CheckResult, FiniteGroupoid, FinitePQG
 
 __all__ = [
@@ -28,19 +36,40 @@ __all__ = [
 ]
 
 
+def _columns(entries: tuple) -> tuple:
+    """The index columns of COO entries, then their values."""
+    idx, val = entries
+    return (*idx.T, val)
+
+
+def _summed(key: np.ndarray, val: np.ndarray) -> tuple:
+    """One entry per distinct key, in increasing order, holding the sum of
+    its values: a join's duplicate keys folded before the next join."""
+    order = key.argsort(kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    return key[first], np.add.reduceat(val[order], first)
+
+
 @dataclass(frozen=True)
 class BigradedRep:
-    """X = sum_i e_i (x) coeffs[i] on a space with one (k, l) grade per slot."""
+    """X = sum_i e_i (x) X_i on a space with one (k, l) grade per slot.
+
+    `entries` is (idx, val), row (i, u, v) of the (nnz, 3) index array
+    holding X_i[u, v]; entries at one index add up.
+    """
 
     G: FinitePQG
     blocks: tuple
-    coeffs: np.ndarray
+    entries: tuple
 
     def __post_init__(self):
-        d = self.G.dim
-        N = len(self.blocks)
-        if self.coeffs.shape != (d, N, N):
-            raise ValueError("coeffs must be (algebra dim, space dim, space dim)")
+        idx, val = self.entries
+        if idx.shape != (len(val), 3):
+            raise ValueError("entries must be an (nnz, 3) index array and nnz values")
+        top = (self.G.dim, self.space_dim, self.space_dim)
+        if idx.size and ((idx < 0).any() or (idx.max(axis=0) >= top).any()):
+            raise ValueError("entry index out of range (algebra dim, space dim, space dim)")
         n = self.G.n_objects
         for k, l in self.blocks:
             if not (0 <= k < n and 0 <= l < n):
@@ -50,33 +79,35 @@ class BigradedRep:
     def space_dim(self) -> int:
         return len(self.blocks)
 
+    def grades(self) -> np.ndarray:
+        """The row and column grade of every slot, as a (2, N) index array."""
+        return np.array(self.blocks, dtype=np.intp).reshape(-1, 2).T
+
 
 def trivial_rep(G: FinitePQG) -> BigradedRep:
-    """One slot per object with diagonal grade; slices are the unit projections."""
+    """One slot per object with diagonal grade; X_i[k, l] is the e_i
+    coefficient of the unit projection 1^k_l."""
+    k, l, i, val = _columns(coo(G.units))
     blocks = tuple((k, k) for k in range(G.n_objects))
-    coeffs = np.transpose(G.units, (2, 0, 1)).copy()
-    return BigradedRep(G=G, blocks=blocks, coeffs=coeffs)
+    return BigradedRep(G=G, blocks=blocks, entries=(np.column_stack([i, k, l]), val))
 
 
 def regular_rep(G: FinitePQG, gpd: FiniteGroupoid) -> BigradedRep:
     """Arrows acting on arrows by left translation, for a function algebra.
 
     Slot h sits in the diagonal grade of src(h); the basis arrow g maps
-    delta_h to delta_{gh} when tgt(g) = src(h).  Unitary, and the coefficient
-    slices are permutation blocks.
+    delta_h to delta_{gh} when tgt(g) = src(h), one entry per composable
+    pair.  Unitary, and the coefficient slices are partial permutations.
     """
     if G.basis != gpd.arrows:
         raise ValueError("instance basis does not enumerate the groupoid arrows")
     obj = {o: i for i, o in enumerate(gpd.objects)}
     slot = {h: i for i, h in enumerate(gpd.arrows)}
-    N = len(gpd.arrows)
     blocks = tuple((obj[gpd.src[h]], obj[gpd.src[h]]) for h in gpd.arrows)
-    coeffs = np.zeros((G.dim, N, N))
-    for i, g in enumerate(gpd.arrows):
-        for h in gpd.arrows:
-            if gpd.tgt[g] == gpd.src[h]:
-                coeffs[i, slot[gpd.compose[(g, h)]], slot[h]] = 1.0
-    return BigradedRep(G=G, blocks=blocks, coeffs=coeffs)
+    idx = np.array(
+        [(slot[g], slot[gh], slot[h]) for (g, h), gh in gpd.compose.items()], dtype=np.intp
+    ).reshape(-1, 3)
+    return BigradedRep(G=G, blocks=blocks, entries=(idx, np.ones(len(idx))))
 
 
 def _same_instance(G: FinitePQG, H: FinitePQG) -> bool:
@@ -91,88 +122,107 @@ def _same_instance(G: FinitePQG, H: FinitePQG) -> bool:
 
 
 def tensor_reps(X: BigradedRep, Y: BigradedRep) -> BigradedRep:
-    """Middle-matched tensor product: slots pair where X column grade meets Y row grade."""
+    """Middle-matched tensor product: slots pair where X column grade meets Y row grade.
+
+    Z_c[(u, v), (u', v')] = sum_{a, b} mult[a, b, c] X_a[u, u'] Y_b[v, v']:
+    every nonzero mult[a, b, c] is joined with X's entries at a, then with
+    Y's entries at b, and a product is kept when both (u, v) and (u', v')
+    are matched slots.
+    """
     if not _same_instance(X.G, Y.G):
         raise ValueError("representations live over different instances")
-    pairs = [
-        (u, v)
-        for u in range(X.space_dim)
-        for v in range(Y.space_dim)
-        if X.blocks[u][1] == Y.blocks[v][0]
-    ]
-    blocks = tuple((X.blocks[u][0], Y.blocks[v][1]) for u, v in pairs)
-    mult = X.G.mult
-    # Z_c[(u,v),(u',v')] = sum_{a,b} mult[a,b,c] X_a[u,u'] Y_b[v,v']
-    full = np.einsum("abc,auU,bvV->cuvUV", mult, X.coeffs, Y.coeffs, optimize=True)
-    rows = np.array([p[0] for p in pairs])
-    cols = np.array([p[1] for p in pairs])
-    coeffs = full[:, rows[:, None], cols[:, None], rows[None, :], cols[None, :]]
-    return BigradedRep(G=X.G, blocks=blocks, coeffs=coeffs)
+    (x_row, x_col), (y_row, y_col) = X.grades(), Y.grades()
+    u, v = matches(x_col, y_row)  # the matched slots, in (u, v) order
+    pair_key = u * Y.space_dim + v
+    blocks = tuple(zip(x_row[u].tolist(), y_col[v].tolist()))
+    a, b, c, m = _columns(X.G.entries["mult"])
+    xi, xu, xv, xval = _columns(X.entries)
+    yi, yu, yv, yval = _columns(Y.entries)
+    p, q = matches(a, xi)
+    s, r = matches(b[p], yi)
+    p, q = p[s], q[s]
+    keep = (x_col[xu[q]] == y_row[yu[r]]) & (x_col[xv[q]] == y_row[yv[r]])
+    p, q, r = p[keep], q[keep], r[keep]
+    M = len(u)
+    key, val = _summed(
+        (c[p] * M + pair_key.searchsorted(xu[q] * Y.space_dim + yu[r])) * M
+        + pair_key.searchsorted(xv[q] * Y.space_dim + yv[r]),
+        m[p] * xval[q] * yval[r],
+    )
+    idx = np.column_stack(np.unravel_index(key, (X.G.dim, M, M)))
+    return BigradedRep(G=X.G, blocks=blocks, entries=(idx, val))
 
 
-def _algebra_product_slices(triples: list, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Slices of (sum_a e_a (x) A_a)(sum_b e_b (x) B_b), over the nonzero
-    structure constants (a, b, c, mult[a, b, c])."""
-    out = np.zeros_like(A)
-    for a, b, c, m in triples:
-        out[c] += m * (A[a] @ B[b])
-    return out
+def _product(mult: tuple, A: tuple, B: tuple, d: int, N: int) -> tuple:
+    """Entries (ravel(c, u, v), val) of (sum_a e_a (x) A_a)(sum_b e_b (x) B_b).
+
+    mult holds the entry columns (a, b, c, val) of the structure constants,
+    A and B those (i, u, w, val) of two slice stacks.  Each nonzero
+    mult[a, b, c] is joined with A's entries at a and the products summed
+    at (b, w, c, u), then joined with B's entries at b whose row is w.
+    """
+    a, b, c, n = mult
+    ai, au, aw, aval = A
+    bi, bw, bv, bval = B
+    p, q = matches(a, ai)
+    key, val = _summed(((b[p] * N + aw[q]) * d + c[p]) * N + au[q], n[p] * aval[q])
+    bw_key, cu = np.divmod(key, d * N)
+    s, t = matches(bw_key, bi * N + bw)
+    return cu[s] * N + bv[t], val[s] * bval[t]
 
 
 def verify_rep(X: BigradedRep, tol: float = 1e-10) -> list:
     """Comultiplication compatibility, block support, and unitarity.
 
-    Streams over coefficient slices so large tensor-product spaces stay
-    within memory; the block-support check contracts only the nonzero
-    coefficients, with the slot grades as index masks.
+    Each check compares two sets of entries, each made by joins on one key
+    (`matches`), and all four (lhs, rhs) pairs go through one
+    `coo_max_diffs` pass:
+      co1      sum_i Delta(e_i)[a, b] X_i = X_a X_b, at (a, b, u, v);
+      co2      each corner projection a -> 1^k_m a 1^l_n, applied through
+               the instance's corner entries, fixes the coefficients of
+               its own corner and kills all others, at (corner, c, u, v);
+      unitary  X^* X is diagonal with the target projection of each slot's
+               column grade, X X^* with the source projection of its row
+               grade, at (c, u, v).
     """
     G = X.G
-    d, N = G.dim, X.space_dim
-    n = G.n_objects
-    out = []
+    d, N, n = G.dim, X.space_dim, G.n_objects
+    i, u, v, x = _columns(X.entries)
+    row, col = X.grades()
 
-    res = 0.0
-    flat = X.coeffs.reshape(d, N * N)
-    for a in range(d):
-        # sum_i Delta(e_i)[a, b] X_i, one matrix product over the (d, N^2) view
-        lhs = (G.coproduct[:, a, :].T @ flat).reshape(d, N, N)
-        rhs = X.coeffs[a] @ X.coeffs
-        res = np.maximum(res, np.abs(lhs - rhs).max(initial=0.0))
-    out.append(CheckResult("co1", res <= tol, res))
+    ci, ca, cb, cval = _columns(G.entries["coproduct"])
+    p, q = matches(ci, i)
+    co1 = (((ca[p] * d + cb[p]) * N + u[q]) * N + v[q], cval[p] * x[q])
+    p, q = matches(v, u)  # X_a[u, w] X_b[w, v]
+    co1 = co1, (((i[p] * d + i[q]) * N + u[p]) * N + v[q], x[p] * x[q])
 
-    row_grade = np.array([b[0] for b in X.blocks])
-    col_grade = np.array([b[1] for b in X.blocks])
-    # co2: the entries of every corner projection a -> 1^k_m a 1^l_nn, kept
-    # with the instance, applied to the nonzero coefficients.  Each
-    # coefficient must be fixed by the projection of its own corner and
-    # killed by all others.
-    proj_idx, proj_val = G.corner_entries
-    x_idx, x_val = coo(X.coeffs)
-    r, c, val = coo_product(
-        (proj_idx[:, 0] * d + proj_idx[:, 1], proj_idx[:, 2], proj_val),
-        (x_idx[:, 0], x_idx[:, 1] * N + x_idx[:, 2], x_val),
-    )
-    left = np.column_stack([r // d, r % d, c // N, c % N]), val
-    shape = (n**4, d, N, N)
     # slot u of grade (k, l) and slot v of grade (m, nn) sit in corner (k, m, l, nn)
-    u, v = x_idx[:, 1], x_idx[:, 2]
-    corner = np.ravel_multi_index((row_grade[u], row_grade[v], col_grade[u], col_grade[v]), (n,) * 4)
-    res = coo_max_diff(left, (np.column_stack([corner, x_idx]), x_val), shape)
-    out.append(CheckResult("co2", res <= tol, res))
+    g, pc, pi, pval = _columns(G.corner_entries)
+    p, q = matches(pi, i)
+    corner = ((row[u] * n + row[v]) * n + col[u]) * n + col[v]
+    co2 = (
+        (((g[p] * d + pc[p]) * N + u[q]) * N + v[q], pval[p] * x[q]),
+        (((corner * d + i) * N + u) * N + v, x),
+    )
 
-    # unitary: X^* X is diagonal with the target projection of each slot's
-    # column grade, X X^* with the source projection of its row grade
-    star_slices = np.einsum("ia,iuv->avu", G.star, X.coeffs.conj(), optimize=True)
-    slots = np.arange(N)
-    triples = [(*abc, G.mult[abc]) for abc in zip(*np.nonzero(G.mult))]
-    residuals = []
+    # X^* = sum_j e_j (x) S_j with S_j = sum_a star[a, j] X_a^*, one entry per index
+    sa, sj, sval = _columns(G.entries["star"])
+    p, q = matches(sa, i)
+    key, val = _summed((sj[p] * N + v[q]) * N + u[q], sval[p] * x[q].conj())
+    S = (*np.unravel_index(key, (d, N, N)), val)
+    mult = _columns(G.entries["mult"])
+    unitary = []
     for prod, projections, grade in (
-        (_algebra_product_slices(triples, star_slices, X.coeffs), G.units.sum(axis=0), col_grade),
-        (_algebra_product_slices(triples, X.coeffs, star_slices), G.units.sum(axis=1), row_grade),
+        (_product(mult, S, (i, u, v, x), d, N), G.units.sum(axis=0), col),
+        (_product(mult, (i, u, v, x), S, d, N), G.units.sum(axis=1), row),
     ):
-        target = np.zeros_like(prod)
-        target[:, slots, slots] = projections[grade].T
-        residuals.append(float(np.abs(prod - target).max(initial=0.0)))
-    res = np.max(residuals)
-    out.append(CheckResult("unitary", res <= tol, res))
-    return out
+        l, c, pv = _columns(coo(projections))
+        p, q = matches(l, grade)
+        unitary.append((prod, ((c[p] * N + q) * N + q, pv[p])))
+
+    res = coo_max_diffs([co1, co2, *unitary]).tolist()
+    res[2:] = [np.max(res[2:])]  # nan-propagating
+    return [
+        CheckResult(label, bool(r <= tol), float(r))
+        for label, r in zip(("co1", "co2", "unitary"), res)
+    ]

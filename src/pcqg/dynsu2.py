@@ -49,8 +49,6 @@ from .windowed import (
     relation_residual,
     shift_op,
     table_residuals,
-    tensor_op,
-    zero_op,
 )
 from .words import (
     EPS_NU,
@@ -307,39 +305,6 @@ def coproduct_compat_check(
     return verify_dynsu2_relations(db, tol=tol)
 
 
-def uncompressed_unitarity_gap(
-    b1: PiCBundle, b2: PiCBundle, half: int = 2
-) -> tuple[float, float]:
-    """Row-sum check on the raw two-leg tensor product, without compression.
-
-    Returns (residual against the matching projection, residual against
-    the full identity).  The first is small, the second is large: the
-    row sum of the coproduct images equals the coproduct of the unit
-    (the matched-middle support projection), not the identity, so
-    dropping the middle-index restriction is detectably wrong.
-    """
-    spec = LatticeSpec(q=b1.params.q, base=b1.params.x)
-    ax = WindowAxis(spec, -half, half)
-    leg = Window((ax, ax))
-    raw = Window((ax,) * 4)
-    legops1 = build_pi_c(b1.params, leg).ops
-    legops2 = build_pi_c(b2.params, leg).ops
-
-    # matching projection: middle exponents equal
-    _, v, w, _ = raw.exponent_grids
-    P = WindowedOperator(raw, {(0,) * 4: np.broadcast_to(v == w, raw.shape)})
-    eps = -1
-    row = zero_op(raw)
-    for nu in (-1, +1):
-        U = zero_op(raw)
-        for mu in (-1, +1):
-            U = U + tensor_op(legops1[EPSNU_TO_NAME[eps, mu]], legops2[EPSNU_TO_NAME[mu, nu]], raw)
-        U = U @ P
-        row = row + U @ U.adjoint()
-    # compare only away from the leg-window edges (margin 1 per axis)
-    return (row - P).max_abs(1), (row - identity_op(raw)).max_abs(1)
-
-
 # -- symbolic term evaluation (shared by antipode and rewriter checks) ------
 
 
@@ -502,28 +467,6 @@ def x_symmetry_check(
             )
         )
     return out
-
-
-def lattice_rebase_check(b1: PiCBundle, tol: float = 1e-12) -> RelationResidual:
-    """x and qx generate the same lattice: the two builds agree pointwise.
-
-    The (q, qx) window shifted one exponent down enumerates the same
-    point values, so each generator matrix must coincide entrywise.
-    """
-    params = b1.params
-    half = (b1.window.axes[0].size - 1) // 2
-    spec2 = LatticeSpec(q=params.q, base=params.q * params.x)
-    ax2 = WindowAxis(spec2, -half - 1, half - 1)
-    win2 = Window((ax2, ax2))
-    b2 = build_pi_c(DynParams(params.q, params.q * params.x, params.c), win2)
-    worst = 0.0
-    for name in GEN_NAMES:
-        # same shape and point values, so b2's grids read on b1's window
-        rebased = WindowedOperator(b1.window, b2.u(name).grids)
-        worst = np.maximum(worst, (b1.u(name) - rebased).max_abs())
-    return RelationResidual(
-        label="rebase", residual=float(worst), margins=b1.margins(0), tol=tol
-    )
 
 
 # -- word reduction with the pi_c oracle ------------------------------------

@@ -53,7 +53,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coo import RANK_CUTOFF, coo, coo_einsum, coo_max_diffs, coo_product, split_spans
+from .coo import RANK_CUTOFF, coo, coo_einsum, coo_max_diffs, coo_product, matches, split_spans
 
 __all__ = [
     "AXIOM_LABELS",
@@ -416,10 +416,6 @@ class FinitePQG:
     def algebra_unit(self) -> np.ndarray:
         return self.units.sum(axis=(0, 1))
 
-    def delta(self, v: np.ndarray) -> np.ndarray:
-        """Coproduct as a (d, d) coefficient matrix on e_j (x) e_k."""
-        return np.einsum("i,ijk->jk", v, self.coproduct)
-
     def trace_vector(self) -> np.ndarray:
         """Trace of left multiplication, as a functional vector."""
         return np.einsum("ijj->i", self.mult)
@@ -446,6 +442,12 @@ class FinitePQG:
         d = self.dim
         maps = (right.reshape(-1, d) @ self.mult).transpose(1, 2, 0)
         return maps.reshape(*right.shape[:-1], d, d)
+
+    @cached_property
+    def entries(self) -> dict:
+        """The nonzero entries (`coo`) of mult, coproduct and star, made on
+        first use and kept with the instance."""
+        return {f: coo(getattr(self, f)) for f in ("mult", "coproduct", "star")}
 
     @cached_property
     def corner_entries(self) -> tuple:
@@ -728,7 +730,8 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     d, n = G.dim, G.n_objects
     dim = max(d, n)  # letters range over basis elements and objects
     units = G.units
-    m, c, s, u = coo(G.mult), coo(G.coproduct), coo(G.star), coo(units)
+    m, c, s = (G.entries[f] for f in ("mult", "coproduct", "star"))
+    u = coo(units)
     delta_one = coo(units.sum(axis=0).T @ units.sum(axis=1))  # Delta(1)
     # the products with a vector are the entries scaled by it: e_i 1 and
     # 1 e_i (summed over the dropped letter when compared), and the left
@@ -935,9 +938,6 @@ class GradedFunctional:
     def __call__(self, a: np.ndarray) -> float:
         return float(self.vector @ a)
 
-    def is_zero(self, tol: float = ZERO_TOL) -> bool:
-        return bool(np.abs(self.vector).max(initial=0.0) <= tol)
-
     @classmethod
     def graded(cls, G: FinitePQG, vector: np.ndarray, grading) -> "GradedFunctional":
         """Project a raw dual vector onto the grading's support block."""
@@ -1110,16 +1110,6 @@ def haar_cesaro(
     return HaarFamily(states=states, diagnostics=out)
 
 
-def _matches(x: np.ndarray, y: np.ndarray) -> tuple:
-    """Index pairs (a, b) with x[a] == y[b], a ascending, b ascending within each a."""
-    order = y.argsort(kind="stable")
-    lo = y.searchsorted(x, sorter=order)
-    count = y.searchsorted(x, side="right", sorter=order) - lo
-    a = np.arange(x.size).repeat(count)
-    b = order[np.arange(a.size) + (lo - count.cumsum() + count).repeat(count)]
-    return a, b
-
-
 def _haar_system(G: FinitePQG, side: str) -> tuple:
     """The invariance system without its all-zero rows: (M, rhs, bases, segs).
 
@@ -1186,7 +1176,7 @@ def _haar_system(G: FinitePQG, side: str) -> tuple:
             mine.append(bb + offset)
             my_part.append(ba * wk + bp * wi)
         their_val += [cval, uval]
-    a, b = _matches(np.concatenate(mine), np.concatenate(theirs))
+    a, b = matches(np.concatenate(mine), np.concatenate(theirs))
     key = np.concatenate(my_part)[a] + np.concatenate(their_part)[b]
     factor = np.concatenate(their_val)[b]
     a %= bp.size

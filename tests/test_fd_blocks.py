@@ -45,6 +45,8 @@ from pcqg.fdpcqg import (
 )
 
 ORACLE_MAX_DIM = 64
+# dense corepresentation slices are d x N x N; refuse them past this size
+MAX_DENSE_ENTRIES = 1 << 22
 TOL = 1e-15
 # D1's residual is the rounding left by projecting onto an SVD basis, about
 # eps * sqrt(rows); one 576-row dense SVD of a rotated instance leaves 3.3e-15
@@ -127,7 +129,7 @@ def dense_verify_axioms(G, tol=1e-10):
     for k in range(n):
         for l in range(n):
             target = np.einsum("mj,mk->jk", units[k], units[:, l])
-            res = max(res, np.abs(G.delta(units[k, l]) - target).max())
+            res = max(res, np.abs(np.einsum("i,ijk->jk", units[k, l], G.coproduct) - target).max())
     add("U2", res)
 
     coassoc = np.einsum("ijk,jab->iabk", cop, cop) - np.einsum("iam,mbk->iabk", cop, cop)
@@ -165,7 +167,7 @@ def dense_verify_axioms(G, tol=1e-10):
     pmat = dense_sandwich(G, P, P)
     ranks, witness = [], []
     for leg in (0, 1):
-        cols = [G.delta(pmat @ np.eye(d)[i]) for i in range(d)]
+        cols = [np.einsum("i,ijk->jk", pmat @ np.eye(d)[i], G.coproduct) for i in range(d)]
         basis = _orth_basis(np.concatenate([c if leg == 1 else c.T for c in cols], axis=0).T)
         ranks.append(basis.shape[1])
         if basis.shape[1] < d:
@@ -260,8 +262,20 @@ def dense_invariance(G, fam):
     return res_l, res_r
 
 
+def dense_coeffs(X):
+    """The (d, N, N) coefficient slices of a corepresentation, its entries at
+    one index summed; refused past MAX_DENSE_ENTRIES before allocating."""
+    shape = (X.G.dim, X.space_dim, X.space_dim)
+    if np.prod(shape) > MAX_DENSE_ENTRIES:
+        raise ValueError(f"dense coefficients of shape {shape} exceed {MAX_DENSE_ENTRIES} entries")
+    out = np.zeros(shape, dtype=X.entries[1].dtype)
+    np.add.at(out, tuple(X.entries[0].T), X.entries[1])
+    return out
+
+
 def dense_co2(X):
     G, n = X.G, X.G.n_objects
+    coeffs = dense_coeffs(X)
     row_grade = np.array([b[0] for b in X.blocks])
     col_grade = np.array([b[1] for b in X.blocks])
     res = 0.0
@@ -270,10 +284,10 @@ def dense_co2(X):
             for l in range(n):
                 for nn in range(n):
                     proj = dense_sandwich(G, G.units[k, m], G.units[l, nn])
-                    left = np.einsum("ci,iuv->cuv", proj, X.coeffs)
+                    left = np.einsum("ci,iuv->cuv", proj, coeffs)
                     rmask = (row_grade == k) & (col_grade == l)
                     cmask = (row_grade == m) & (col_grade == nn)
-                    right = X.coeffs * rmask[None, :, None] * cmask[None, None, :]
+                    right = coeffs * rmask[None, :, None] * cmask[None, None, :]
                     res = max(res, float(np.abs(left - right).max(initial=0.0)))
     return res
 
@@ -405,20 +419,24 @@ def _corner_rotation(gpd, seed):
 ZOO = standard_groupoids()
 PAIR5 = pair_groupoid(["a", "b", "c", "d", "e"])
 INSTANCES = {"raum": raum_instance()}
+# each rotated instance: its groupoid, form and basis change f = Q e
+ROTATIONS = {}
 for _name, _g in {**ZOO, "pair5": PAIR5}.items():
     INSTANCES[_name + "_fn"] = from_finite_groupoid_functions(_g)
     INSTANCES[_name + "_alg"] = from_finite_groupoid_algebra(_g)
 # corners of size > 1, so D1 blocks hold more than one entry
 for _name in ("z3", "union_z3_s3", "union_pair_z2", "s3x2"):
     for _form, _build in (("fn", from_finite_groupoid_functions), ("alg", from_finite_groupoid_algebra)):
-        INSTANCES[f"{_name}_{_form}_corner_rotated"] = _rotated(
-            _build(ZOO[_name]), _corner_rotation(ZOO[_name], seed=len(_name))
-        )
+        _Q = _corner_rotation(ZOO[_name], seed=len(_name))
+        INSTANCES[f"{_name}_{_form}_corner_rotated"] = _rotated(_build(ZOO[_name]), _Q)
+        ROTATIONS[f"{_name}_{_form}_corner_rotated"] = ZOO[_name], _form, _Q
 # one global rotation: every column set is a single component, and every
 # contraction a single dense block product
 for _name, _seed in (("pair2", 1), ("union_pair_z2", 2), ("s3x2", 3)):
     _G = from_finite_groupoid_functions(ZOO[_name])
-    INSTANCES[_name + "_fn_rotated"] = _rotated(_G, _random_orthogonal(np.random.default_rng(_seed), _G.dim))
+    _Q = _random_orthogonal(np.random.default_rng(_seed), _G.dim)
+    INSTANCES[_name + "_fn_rotated"] = _rotated(_G, _Q)
+    ROTATIONS[_name + "_fn_rotated"] = ZOO[_name], "fn", _Q
 
 
 # -- tests ----------------------------------------------------------------------
@@ -503,9 +521,9 @@ def test_co2_matches_dense(name):
     if X.G.n_objects == 1:
         return  # one object: every coefficient sits in the only corner
     # a coefficient moved off its block must show in both
-    bad = X.coeffs.copy()
+    bad = dense_coeffs(X)
     bad[:, 0, -1] += 0.5 * bad[:, 0, 0] + 0.25
-    X = type(X)(G=X.G, blocks=X.blocks, coeffs=bad)
+    X = type(X)(G=X.G, blocks=X.blocks, entries=coo(bad))
     co2 = {c.label: c.residual for c in verify_rep(X)}["co2"]
     assert co2 > 0.1 and abs(co2 - dense_co2(X)) <= TOL
 
