@@ -44,7 +44,7 @@ def _columns(entries: tuple) -> tuple:
 
 def _summed(key: np.ndarray, val: np.ndarray) -> tuple:
     """One entry per distinct key, in increasing order, holding the sum of
-    its values: a join's duplicate keys folded before the next join."""
+    its values."""
     order = key.argsort(kind="stable")
     key = key[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))

@@ -34,10 +34,10 @@ functionals as matrix products.
 Every check reads the grading through one corner map, a -> 1^k_m a 1^l_n,
 written once as `FinitePQG.sandwich`.  An instance keeps what its checks
 reuse: the diagonal corner maps (`FinitePQG.corners`), which give the
-graded functionals, the corner traces and bases of both Haar routes, and
-the nonzero entries of every corner map (`FinitePQG.corner_entries`), which
-the corepresentation block-support check applies; D2 contracts P A P from
-the nonzero entries of mult.
+graded functionals, the corner traces and bases of both Haar routes, the
+nonzero entries of every corner map (`FinitePQG.corner_entries`), which
+the corepresentation block-support check applies, and those of mult,
+coproduct and star (`FinitePQG.entries`); D2 contracts P A P from mult's.
 Intermediates are checked for inf and nan before they reach LAPACK
 (`NonFiniteError`); an overflowing structure constant makes the stage that
 sees it a failed check, never a hang or a usage error.  A Cesaro corner
