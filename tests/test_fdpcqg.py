@@ -108,6 +108,140 @@ def test_malformed_groupoids_rejected():
         )
 
 
+def _arrow(doc, name):
+    return next(a for a in doc["arrows"] if a["id"] == name)
+
+
+def _row(doc, g, h):
+    return next(r for r in doc["compose"] if r[:2] == [g, h])
+
+
+def _set_composite(g, h, gh):
+    def mutate(doc):
+        _row(doc, g, h)[2] = gh
+
+    return mutate
+
+
+def _set_entry(table, key, value):
+    def mutate(doc):
+        doc[table][key] = value
+
+    return mutate
+
+
+# (zoo groupoid, one-entry mutation of its JSON document, the loader's
+# ValueError text, whether the text is exact or a prefix)
+LOADER_ERRORS = {
+    "lacks_compose": ("pair2", lambda d: d.pop("compose"), "groupoid file lacks compose", True),
+    "objects_not_list": (
+        "pair2", lambda d: d.update(objects="12"), "objects: expected a list of names", True,
+    ),
+    "arrow_not_object": (
+        "pair2", lambda d: d["arrows"].__setitem__(0, "1>1"),
+        "arrows: expected a list of {id, src, tgt} objects", True,
+    ),
+    "arrow_lacks_tgt": (
+        "pair2", lambda d: _arrow(d, "1>2").pop("tgt"),
+        "arrows: every arrow needs a string 'tgt'", True,
+    ),
+    "short_compose_row": (
+        "pair2", lambda d: d["compose"][0].pop(), "compose: rows must be [g, h, gh] arrow ids", True,
+    ),
+    "inverse_not_object": (
+        "z3", lambda d: d.update(inverse=["0", "2", "1"]), "inverse: expected an object of names", True,
+    ),
+    "identity_not_name": (
+        "z3", _set_entry("identities", "*", 0), "identities: expected an object of names", True,
+    ),
+    "duplicate_object": (
+        "pair2", lambda d: d["objects"].append("1"), "duplicate object names", True,
+    ),
+    "duplicate_arrow": (
+        "pair2", lambda d: d["arrows"].append(dict(_arrow(d, "2>1"))), "duplicate arrow ids", True,
+    ),
+    "unknown_src": (
+        "pair2", lambda d: _arrow(d, "1>2").update(src="nowhere"),
+        "arrow '1>2' has missing or unknown endpoints", True,
+    ),
+    "moved_tgt": (
+        "pair2", lambda d: _arrow(d, "1>2").update(tgt="1"),
+        "composition table does not match composable pairs", True,
+    ),
+    "missing_row": (
+        "s3x2", lambda d: d["compose"].pop(7),
+        "composition table does not match composable pairs", True,
+    ),
+    "composite_unknown": (
+        "z3", _set_composite("1", "1", "nowhere"), "composite of ('1', '1') is not an arrow", True,
+    ),
+    "composite_endpoints": (
+        "pair2", _set_composite("1>2", "2>1", "1>2"),
+        "composite of ('1>2', '2>1') has wrong endpoints", True,
+    ),
+    "not_associative": (
+        "z3", _set_composite("1", "1", "0"), "composition not associative at (", False,
+    ),
+    "identity_missing": (
+        "union_pair_z2", lambda d: d["identities"].pop("0.2"),
+        "identity table must cover every object", True,
+    ),
+    "identity_extra": (
+        "pair2", _set_entry("identities", "3", "1>1"), "identity table must cover every object", True,
+    ),
+    "identity_unknown": (
+        "pair2", _set_entry("identities", "2", "nowhere"), "identity of '2' has wrong endpoints", True,
+    ),
+    "identity_endpoints": (
+        "pair2", _set_entry("identities", "1", "1>2"), "identity of '1' has wrong endpoints", True,
+    ),
+    "left_identity": (
+        "s3x2", _set_entry("identities", "a", "a:102:a"), "left identity fails at 'a:012:a'", True,
+    ),
+    "right_identity": (
+        "s3x2", _set_entry("identities", "b", "b:102:b"), "right identity fails at 'a:012:b'", True,
+    ),
+    "inverse_missing": (
+        "z3", lambda d: d["inverse"].pop("2"), "inverse table must cover every arrow", True,
+    ),
+    "inverse_unknown": (
+        "z3", _set_entry("inverse", "1", "nowhere"), "inverse of '1' is not an arrow", True,
+    ),
+    "inverse_wrong": ("z3", _set_entry("inverse", "1", "1"), "inverse fails at '1'", True),
+    "inverse_endpoints": (
+        "pair2", _set_entry("inverse", "1>2", "1>1"), "inverse fails at '1>2'", True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_ERRORS))
+def test_loader_error_messages(case):
+    name, mutate, message, exact = LOADER_ERRORS[case]
+    doc = json.loads(json.dumps(GROUPOIDS[name].to_json_dict()))
+    mutate(doc)
+    with pytest.raises(ValueError) as exc:
+        FiniteGroupoid.from_json_dict(doc)
+    text = str(exc.value)
+    assert text == message if exact else text.startswith(message), text
+
+
+def test_shuffled_arrow_order():
+    """A groupoid file lists its arrows in any order; the instance follows it."""
+    g = transitive_groupoid(["a", "b"], symmetric_groupoid(3))
+    doc = g.to_json_dict()
+    np.random.default_rng(5).shuffle(doc["arrows"])
+    shuffled = FiniteGroupoid.from_json_dict(json.loads(json.dumps(doc)))
+    perm = np.array([g.arrows.index(a["id"]) for a in doc["arrows"]])
+    assert not np.array_equal(perm, np.arange(len(perm)))
+    G, ref = from_finite_groupoid_functions(shuffled), from_finite_groupoid_functions(g)
+    assert G.objects == ref.objects
+    assert G.basis == tuple(ref.basis[p] for p in perm)
+    assert np.array_equal(G.mult, ref.mult[np.ix_(perm, perm, perm)])
+    assert np.array_equal(G.coproduct, ref.coproduct[np.ix_(perm, perm, perm)])
+    assert np.array_equal(G.star, ref.star[np.ix_(perm, perm)])
+    assert np.array_equal(G.units, ref.units[:, :, perm])
+
+
 def test_groupoid_json_roundtrip():
     g = GROUPOIDS["s3x2"]
     back = FiniteGroupoid.from_json_dict(json.loads(json.dumps(g.to_json_dict())))
