@@ -1,8 +1,10 @@
 """SHA-256 digests of every finite-strand report, to compare two checkouts.
 
-Writes the `fixtures generate` zoo and six generated groupoids (pair(4),
-pair(5), pair(6), pair(7), transitive(2, S3) and transitive(3, S3)) into a
-temporary directory, then runs `fdqg check`, `fdqg haar` and `fdqg reps` on
+Writes the `fixtures generate` zoo and seven generated groupoids (pair(4),
+pair(5), pair(6), pair(7), transitive(2, S3), transitive(3, S3), and
+transitive(2, S3) again with its arrow list shuffled by a fixed seed, so
+arrow indices differ from the builder's order) into a temporary
+directory, then runs `fdqg check`, `fdqg haar` and `fdqg reps` on
 every file there, in process, from that directory.  Prints one `sha256  argv` line per report,
 with paths relative to that directory, so the output does not depend on
 where the checkout or the directory lives.  Two checkouts produce
@@ -17,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import tempfile
 
 from pcqg.cli import main as cli_main
@@ -30,6 +33,8 @@ GENERATED = {
     "transitive2_s3": transitive_groupoid(["a", "b"], symmetric_groupoid(3)),
     "transitive3_s3": transitive_groupoid(["a", "b", "c"], symmetric_groupoid(3)),
 }
+# the seeds of the files whose arrow lists are shuffled
+SHUFFLED = {"transitive2_s3_shuffled": ("transitive2_s3", 0)}
 
 
 def run(argv: list) -> str:
@@ -43,9 +48,13 @@ def write_inputs() -> list:
     """The instance files, relative to the working directory."""
     run(["fixtures", "generate", "--dir", "fixtures"])
     os.makedirs("generated")
-    for name, gpd in GENERATED.items():
+    docs = {name: gpd.to_json_dict() for name, gpd in GENERATED.items()}
+    for name, (source, seed) in SHUFFLED.items():
+        docs[name] = GENERATED[source].to_json_dict()
+        random.Random(seed).shuffle(docs[name]["arrows"])
+    for name, doc in docs.items():
         with open(os.path.join("generated", f"{name}.groupoid.json"), "w") as fh:
-            json.dump(gpd.to_json_dict(), fh)
+            json.dump(doc, fh)
     return [os.path.join(d, f) for d in ("fixtures", "generated") for f in sorted(os.listdir(d))]
 
 
