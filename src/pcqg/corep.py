@@ -101,13 +101,9 @@ def regular_rep(G: FinitePQG, gpd: FiniteGroupoid) -> BigradedRep:
     """
     if G.basis != gpd.arrows:
         raise ValueError("instance basis does not enumerate the groupoid arrows")
-    obj = {o: i for i, o in enumerate(gpd.objects)}
-    slot = {h: i for i, h in enumerate(gpd.arrows)}
-    blocks = tuple((obj[gpd.src[h]], obj[gpd.src[h]]) for h in gpd.arrows)
-    idx = np.array(
-        [(slot[g], slot[gh], slot[h]) for (g, h), gh in gpd.compose.items()], dtype=np.intp
-    ).reshape(-1, 3)
-    return BigradedRep(G=G, blocks=blocks, entries=(idx, np.ones(len(idx))))
+    blocks = tuple(zip(gpd.src.tolist(), gpd.src.tolist()))
+    g, h, gh = gpd.composable()
+    return BigradedRep(G=G, blocks=blocks, entries=(np.column_stack([g, gh, h]), np.ones(len(g))))
 
 
 def _same_instance(G: FinitePQG, H: FinitePQG) -> bool:

@@ -9,7 +9,10 @@ and a linear solve) so the two routes can be compared.
 
 Finite groupoids act as the instance generators, in both the function-algebra
 form (commutative, coproduct dual to composition) and the groupoid-algebra
-form (cocommutative, group-like basis).
+form (cocommutative, group-like basis).  A groupoid is one set of index
+tables (endpoints, composition, inverse, identities); its names turn into
+indices only when a file is read and back only when one is written, and
+the instances are scatter writes from the tables.
 
 The checks work along the grading by the unit projections 1^k_l, with
 Delta(1^k_l) = sum_m 1^k_m (x) 1^m_l, so their cost follows the nonzero
@@ -96,88 +99,124 @@ AXIOM_LABELS = ("U1", "U2", "C", "U3", "D1", "D2")
 # -- finite groupoids ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteGroupoid:
-    """Finite groupoid with explicit composition table.
+def _take(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """table[idx], and -1 where idx lies outside the table."""
+    inside = (idx >= 0) & (idx < len(table))
+    return np.append(table, -1)[np.where(inside, idx, -1)]
 
-    Arrows compose left to right: (g, h) is composable iff tgt(g) == src(h),
-    and then src(gh) = src(g), tgt(gh) = tgt(h).  Construction validates the
-    category and inverse axioms and raises ValueError on malformed data.
+
+@dataclass(frozen=True, eq=False)
+class FiniteGroupoid:
+    """Finite groupoid as index tables over its arrows and objects.
+
+    Arrow g runs from object src[g] to object tgt[g].  Arrows compose left
+    to right: (g, h) is composable iff tgt[g] == src[h], and then comp[g, h]
+    is the index of gh, with src(gh) = src(g) and tgt(gh) = tgt(h); comp is
+    -1 on the pairs that do not compose.  inverse[g] and identities[k] are
+    arrow indices.  The names are kept for the files and the reports.
+    Construction validates the category and inverse axioms by array checks
+    on the tables and raises ValueError on malformed data.
     """
 
     objects: tuple[str, ...]
     arrows: tuple[str, ...]
-    src: dict
-    tgt: dict
-    compose: dict
-    inverse: dict
-    identities: dict
+    src: np.ndarray
+    tgt: np.ndarray
+    comp: np.ndarray
+    inverse: np.ndarray
+    identities: np.ndarray
 
     def __post_init__(self):
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("duplicate object names")
-        arrows = set(self.arrows)
-        if len(arrows) != len(self.arrows):
+        if len(set(self.arrows)) != len(self.arrows):
             raise ValueError("duplicate arrow ids")
-        for g in self.arrows:
-            if self.src.get(g) not in self.objects or self.tgt.get(g) not in self.objects:
-                raise ValueError(f"arrow {g!r} has missing or unknown endpoints")
-        composable = {
-            (g, h)
-            for g in self.arrows
-            for h in self.arrows
-            if self.tgt[g] == self.src[h]
-        }
-        if set(self.compose) != composable:
+        n, d = len(self.objects), len(self.arrows)
+        src, tgt, comp = self.src, self.tgt, self.comp
+        name = lambda i: repr(self.arrows[i])
+        outside = lambda idx, size: (idx < 0) | (idx >= size)
+        if src.shape != (d,) or tgt.shape != (d,):
+            raise ValueError("src and tgt must hold one object index per arrow")
+        bad = outside(src, n) | outside(tgt, n)
+        if bad.any():
+            raise ValueError(f"arrow {name(bad.argmax())} has missing or unknown endpoints")
+        if np.shape(comp) != (d, d) or not np.array_equal(comp >= 0, tgt[:, None] == src):
             raise ValueError("composition table does not match composable pairs")
-        for (g, h), gh in self.compose.items():
-            if gh not in arrows:
-                raise ValueError(f"composite of ({g!r}, {h!r}) is not an arrow")
-            if self.src[gh] != self.src[g] or self.tgt[gh] != self.tgt[h]:
-                raise ValueError(f"composite of ({g!r}, {h!r}) has wrong endpoints")
-        starting = {o: [] for o in self.objects}
-        for g in self.arrows:
-            starting[self.src[g]].append(g)
-        for (g, h), gh in self.compose.items():
-            for k in starting[self.tgt[h]]:
-                if self.compose[(gh, k)] != self.compose[(g, self.compose[(h, k)])]:
-                    raise ValueError(f"composition not associative at ({g!r}, {h!r}, {k!r})")
-        if set(self.identities) != set(self.objects):
+        unknown = comp >= d
+        bad = (comp >= 0) & (
+            unknown | (_take(src, comp) != src[:, None]) | (_take(tgt, comp) != tgt)
+        )
+        if bad.any():
+            g, h = np.unravel_index(bad.argmax(), bad.shape)
+            fault = "is not an arrow" if unknown[g, h] else "has wrong endpoints"
+            raise ValueError(f"composite of ({name(g)}, {name(h)}) {fault}")
+        # (gh)k = g(hk) for every composable (g, h) and every k, the pairs
+        # through one object and a block of their g (about 2^20 triples) at
+        # a time: in the table padded with a row and a column of -1, both
+        # sides are -1 where hk is undefined
+        ext = np.full((d + 1, d + 1), -1, dtype=np.intp)
+        ext[:d, :d] = comp
+        for o in range(n):
+            into, out = np.flatnonzero(tgt == o), np.flatnonzero(src == o)
+            step = max(1, (1 << 20) // max(1, out.size * (d + 1)))
+            for lo in range(0, into.size, step):
+                g = into[lo : lo + step]
+                bad = ext[comp[np.ix_(g, out)]] != np.take(ext[g], ext[out], axis=1)
+                if bad.any():
+                    a, b, k = np.unravel_index(bad.argmax(), bad.shape)
+                    raise ValueError(
+                        f"composition not associative at ({name(g[a])}, {name(out[b])}, {name(k)})"
+                    )
+        ident = self.identities
+        if np.shape(ident) != (n,):
             raise ValueError("identity table must cover every object")
-        for k, e in self.identities.items():
-            if e not in arrows or self.src[e] != k or self.tgt[e] != k:
-                raise ValueError(f"identity of {k!r} has wrong endpoints")
-        for g in self.arrows:
-            if self.compose[(self.identities[self.src[g]], g)] != g:
-                raise ValueError(f"left identity fails at {g!r}")
-            if self.compose[(g, self.identities[self.tgt[g]])] != g:
-                raise ValueError(f"right identity fails at {g!r}")
-        if set(self.inverse) != arrows:
+        bad = (_take(src, ident) != np.arange(n)) | (_take(tgt, ident) != np.arange(n))
+        if bad.any():
+            raise ValueError(f"identity of {self.objects[bad.argmax()]!r} has wrong endpoints")
+        every = np.arange(d)
+        left, right = comp[ident[src], every] != every, comp[every, ident[tgt]] != every
+        if (left | right).any():
+            g = (left | right).argmax()
+            raise ValueError(f"{'left' if left[g] else 'right'} identity fails at {name(g)}")
+        inv = self.inverse
+        if np.shape(inv) != (d,):
             raise ValueError("inverse table must cover every arrow")
-        for g in self.arrows:
-            gi = self.inverse[g]
-            if gi not in arrows:
-                raise ValueError(f"inverse of {g!r} is not an arrow")
-            if self.compose.get((g, gi)) != self.identities[self.src[g]]:
-                raise ValueError(f"inverse fails at {g!r}")
-            if self.compose.get((gi, g)) != self.identities[self.tgt[g]]:
-                raise ValueError(f"inverse fails at {g!r}")
+        unknown = outside(inv, d)
+        at = np.where(unknown, -1, inv)  # the padded row and column of ext
+        bad = unknown | (ext[every, at] != ident[src]) | (ext[at, every] != ident[tgt])
+        if bad.any():
+            g = bad.argmax()
+            fault = f"of {name(g)} is not an arrow" if unknown[g] else f"fails at {name(g)}"
+            raise ValueError(f"inverse {fault}")
 
-    def hom(self, k, l) -> list:
-        return [g for g in self.arrows if self.src[g] == k and self.tgt[g] == l]
+    def composable(self) -> tuple:
+        """The composable pairs (g, h) in row-major order and their
+        composites gh, as index arrays."""
+        g, h = np.nonzero(self.comp >= 0)
+        return g, h, self.comp[g, h]
 
     def to_json_dict(self) -> dict:
+        names = lambda idx: [self.arrows[i] for i in idx.tolist()]
+        ends = zip(self.arrows, self.src.tolist(), self.tgt.tolist())
         return {
             "objects": list(self.objects),
-            "arrows": [{"id": g, "src": self.src[g], "tgt": self.tgt[g]} for g in self.arrows],
-            "compose": [[g, h, gh] for (g, h), gh in sorted(self.compose.items())],
-            "inverse": {g: self.inverse[g] for g in self.arrows},
-            "identities": dict(sorted(self.identities.items())),
+            "arrows": [{"id": g, "src": self.objects[s], "tgt": self.objects[t]} for g, s, t in ends],
+            "compose": sorted(map(list, zip(*map(names, self.composable())))),
+            "inverse": dict(zip(self.arrows, names(self.inverse))),
+            "identities": dict(sorted(zip(self.objects, names(self.identities)))),
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FiniteGroupoid":
-        """Load a groupoid dump, rejecting malformed fields with ValueError."""
+        """Load a groupoid dump, rejecting malformed fields with ValueError.
+
+        Names become indices here.  An unknown name becomes the index one
+        past the end of its table, which construction rejects as any index
+        out of range.  A table whose keys are not all known -- a `compose`
+        row that names no arrow as g or h, `identities` or `inverse` keyed
+        by other than the objects or the arrows -- is passed as None, which
+        construction rejects as a table of the wrong shape.
+        """
         fields = ("objects", "arrows", "compose", "inverse", "identities")
         missing = [k for k in fields if k not in d]
         if missing:
@@ -199,131 +238,110 @@ class FiniteGroupoid:
         for key in ("inverse", "identities"):
             if not isinstance(d[key], dict) or not names(d[key].values()):
                 raise ValueError(f"{key}: expected an object of names")
-        return cls(
-            objects=tuple(d["objects"]),
-            arrows=tuple(a["id"] for a in arrows),
-            src={a["id"]: a["src"] for a in arrows},
-            tgt={a["id"]: a["tgt"] for a in arrows},
-            compose={(g, h): gh for g, h, gh in rows},
-            inverse=dict(d["inverse"]),
-            identities=dict(d["identities"]),
+        objects = tuple(d["objects"])
+        ids = tuple(a["id"] for a in arrows)
+        at_object = {k: i for i, k in enumerate(objects)}
+        at_arrow = {g: i for i, g in enumerate(ids)}
+        index = lambda xs, at, end: np.array([at.get(x, end) for x in xs], dtype=np.intp)
+        g, h, gh = index([x for r in rows for x in r], at_arrow, len(ids)).reshape(-1, 3).T
+        comp = np.full((len(ids), len(ids)), -1, dtype=np.intp)
+        known = (g < len(ids)) & (h < len(ids))
+        comp[g[known], h[known]] = gh[known]
+        table = lambda key, names: (
+            index([d[key][x] for x in names], at_arrow, len(ids))
+            if set(d[key]) == set(names) else None
         )
+        return cls(
+            objects=objects,
+            arrows=ids,
+            src=index([a["src"] for a in arrows], at_object, len(objects)),
+            tgt=index([a["tgt"] for a in arrows], at_object, len(objects)),
+            comp=comp if known.all() else None,
+            inverse=table("inverse", ids),
+            identities=table("identities", objects),
+        )
+
+
+def _pair_times_group(objects, table, inverse, unit: int, names) -> FiniteGroupoid:
+    """The pair groupoid on `objects` times a group of order m, the group
+    given by its multiplication table, inverse and unit as element indices.
+
+    Arrow (i, g, j) runs from object i to object j; it has index
+    (i m + g) n + j and the name at that index of `names`, and
+    (i, g, j)(j, h, k) = (i, gh, k).  A pair groupoid is the product with
+    the trivial group, a group the product over one object.
+    """
+    n, m = len(objects), len(table)
+    i, g, j = np.unravel_index(np.arange(n * m * n), (n, m, n))
+    arrow = lambda i, g, j: (i * m + g) * n + j
+    ends = np.arange(n)
+    return FiniteGroupoid(
+        objects=tuple(objects),
+        arrows=tuple(names),
+        src=i,
+        tgt=j,
+        comp=np.where(j[:, None] == i, arrow(i[:, None], table[g[:, None], g], j), -1),
+        inverse=arrow(j, inverse[g], i),
+        identities=arrow(ends, unit, ends),
+    )
 
 
 def pair_groupoid(objects: Sequence[str]) -> FiniteGroupoid:
     """Exactly one arrow between every ordered pair of objects."""
-    objects = tuple(objects)
-    name = lambda i, j: f"{i}>{j}"
-    arrows = tuple(name(i, j) for i in objects for j in objects)
-    return FiniteGroupoid(
-        objects=objects,
-        arrows=arrows,
-        src={name(i, j): i for i in objects for j in objects},
-        tgt={name(i, j): j for i in objects for j in objects},
-        compose={
-            (name(i, j), name(j, k)): name(i, k)
-            for i in objects
-            for j in objects
-            for k in objects
-        },
-        inverse={name(i, j): name(j, i) for i in objects for j in objects},
-        identities={i: name(i, i) for i in objects},
-    )
-
-
-def _group_groupoid(elements, mult, unit, inv, label="*") -> FiniteGroupoid:
-    return FiniteGroupoid(
-        objects=(label,),
-        arrows=tuple(elements),
-        src={g: label for g in elements},
-        tgt={g: label for g in elements},
-        compose=mult,
-        inverse=inv,
-        identities={label: unit},
-    )
+    trivial = np.zeros((1, 1), dtype=np.intp)
+    names = [f"{i}>{j}" for i in objects for j in objects]
+    return _pair_times_group(objects, trivial, trivial[0], 0, names)
 
 
 def cyclic_groupoid(n: int) -> FiniteGroupoid:
     """The cyclic group of order n as a one-object groupoid."""
     if n < 1:
         raise ValueError("order must be positive")
-    els = [str(i) for i in range(n)]
-    mult = {(str(a), str(b)): str((a + b) % n) for a in range(n) for b in range(n)}
-    inv = {str(a): str((-a) % n) for a in range(n)}
-    return _group_groupoid(els, mult, "0", inv)
+    a = np.arange(n)
+    return _pair_times_group(("*",), (a[:, None] + a) % n, -a % n, 0, [str(x) for x in range(n)])
 
 
 def symmetric_groupoid(n: int) -> FiniteGroupoid:
-    """The symmetric group on n letters as a one-object groupoid."""
-    perms = list(itertools.permutations(range(n)))
-    name = lambda p: "".join(str(i) for i in p)
-    compose_perm = lambda p, q: tuple(q[p[i]] for i in range(n))
-    mult = {(name(p), name(q)): name(compose_perm(p, q)) for p in perms for q in perms}
-    inv = {}
-    for p in perms:
-        pi = [0] * n
-        for i, j in enumerate(p):
-            pi[j] = i
-        inv[name(p)] = name(tuple(pi))
-    return _group_groupoid([name(p) for p in perms], mult, name(tuple(range(n))), inv)
+    """The symmetric group on n letters as a one-object groupoid.
+
+    Elements are the permutations p in lexicographic order, named by their
+    images; pq maps i to q[p[i]].
+    """
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    # lexicographic order makes the base-n codes increase
+    code = lambda p: p @ n ** np.arange(n - 1, -1, -1)
+    at = lambda p: code(perms).searchsorted(code(p))
+    table = at(perms[np.arange(len(perms))[:, None], perms[:, None, :]])  # [p, q, i] = q[p[i]]
+    names = ["".join(map(str, p)) for p in perms.tolist()]
+    return _pair_times_group(("*",), table, at(perms.argsort(axis=1)), 0, names)
 
 
 def transitive_groupoid(objects: Sequence[str], group: FiniteGroupoid) -> FiniteGroupoid:
     """Pair groupoid over `objects` with isotropy a given one-object groupoid."""
     if len(group.objects) != 1:
         raise ValueError("isotropy must be a one-object groupoid (a group)")
-    objects = tuple(objects)
-    els = group.arrows
-    name = lambda i, g, j: f"{i}:{g}:{j}"
-    arrows = tuple(name(i, g, j) for i in objects for g in els for j in objects)
-    e = group.identities[group.objects[0]]
-    return FiniteGroupoid(
-        objects=objects,
-        arrows=arrows,
-        src={name(i, g, j): i for i in objects for g in els for j in objects},
-        tgt={name(i, g, j): j for i in objects for g in els for j in objects},
-        compose={
-            (name(i, g, j), name(j, h, k)): name(i, group.compose[(g, h)], k)
-            for i in objects
-            for j in objects
-            for k in objects
-            for g in els
-            for h in els
-        },
-        inverse={
-            name(i, g, j): name(j, group.inverse[g], i)
-            for i in objects
-            for g in els
-            for j in objects
-        },
-        identities={i: name(i, e, i) for i in objects},
-    )
+    names = [f"{i}:{g}:{j}" for i in objects for g in group.arrows for j in objects]
+    return _pair_times_group(objects, group.comp, group.inverse, group.identities[0], names)
 
 
 def disjoint_union(*parts: FiniteGroupoid) -> FiniteGroupoid:
-    """Disjoint union, components relabeled with a positional prefix."""
+    """Disjoint union, components relabeled with a positional prefix; the
+    tables stack block-diagonally."""
     tag = lambda p, s: f"{p}.{s}"
-    objects, arrows = [], []
-    src, tgt, compose, inverse, identities = {}, {}, {}, {}, {}
-    for idx, g in enumerate(parts):
-        p = str(idx)
-        objects += [tag(p, k) for k in g.objects]
-        arrows += [tag(p, a) for a in g.arrows]
-        src.update({tag(p, a): tag(p, g.src[a]) for a in g.arrows})
-        tgt.update({tag(p, a): tag(p, g.tgt[a]) for a in g.arrows})
-        compose.update(
-            {(tag(p, a), tag(p, b)): tag(p, c) for (a, b), c in g.compose.items()}
-        )
-        inverse.update({tag(p, a): tag(p, g.inverse[a]) for a in g.arrows})
-        identities.update({tag(p, k): tag(p, e) for k, e in g.identities.items()})
+    arrow_at = np.cumsum([0] + [len(g.arrows) for g in parts])
+    object_at = np.cumsum([0] + [len(g.objects) for g in parts])
+    comp = np.full((arrow_at[-1], arrow_at[-1]), -1, dtype=np.intp)
+    for g, lo, hi in zip(parts, arrow_at, arrow_at[1:]):
+        comp[lo:hi, lo:hi] = np.where(g.comp >= 0, g.comp + lo, -1)
+    stacked = lambda field, at: np.concatenate([getattr(g, field) + o for g, o in zip(parts, at)])
     return FiniteGroupoid(
-        objects=tuple(objects),
-        arrows=tuple(arrows),
-        src=src,
-        tgt=tgt,
-        compose=compose,
-        inverse=inverse,
-        identities=identities,
+        objects=tuple(tag(p, k) for p, g in enumerate(parts) for k in g.objects),
+        arrows=tuple(tag(p, a) for p, g in enumerate(parts) for a in g.arrows),
+        src=stacked("src", object_at),
+        tgt=stacked("tgt", object_at),
+        comp=comp,
+        inverse=stacked("inverse", arrow_at),
+        identities=stacked("identities", arrow_at),
     )
 
 
@@ -540,20 +558,15 @@ class FinitePQG:
 
 def from_finite_groupoid_functions(gpd: FiniteGroupoid) -> FinitePQG:
     """Function algebra on a finite groupoid, coproduct dual to composition."""
-    d = len(gpd.arrows)
-    idx = {g: i for i, g in enumerate(gpd.arrows)}
+    d, n = len(gpd.arrows), len(gpd.objects)
+    every = np.arange(d)
     mult = np.zeros((d, d, d))
-    for i in range(d):
-        mult[i, i, i] = 1.0
+    mult[every, every, every] = 1.0
+    g, h, gh = gpd.composable()
     cop = np.zeros((d, d, d))
-    for (g, h), gh in gpd.compose.items():
-        cop[idx[gh], idx[g], idx[h]] = 1.0
-    n = len(gpd.objects)
+    cop[gh, g, h] = 1.0
     units = np.zeros((n, n, d))
-    for k, ko in enumerate(gpd.objects):
-        for l, lo in enumerate(gpd.objects):
-            for g in gpd.hom(ko, lo):
-                units[k, l, idx[g]] = 1.0
+    units[gpd.src, gpd.tgt, every] = 1.0
     return FinitePQG(
         objects=gpd.objects,
         basis=gpd.arrows,
@@ -566,21 +579,17 @@ def from_finite_groupoid_functions(gpd: FiniteGroupoid) -> FinitePQG:
 
 def from_finite_groupoid_algebra(gpd: FiniteGroupoid) -> FinitePQG:
     """Groupoid algebra: basis theta_g, group-like coproduct, units on the diagonal."""
-    d = len(gpd.arrows)
-    idx = {g: i for i, g in enumerate(gpd.arrows)}
+    d, n = len(gpd.arrows), len(gpd.objects)
+    every = np.arange(d)
+    g, h, gh = gpd.composable()
     mult = np.zeros((d, d, d))
-    for (g, h), gh in gpd.compose.items():
-        mult[idx[g], idx[h], idx[gh]] = 1.0
+    mult[g, h, gh] = 1.0
     star = np.zeros((d, d))
-    for g in gpd.arrows:
-        star[idx[g], idx[gpd.inverse[g]]] = 1.0
+    star[every, gpd.inverse] = 1.0
     cop = np.zeros((d, d, d))
-    for i in range(d):
-        cop[i, i, i] = 1.0
-    n = len(gpd.objects)
+    cop[every, every, every] = 1.0
     units = np.zeros((n, n, d))
-    for k, ko in enumerate(gpd.objects):
-        units[k, k, idx[gpd.identities[ko]]] = 1.0
+    units[np.arange(n), np.arange(n), gpd.identities] = 1.0
     return FinitePQG(
         objects=gpd.objects,
         basis=tuple(f"theta_{g}" for g in gpd.arrows),
@@ -1298,13 +1307,13 @@ def uniform_haar_oracle(G: FinitePQG, gpd: FiniteGroupoid) -> HaarFamily:
     """Uniform measures on the arrow sets; the Haar family of a function algebra."""
     if G.basis != gpd.arrows:
         raise ValueError("instance basis does not enumerate the groupoid arrows")
-    idx = {g: i for i, g in enumerate(gpd.arrows)}
-    states = {}
-    for k, ko in enumerate(gpd.objects):
-        for m, mo in enumerate(gpd.objects):
-            vec = np.zeros(G.dim)
-            hom = gpd.hom(ko, mo)
-            for g in hom:
-                vec[idx[g]] = 1.0 / len(hom)
-            states[(k, m)] = GradedFunctional(vector=vec, grading=(k, m, k, m))
+    n, src, tgt = G.n_objects, gpd.src, gpd.tgt
+    hom = np.bincount(src * n + tgt, minlength=n * n).reshape(n, n)  # hom-set sizes
+    vectors = np.zeros((n, n, G.dim))
+    vectors[src, tgt, np.arange(G.dim)] = 1.0 / hom[src, tgt]
+    states = {
+        (k, m): GradedFunctional(vector=vectors[k, m], grading=(k, m, k, m))
+        for k in range(n)
+        for m in range(n)
+    }
     return HaarFamily(states=states, diagnostics={"method": "uniform_oracle"})

@@ -407,11 +407,10 @@ def _corner_rotation(gpd, seed):
     """Random orthogonal map inside each span of hom(k, l), the unit corners."""
     rng = np.random.default_rng(seed)
     Q = np.zeros((len(gpd.arrows), len(gpd.arrows)))
-    idx = {g: i for i, g in enumerate(gpd.arrows)}
-    for k in gpd.objects:
-        for l in gpd.objects:
-            block = [idx[g] for g in gpd.hom(k, l)]
-            if block:
+    for k in range(len(gpd.objects)):
+        for l in range(len(gpd.objects)):
+            block = np.flatnonzero((gpd.src == k) & (gpd.tgt == l))
+            if block.size:
                 Q[np.ix_(block, block)] = _random_orthogonal(rng, len(block))
     return Q
 
