@@ -42,7 +42,6 @@ __all__ = [
     "coo_product",
     "coo_einsum",
     "coo_max_diffs",
-    "coo_max_diff",
     "split_spans",
     "RANK_CUTOFF",
 ]
@@ -361,12 +360,6 @@ def coo_max_diffs(pairs: list) -> np.ndarray:
     out = np.maximum.reduceat(diff, at)
     out[at == np.append(at[1:], head.size)] = 0.0
     return out
-
-
-def coo_max_diff(a: tuple, b: tuple, shape: tuple) -> float:
-    """max |a - b| over the union of both supports, for (idx, val) tensors of `shape`."""
-    key = lambda t: np.ravel_multi_index(t[0].T, shape)
-    return float(coo_max_diffs([((key(a), a[1]), (key(b), b[1]))])[0])
 
 
 def split_spans(col_sets: list, pairs: tuple) -> tuple:
