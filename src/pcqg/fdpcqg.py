@@ -34,13 +34,14 @@ system's nonzeros rather than its d^2 rows per (k, l) block.  The Cesaro
 route and the residual checks contract the coproduct with whole stacks of
 functionals as matrix products.
 
-Every check reads the grading through one corner map, a -> 1^k_m a 1^l_n,
-written once as `FinitePQG.sandwich`.  An instance keeps what its checks
-reuse: the diagonal corner maps (`FinitePQG.corners`), which give the
-graded functionals, the corner traces and bases of both Haar routes, the
-nonzero entries of every corner map (`FinitePQG.corner_entries`), which
-the corepresentation block-support check applies, and those of mult,
-coproduct and star (`FinitePQG.entries`); D2 contracts P A P from mult's.
+The grading is read through the corner maps a -> 1^k_m a 1^l_n, built two
+ways.  The dense one is `FinitePQG.sandwich`; its diagonal corners
+(`FinitePQG.corners`) give the graded functionals and the corner traces
+and bases of both Haar routes.  The sparse one is the nonzero entries of
+every corner map (`FinitePQG.corner_entries`), which the corepresentation
+block-support check (co2 of `corep.verify_rep`) applies.  An instance
+keeps both, and the entries of mult, coproduct and star
+(`FinitePQG.entries`), once made; D2 contracts P A P from mult's.
 Intermediates are checked for inf and nan before they reach LAPACK
 (`NonFiniteError`); an overflowing structure constant makes the stage that
 sees it a failed check, never a hang or a usage error.  A Cesaro corner
@@ -274,7 +275,6 @@ def _pair_times_group(objects, table, inverse, unit: int, names) -> FiniteGroupo
     n, m = len(objects), len(table)
     i, g, j = np.unravel_index(np.arange(n * m * n), (n, m, n))
     arrow = lambda i, g, j: (i * m + g) * n + j
-    ends = np.arange(n)
     return FiniteGroupoid(
         objects=tuple(objects),
         arrows=tuple(names),
@@ -282,7 +282,7 @@ def _pair_times_group(objects, table, inverse, unit: int, names) -> FiniteGroupo
         tgt=j,
         comp=np.where(j[:, None] == i, arrow(i[:, None], table[g[:, None], g], j), -1),
         inverse=arrow(j, inverse[g], i),
-        identities=arrow(ends, unit, ends),
+        identities=arrow(np.arange(n), unit, np.arange(n)),
     )
 
 
@@ -313,7 +313,7 @@ def symmetric_groupoid(n: int) -> FiniteGroupoid:
     at = lambda p: code(perms).searchsorted(code(p))
     table = at(perms[np.arange(len(perms))[:, None], perms[:, None, :]])  # [p, q, i] = q[p[i]]
     names = ["".join(map(str, p)) for p in perms.tolist()]
-    return _pair_times_group(("*",), table, at(perms.argsort(axis=1)), 0, names)
+    return _pair_times_group(("*",), table, at(perms.argsort(axis=1, kind="stable")), 0, names)
 
 
 def transitive_groupoid(objects: Sequence[str], group: FiniteGroupoid) -> FiniteGroupoid:
@@ -1307,13 +1307,10 @@ def uniform_haar_oracle(G: FinitePQG, gpd: FiniteGroupoid) -> HaarFamily:
     """Uniform measures on the arrow sets; the Haar family of a function algebra."""
     if G.basis != gpd.arrows:
         raise ValueError("instance basis does not enumerate the groupoid arrows")
-    n, src, tgt = G.n_objects, gpd.src, gpd.tgt
+    n, src, tgt = len(gpd.objects), gpd.src, gpd.tgt
     hom = np.bincount(src * n + tgt, minlength=n * n).reshape(n, n)  # hom-set sizes
     vectors = np.zeros((n, n, G.dim))
     vectors[src, tgt, np.arange(G.dim)] = 1.0 / hom[src, tgt]
-    states = {
-        (k, m): GradedFunctional(vector=vectors[k, m], grading=(k, m, k, m))
-        for k in range(n)
-        for m in range(n)
-    }
+    states = {(k, m): GradedFunctional(vector=vectors[k, m], grading=(k, m, k, m))
+              for k in range(n) for m in range(n)}
     return HaarFamily(states=states, diagnostics={"method": "uniform_oracle"})

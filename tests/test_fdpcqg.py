@@ -88,6 +88,26 @@ def test_builder_shapes():
     assert _hom(u, "0.1", "1.*") == []
 
 
+def _compositions(g):
+    """(g, h, gh) by name, for every composable pair."""
+    return [[g.arrows[i] for i in idx] for idx in zip(*g.composable())]
+
+
+def test_builders_compose_by_their_laws():
+    # pq maps i to q[p[i]], in the names of the images
+    s3 = symmetric_groupoid(3)
+    for p, q, pq in _compositions(s3):
+        assert pq == "".join(q[int(i)] for i in p)
+    for a, b, ab in _compositions(cyclic_groupoid(4)):
+        assert int(ab) == (int(a) + int(b)) % 4
+    for g, h, gh in _compositions(pair_groupoid(["x", "y", "z"])):
+        assert g[-1] == h[0] and gh == g[0] + ">" + h[-1]
+    law = {(p, q): pq for p, q, pq in _compositions(s3)}
+    for g, h, gh in _compositions(transitive_groupoid(["a", "b"], s3)):
+        (i, p, j), (j2, q, k) = g.split(":"), h.split(":")
+        assert j == j2 and gh == f"{i}:{law[p, q]}:{k}"
+
+
 def test_malformed_groupoids_rejected():
     z3 = GROUPOIDS["z3"]
     bad_comp = z3.comp.copy()
