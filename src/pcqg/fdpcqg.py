@@ -136,7 +136,7 @@ class FiniteGroupoid:
         src, tgt, comp = self.src, self.tgt, self.comp
         name = lambda i: repr(self.arrows[i])
         outside = lambda idx, size: (idx < 0) | (idx >= size)
-        if src.shape != (d,) or tgt.shape != (d,):
+        if np.shape(src) != (d,) or np.shape(tgt) != (d,):
             raise ValueError("src and tgt must hold one object index per arrow")
         bad = outside(src, n) | outside(tgt, n)
         if bad.any():
@@ -201,7 +201,9 @@ class FiniteGroupoid:
         ends = zip(self.arrows, self.src.tolist(), self.tgt.tolist())
         return {
             "objects": list(self.objects),
-            "arrows": [{"id": g, "src": self.objects[s], "tgt": self.objects[t]} for g, s, t in ends],
+            "arrows": [
+                {"id": g, "src": self.objects[s], "tgt": self.objects[t]} for g, s, t in ends
+            ],
             "compose": sorted(map(list, zip(*map(names, self.composable())))),
             "inverse": dict(zip(self.arrows, names(self.inverse))),
             "identities": dict(sorted(zip(self.objects, names(self.identities)))),
@@ -248,9 +250,9 @@ class FiniteGroupoid:
         comp = np.full((len(ids), len(ids)), -1, dtype=np.intp)
         known = (g < len(ids)) & (h < len(ids))
         comp[g[known], h[known]] = gh[known]
-        table = lambda key, names: (
-            index([d[key][x] for x in names], at_arrow, len(ids))
-            if set(d[key]) == set(names) else None
+        table = lambda key, keys: (
+            index([d[key][x] for x in keys], at_arrow, len(ids))
+            if set(d[key]) == set(keys) else None
         )
         return cls(
             objects=objects,

@@ -158,10 +158,12 @@ LOADER_ERRORS = {
         "arrows: every arrow needs a string 'tgt'", True,
     ),
     "short_compose_row": (
-        "pair2", lambda d: d["compose"][0].pop(), "compose: rows must be [g, h, gh] arrow ids", True,
+        "pair2", lambda d: d["compose"][0].pop(),
+        "compose: rows must be [g, h, gh] arrow ids", True,
     ),
     "inverse_not_object": (
-        "z3", lambda d: d.update(inverse=["0", "2", "1"]), "inverse: expected an object of names", True,
+        "z3", lambda d: d.update(inverse=["0", "2", "1"]),
+        "inverse: expected an object of names", True,
     ),
     "identity_not_name": (
         "z3", _set_entry("identities", "*", 0), "identities: expected an object of names", True,
@@ -199,10 +201,12 @@ LOADER_ERRORS = {
         "identity table must cover every object", True,
     ),
     "identity_extra": (
-        "pair2", _set_entry("identities", "3", "1>1"), "identity table must cover every object", True,
+        "pair2", _set_entry("identities", "3", "1>1"),
+        "identity table must cover every object", True,
     ),
     "identity_unknown": (
-        "pair2", _set_entry("identities", "2", "nowhere"), "identity of '2' has wrong endpoints", True,
+        "pair2", _set_entry("identities", "2", "nowhere"),
+        "identity of '2' has wrong endpoints", True,
     ),
     "identity_endpoints": (
         "pair2", _set_entry("identities", "1", "1>2"), "identity of '1' has wrong endpoints", True,
