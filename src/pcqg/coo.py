@@ -36,9 +36,11 @@ import numpy as np
 
 __all__ = [
     "coo",
+    "columns",
     "rank_within",
     "components",
     "matches",
+    "summed",
     "coo_product",
     "coo_einsum",
     "coo_max_diffs",
@@ -51,9 +53,16 @@ RANK_CUTOFF = 1e-10
 
 
 def coo(t: np.ndarray) -> tuple:
-    """The nonzero entries of a dense array."""
-    nz = np.nonzero(t)
-    return np.stack(nz, axis=1), t[nz]
+    """The nonzero entries of a dense array, in row-major order."""
+    # a boolean mask takes numpy's fast nonzero path; a float array does not
+    at = np.flatnonzero(t != 0)
+    return np.array(np.unravel_index(at, t.shape)).T.copy(), t.ravel()[at]
+
+
+def columns(entries: tuple) -> tuple:
+    """The index columns of COO entries, then their values."""
+    idx, val = entries
+    return (*idx.T, val)
 
 
 def rank_within(group: np.ndarray) -> np.ndarray:
@@ -74,6 +83,15 @@ def matches(x: np.ndarray, y: np.ndarray) -> tuple:
     a = np.arange(x.size).repeat(count)
     b = order[np.arange(a.size) + (lo - count.cumsum() + count).repeat(count)]
     return a, b
+
+
+def summed(key: np.ndarray, val: np.ndarray) -> tuple:
+    """One entry per distinct (nonnegative) key, in increasing order,
+    holding the sum of its values in their order."""
+    order = key.argsort(kind="stable")
+    key = key[order]
+    first = np.flatnonzero(key != np.concatenate(([-1], key[:-1])))
+    return key[first], np.add.reduceat(val[order], first)
 
 
 def _relabel(x: np.ndarray) -> tuple:

@@ -7,15 +7,17 @@ slices.  The unit grading makes these sparse: every slice of the regular
 corepresentation of a groupoid is a partial permutation, d times a hom-set's
 size in all, where dense slices would hold d N^2 numbers.
 
-Everything is made from entries.  The trivial corepresentation is the unit
-stack, the regular one has one entry per composable pair of arrows, and the
-middle-matched tensor product pairs its factors' entries through the
-nonzero structure constants, keeping the matched slots only.  The checks of
-`verify_rep` are joins of entries on one (raveled) key (`coo.matches`, the
-join the Haar system is built with), and their four (lhs, rhs) pairs are
-compared in one `coo_max_diffs` pass, so no step forms a dense slice and
-the cost follows the entries and the instance's nonzeros
-(`FinitePQG.entries`, `FinitePQG.corner_entries`).
+Everything is made from entries, and the instance is read through its own
+(`FinitePQG.entries`, `FinitePQG.corner_entries`).  The trivial
+corepresentation is the unit stack's entries, the regular one has one entry
+per composable pair of arrows, and the middle-matched tensor product joins
+its factors' entries through the nonzero structure constants, on keys that
+carry the slots' grades, so only matched slots are ever paired.  The checks
+of `verify_rep` are joins of entries on one (raveled) key (`coo.matches`,
+the join the Haar system and the corner maps are built with), and their
+four (lhs, rhs) pairs are compared in one `coo_max_diffs` pass, so no step
+forms a dense slice and the cost follows the entries and the instance's
+nonzeros.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coo import coo, coo_max_diffs, matches
+from .coo import columns, coo, coo_max_diffs, matches, summed
 from .fdpcqg import CheckResult, FiniteGroupoid, FinitePQG
 
 __all__ = [
@@ -34,21 +36,6 @@ __all__ = [
     "tensor_reps",
     "verify_rep",
 ]
-
-
-def _columns(entries: tuple) -> tuple:
-    """The index columns of COO entries, then their values."""
-    idx, val = entries
-    return (*idx.T, val)
-
-
-def _summed(key: np.ndarray, val: np.ndarray) -> tuple:
-    """One entry per distinct key, in increasing order, holding the sum of
-    its values."""
-    order = key.argsort(kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    return key[first], np.add.reduceat(val[order], first)
 
 
 @dataclass(frozen=True)
@@ -87,7 +74,7 @@ class BigradedRep:
 def trivial_rep(G: FinitePQG) -> BigradedRep:
     """One slot per object with diagonal grade; X_i[k, l] is the e_i
     coefficient of the unit projection 1^k_l."""
-    k, l, i, val = _columns(coo(G.units))
+    k, l, i, val = columns(G.entries["units"])
     blocks = tuple((k, k) for k in range(G.n_objects))
     return BigradedRep(G=G, blocks=blocks, entries=(np.column_stack([i, k, l]), val))
 
@@ -112,8 +99,8 @@ def _same_instance(G: FinitePQG, H: FinitePQG) -> bool:
     if G.objects != H.objects or G.basis != H.basis:
         return False
     return all(
-        np.array_equal(getattr(G, f), getattr(H, f))
-        for f in ("mult", "star", "units", "coproduct")
+        all(np.array_equal(a, b) for a, b in zip(G.entries[f], H.entries[f]))
+        for f in G.entries
     )
 
 
@@ -122,8 +109,8 @@ def tensor_reps(X: BigradedRep, Y: BigradedRep) -> BigradedRep:
 
     Z_c[(u, v), (u', v')] = sum_{a, b} mult[a, b, c] X_a[u, u'] Y_b[v, v']:
     every nonzero mult[a, b, c] is joined with X's entries at a, then with
-    Y's entries at b, and a product is kept when both (u, v) and (u', v')
-    are matched slots.
+    Y's entries at b whose row and column grades are the column grades of
+    X's u and u', so that both (u, v) and (u', v') are matched slots.
     """
     if not _same_instance(X.G, Y.G):
         raise ValueError("representations live over different instances")
@@ -131,16 +118,17 @@ def tensor_reps(X: BigradedRep, Y: BigradedRep) -> BigradedRep:
     u, v = matches(x_col, y_row)  # the matched slots, in (u, v) order
     pair_key = u * Y.space_dim + v
     blocks = tuple(zip(x_row[u].tolist(), y_col[v].tolist()))
-    a, b, c, m = _columns(X.G.entries["mult"])
-    xi, xu, xv, xval = _columns(X.entries)
-    yi, yu, yv, yval = _columns(Y.entries)
+    a, b, c, m = columns(X.G.entries["mult"])
+    xi, xu, xv, xval = columns(X.entries)
+    yi, yu, yv, yval = columns(Y.entries)
+    n = X.G.n_objects
     p, q = matches(a, xi)
-    s, r = matches(b[p], yi)
+    s, r = matches(
+        (b[p] * n + x_col[xu[q]]) * n + x_col[xv[q]], (yi * n + y_row[yu]) * n + y_row[yv]
+    )
     p, q = p[s], q[s]
-    keep = (x_col[xu[q]] == y_row[yu[r]]) & (x_col[xv[q]] == y_row[yv[r]])
-    p, q, r = p[keep], q[keep], r[keep]
     M = len(u)
-    key, val = _summed(
+    key, val = summed(
         (c[p] * M + pair_key.searchsorted(xu[q] * Y.space_dim + yu[r])) * M
         + pair_key.searchsorted(xv[q] * Y.space_dim + yv[r]),
         m[p] * xval[q] * yval[r],
@@ -161,7 +149,7 @@ def _product(mult: tuple, A: tuple, B: tuple, d: int, N: int) -> tuple:
     ai, au, aw, aval = A
     bi, bw, bv, bval = B
     p, q = matches(a, ai)
-    key, val = _summed(((b[p] * N + aw[q]) * d + c[p]) * N + au[q], n[p] * aval[q])
+    key, val = summed(((b[p] * N + aw[q]) * d + c[p]) * N + au[q], n[p] * aval[q])
     bw_key, cu = np.divmod(key, d * N)
     s, t = matches(bw_key, bi * N + bw)
     return cu[s] * N + bv[t], val[s] * bval[t]
@@ -183,17 +171,17 @@ def verify_rep(X: BigradedRep, tol: float = 1e-10) -> list:
     """
     G = X.G
     d, N, n = G.dim, X.space_dim, G.n_objects
-    i, u, v, x = _columns(X.entries)
+    i, u, v, x = columns(X.entries)
     row, col = X.grades()
 
-    ci, ca, cb, cval = _columns(G.entries["coproduct"])
+    ci, ca, cb, cval = columns(G.entries["coproduct"])
     p, q = matches(ci, i)
     co1 = (((ca[p] * d + cb[p]) * N + u[q]) * N + v[q], cval[p] * x[q])
     p, q = matches(v, u)  # X_a[u, w] X_b[w, v]
     co1 = co1, (((i[p] * d + i[q]) * N + u[p]) * N + v[q], x[p] * x[q])
 
     # slot u of grade (k, l) and slot v of grade (m, nn) sit in corner (k, m, l, nn)
-    g, pc, pi, pval = _columns(G.corner_entries)
+    g, pc, pi, pval = columns(G.corner_entries)
     p, q = matches(pi, i)
     corner = ((row[u] * n + row[v]) * n + col[u]) * n + col[v]
     co2 = (
@@ -202,17 +190,17 @@ def verify_rep(X: BigradedRep, tol: float = 1e-10) -> list:
     )
 
     # X^* = sum_j e_j (x) S_j with S_j = sum_a star[a, j] X_a^*, one entry per index
-    sa, sj, sval = _columns(G.entries["star"])
+    sa, sj, sval = columns(G.entries["star"])
     p, q = matches(sa, i)
-    key, val = _summed((sj[p] * N + v[q]) * N + u[q], sval[p] * x[q].conj())
+    key, val = summed((sj[p] * N + v[q]) * N + u[q], sval[p] * x[q].conj())
     S = (*np.unravel_index(key, (d, N, N)), val)
-    mult = _columns(G.entries["mult"])
+    mult = columns(G.entries["mult"])
     unitary = []
     for prod, projections, grade in (
         (_product(mult, S, (i, u, v, x), d, N), G.units.sum(axis=0), col),
         (_product(mult, (i, u, v, x), S, d, N), G.units.sum(axis=1), row),
     ):
-        l, c, pv = _columns(coo(projections))
+        l, c, pv = columns(coo(projections))
         p, q = matches(l, grade)
         unitary.append((prod, ((c[p] * N + q) * N + q, pv[p])))
 

@@ -26,26 +26,23 @@ of their nonzero pattern and take one SVD per block, with ranks cut
 at RANK_CUTOFF times the largest singular value over all blocks of a set
 (the s_max of one dense SVD).  A dense instance is simply one block.
 
-The Haar states phi_km live on the diagonal corners 1^k_m A 1^k_m.  Their
-linear system is built from nonzeros: each nonzero entry of a corner basis
-is matched with the unit-stack entries and coproduct entries it meets, and
-only the rows that receive an entry are laid out, so the cost follows the
-system's nonzeros rather than its d^2 rows per (k, l) block.  The Cesaro
-route and the residual checks contract the coproduct with whole stacks of
-functionals as matrix products.
-
-The grading is read through the corner maps a -> 1^k_m a 1^l_n, built two
-ways.  The dense one is `FinitePQG.sandwich`; its diagonal corners
-(`FinitePQG.corners`) give the graded functionals and the corner traces
-and bases of both Haar routes.  The sparse one is the nonzero entries of
-every corner map (`FinitePQG.corner_entries`), which the corepresentation
-block-support check (co2 of `corep.verify_rep`) applies.  An instance
-keeps both, and the entries of mult, coproduct and star
-(`FinitePQG.entries`), once made; D2 contracts P A P from mult's.
-Intermediates are checked for inf and nan before they reach LAPACK
-(`NonFiniteError`); an overflowing structure constant makes the stage that
-sees it a failed check, never a hang or a usage error.  A Cesaro corner
-with no invariant state stops once its averages stop improving.
+Every stage reads an instance through the nonzeros of mult, coproduct,
+star and the unit stack (`FinitePQG.entries`), taken once.  The Haar states
+phi_km live on the diagonal corners 1^k_m A 1^k_m.  Their linear system is
+built from nonzeros: each nonzero entry of a corner basis is matched with
+the unit-stack entries and coproduct entries it meets, and only the rows
+that receive an entry are laid out, so the cost follows the system's
+nonzeros rather than its d^2 rows per (k, l) block.  The Cesaro
+convolutions and the invariance residuals are sums over the coproduct's
+entries.  The grading is read through the corner maps a -> 1^k_m a 1^l_n,
+built once as their nonzero entries (`FinitePQG.corner_entries`), joins of
+the unit-stack and mult entries, which co2 of `corep.verify_rep` applies;
+the diagonal corners of the graded functionals and both Haar routes
+(`FinitePQG.corners`) are scattered from them.  Intermediates are checked
+for inf and nan before they reach LAPACK (`NonFiniteError`); an overflowing
+structure constant makes the stage that sees it a failed check, never a
+hang or a usage error.  A Cesaro corner with no invariant state stops once
+its averages stop improving.
 """
 
 from __future__ import annotations
@@ -57,7 +54,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coo import RANK_CUTOFF, coo, coo_einsum, coo_max_diffs, coo_product, matches, split_spans
+from .coo import (RANK_CUTOFF, columns, coo, coo_einsum, coo_max_diffs, matches,
+                  split_spans, summed)
 
 __all__ = [
     "AXIOM_LABELS",
@@ -387,15 +385,22 @@ def _finite_array(value, field: str, shape=None) -> np.ndarray:
 
 
 def _coo_tensor(rows, dim: int, field: str) -> np.ndarray:
-    """A (dim, dim, dim) tensor from [i, j, k, value] rows."""
+    """A (dim, dim, dim) tensor from [i, j, k, value] rows, each index at
+    most once."""
     arr = _finite_array(rows, field)
     if arr.size and arr.shape[1:] != (4,):
         raise ValueError(f"{field}: rows must be [i, j, k, value]")
     idx, values = arr.reshape(-1, 4)[:, :3], arr.reshape(-1, 4)[:, 3]
     if ((idx < 0) | (idx >= dim) | (idx != np.floor(idx))).any():
         raise ValueError(f"{field}: index outside 0..{dim - 1}")
+    idx = idx.astype(int)
+    key = np.sort(idx @ [dim * dim, dim, 1])
+    again = key[1:][key[1:] == key[:-1]]
+    if again.size:
+        at = np.unravel_index(again[0], (dim,) * 3)
+        raise ValueError(f"{field}: repeated index {[int(x) for x in at]}")
     out = np.zeros((dim, dim, dim))
-    out[tuple(idx.astype(int).T)] = values
+    out[tuple(idx.T)] = values
     return out
 
 
@@ -438,81 +443,61 @@ class FinitePQG:
 
     def trace_vector(self) -> np.ndarray:
         """Trace of left multiplication, as a functional vector."""
-        return np.einsum("ijj->i", self.mult)
-
-    def sandwich(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Matrix of a -> left . a . right on coefficient vectors.
-
-        `left` and `right` are coefficient vectors broadcast against each
-        other over their leading axes; the result has shape (..., d, d).
-        Its transpose maps omega to omega(left . _ . right) on dual vectors,
-        so left = 1^k_m and right = 1^l_n give the corner projection of the
-        grading (k, m, l, n).
-        """
-        return self._right_map(right) @ self._left_map(left)
-
-    def _left_map(self, left: np.ndarray) -> np.ndarray:
-        """(left e_i)_x at [..., x, i], one matrix product over mult's rows."""
-        d = self.dim
-        maps = left.reshape(-1, d) @ self.mult.reshape(d, d * d)
-        return maps.reshape(*left.shape[:-1], d, d).swapaxes(-1, -2)
-
-    def _right_map(self, right: np.ndarray) -> np.ndarray:
-        """(e_x right)_c at [..., c, x], one matrix product per slice mult[x]."""
-        d = self.dim
-        maps = (right.reshape(-1, d) @ self.mult).transpose(1, 2, 0)
-        return maps.reshape(*right.shape[:-1], d, d)
+        i, j, k, val = columns(self.entries["mult"])
+        diagonal = j == k
+        return np.bincount(i[diagonal], val[diagonal], minlength=self.dim)
 
     @cached_property
     def entries(self) -> dict:
-        """The nonzero entries (`coo`) of mult, coproduct and star, made on
-        first use and kept with the instance."""
-        return {f: coo(getattr(self, f)) for f in ("mult", "coproduct", "star")}
+        """The nonzero entries (`coo`) of mult, coproduct, star and the unit
+        stack, made on first use and kept with the instance.  Every check
+        and construction reads the structure constants from here."""
+        return {f: coo(getattr(self, f)) for f in ("mult", "coproduct", "star", "units")}
 
     @cached_property
     def corner_entries(self) -> tuple:
         """The nonzero entries of every corner map a -> 1^k_m a 1^l_n.
 
-        Entry (g, c, i) with value v is sandwich(1^k_m, 1^l_n)[c, i] = v for
-        the grading g = ravel(k, m, l, n).  The left and right multiplication
-        maps of the unit stack are contracted over their nonzeros in one
-        sparse product, so no (n^4, d, d) stack is formed; made on first use
-        and kept with the instance.
+        Entry (g, c, i) with value v says (1^k_m e_i 1^l_n)_c = v, for the
+        grading g = ravel(k, m, l, n), one per index.  The factors
+        (1^k_m e_i)_x and (e_x 1^l_n)_c are joins of the unit-stack and mult
+        entries and the maps their join on x, each summed per index; made
+        on first use and kept with the instance.
         """
         n, d = self.n_objects, self.dim
-        stack = self.units.reshape(n * n, d)
-        lidx, lval = coo(self._left_map(stack))  # [km, x, i]
-        ridx, rval = coo(self._right_map(stack))  # [ln, c, x]
-        r, c, val = coo_product(
-            (ridx[:, 0] * d + ridx[:, 1], ridx[:, 2], rval),
-            (lidx[:, 1], lidx[:, 0] * d + lidx[:, 2], lval),
-        )
-        grading = c // d * (n * n) + r // d
-        return np.column_stack([grading, r % d, c % d]), val
+        k, m, u, uval = columns(self.entries["units"])
+        a, b, c, mval = columns(self.entries["mult"])
+        p, q = matches(u, a)  # 1^k_m e_i at (km, x, i)
+        left, lval = summed(((k[p] * n + m[p]) * d + c[q]) * d + b[q], uval[p] * mval[q])
+        p, q = matches(u, b)  # e_x 1^l_n at (x, ln, c)
+        right, rval = summed(((a[q] * n + k[p]) * n + m[p]) * d + c[q], mval[q] * uval[p])
+        p, q = matches(left // d % d, right // (n * n * d))
+        km, i = left[p] // (d * d), left[p] % d
+        key, val = summed((km * (n * n * d) + right[q] % (n * n * d)) * d + i, rval[q] * lval[p])
+        return np.array(np.unravel_index(key, (n**4, d, d))).T.copy(), val
 
     @cached_property
     def corners(self) -> np.ndarray:
-        """The diagonal corner maps, corners[k, m] = sandwich(1^k_m, 1^k_m).
-
-        Shape (n, n, d, d), made on first use and kept with the instance:
-        the Haar routes and the graded functionals all read their corners
-        here.  One batched `sandwich` per object k, so the build holds the
-        multiplication maps of one row of the unit stack at a time.
+        """The diagonal corner maps, (1^k_m e_i 1^k_m)_c at [k, m, c, i],
+        scattered from `corner_entries` on first use and kept with the
+        instance: the Haar routes and the graded functionals read them here.
         """
-        out = np.empty((self.n_objects, self.n_objects, self.dim, self.dim))
-        for k, row in enumerate(self.units):
-            out[k] = self.sandwich(row, row)
-        return out
+        n, d = self.n_objects, self.dim
+        g, c, i, val = columns(self.corner_entries)
+        km, ln = np.divmod(g, n * n)
+        diagonal = km == ln
+        out = np.zeros((n * n, d, d))
+        out[km[diagonal], c[diagonal], i[diagonal]] = val[diagonal]
+        return out.reshape(n, n, d, d)
 
     def to_json_dict(self) -> dict:
-        sparse = lambda t: [
-            [int(i), int(j), int(k), float(t[i, j, k])]
-            for i, j, k in zip(*np.nonzero(t))
+        sparse = lambda f: [
+            [*idx, val] for idx, val in zip(*(x.tolist() for x in self.entries[f]))
         ]
         return {
             "objects": list(self.objects),
             "basis": list(self.basis),
-            "mult": sparse(self.mult),
+            "mult": sparse("mult"),
             "star": [[float(x) for x in row] for row in self.star],
             "units": {
                 f"{self.objects[k]}|{self.objects[l]}": [float(x) for x in self.units[k, l]]
@@ -520,7 +505,7 @@ class FinitePQG:
                 for l in range(self.n_objects)
                 if np.any(self.units[k, l])
             },
-            "coproduct": sparse(self.coproduct),
+            "coproduct": sparse("coproduct"),
         }
 
     @classmethod
@@ -741,8 +726,7 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     d, n = G.dim, G.n_objects
     dim = max(d, n)  # letters range over basis elements and objects
     units = G.units
-    m, c, s = (G.entries[f] for f in ("mult", "coproduct", "star"))
-    u = coo(units)
+    m, c, s, u = (G.entries[f] for f in ("mult", "coproduct", "star", "units"))
     delta_one = coo(units.sum(axis=0).T @ units.sum(axis=1))  # Delta(1)
     # the products with a vector are the entries scaled by it: e_i 1 and
     # 1 e_i (summed over the dropped letter when compared), and the left
@@ -750,7 +734,7 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     # P = sum_k 1^k_k
     one = G.algebra_unit()
     proj = units[np.arange(n), np.arange(n)].sum(axis=0)
-    (i, j, k), val = m[0].T, m[1]
+    i, j, k, val = columns(m)
     times_one = (i * dim + k, val * one[j]), (j * dim + k, val * one[i])
     p_left, p_right = (
         (m[0][at], val[at] * proj[x[at]]) for x in (i, j) for at in [proj[x] != 0]
@@ -962,11 +946,13 @@ class GradedFunctional:
 
 def _project(G: FinitePQG, vector: np.ndarray, grading: tuple) -> np.ndarray:
     """A dual vector restricted to 1^k_m A 1^l_n, through the kept corner
-    map when the grading is diagonal."""
+    map when the grading is diagonal and the corner map's entries otherwise."""
     k, m, l, n = grading
     if (k, m) == (l, n):
         return G.corners[k, m].T @ vector
-    return G.sandwich(G.units[k, m], G.units[l, n]).T @ vector
+    g, c, i, val = columns(G.corner_entries)
+    at = g == np.ravel_multi_index(grading, (G.n_objects,) * 4)
+    return np.bincount(i[at], val[at] * vector[c[at]], minlength=G.dim)
 
 
 def convolve(G: FinitePQG, chi: GradedFunctional, omega: GradedFunctional) -> GradedFunctional:
@@ -976,7 +962,8 @@ def convolve(G: FinitePQG, chi: GradedFunctional, omega: GradedFunctional) -> Gr
     indices disagree the computed vector is zero for any properly graded
     inputs on a well-formed instance.
     """
-    vec = np.einsum("ijk,j,k->i", G.coproduct, chi.vector, omega.vector)
+    i, j, k, val = columns(G.entries["coproduct"])
+    vec = np.bincount(i, val * chi.vector[j] * omega.vector[k], minlength=G.dim)
     k, _, l, _ = chi.grading
     _, p, _, q = omega.grading
     return GradedFunctional(vector=vec, grading=(k, p, l, q))
@@ -1023,14 +1010,16 @@ def _corner_invariance_residual(G: FinitePQG, k: int, h: GradedFunctional) -> fl
     The set is the dual basis projected onto the (k, k) corner, zero
     functionals dropped: the rows chi of the corner map.  Every chi * h and
     h * chi is one row of a matrix product, with Delta contracted against h
-    once per side.
+    once per side over the coproduct's entries.
     """
+    d = G.dim
     rows = G.corners[k, k]
     chi = rows[~(np.abs(rows).max(axis=1, initial=0.0) <= ZERO_TOL)]
     mass = (chi @ G.units[k, k])[:, None] * h.vector
-    cop = G.coproduct
-    left = chi @ (cop @ h.vector).T - mass  # (chi * h)(e_i) = chi . Delta(e_i) h
-    right = chi @ (h.vector @ cop).T - mass  # h . Delta(e_i) chi
+    i, a, b, val = columns(G.entries["coproduct"])
+    # (chi * h)(e_i) = chi . Delta(e_i) h at [a, i], and h . Delta(e_i) chi at [b, i]
+    left = chi @ np.bincount(a * d + i, val * h.vector[b], minlength=d * d).reshape(d, d) - mass
+    right = chi @ np.bincount(b * d + i, val * h.vector[a], minlength=d * d).reshape(d, d) - mass
     return np.maximum(np.abs(left).max(initial=0.0), np.abs(right).max(initial=0.0))
 
 
@@ -1158,9 +1147,8 @@ def _haar_system(G: FinitePQG, side: str) -> tuple:
     owner = np.arange(len(nonzero)).repeat(widths)  # the corner of each column
     corner = owner[bc]
     ba, bb = ka[corner], kb[corner]
-    ux, uy, uj = G.units.nonzero()
-    ci, cj, ck = G.coproduct.nonzero()
-    uval, cval = -G.units[ux, uy, uj], G.coproduct[ci, cj, ck]
+    ux, uy, uj, uval = columns(G.entries["units"])
+    ci, cj, ck, cval = columns(G.entries["coproduct"])
     legs = {"left": ("left",), "right": ("right",), "both": ("left", "right")}[side]
     # The row key of (k, l, i, side, j) is k wk + l wl + i wi + side d + j,
     # so each entry of a pair adds the part of the indices it gives.  The
@@ -1186,7 +1174,7 @@ def _haar_system(G: FinitePQG, side: str) -> tuple:
             their_part += [ci_wi + (ck + s * d), ux * wl + (uj + s * d)]
             mine.append(bb + offset)
             my_part.append(ba * wk + bp * wi)
-        their_val += [cval, uval]
+        their_val += [cval, -uval]
     a, b = matches(np.concatenate(mine), np.concatenate(theirs))
     key = np.concatenate(my_part)[a] + np.concatenate(their_part)[b]
     factor = np.concatenate(their_val)[b]
@@ -1286,18 +1274,23 @@ def haar_residuals(G: FinitePQG, fam: HaarFamily, tol: float = 1e-10) -> list:
 
     # left: Delta(e_i)[j, :] . phi_kl = sum_m phi_ml(e_i) units[m, k, j]
     # right: Delta(e_i)[:, j] . phi_kl = sum_m phi_km(e_i) units[l, m, j]
-    # one row k of states at a time, the coproduct sides as matrix products
-    # over its (d^2, d) and (d, d) slices, the defects taken in place
+    # one row k of states at a time, the coproduct sides summed from its
+    # entries at [i, j, l] and [i, l, j], the defects taken in place
     d = G.dim
     phi = np.stack([[fam.phi(k, m).vector for m in range(n)] for k in range(n)])
-    cop = G.coproduct
-    by_pair = cop.reshape(d * d, d)
+    by_entry = phi.transpose(0, 2, 1)  # [k, c, l]
+    i, a, b, val = columns(G.entries["coproduct"])
+    val, every = val[:, None], np.arange(n)
+    at_left = (((i * d + a) * n)[:, None] + every).ravel()
+    at_right = ((i * n * d + b)[:, None] + every * d).ravel()
     res_l = res_r = 0.0
     for k in range(n):
-        left = (by_pair @ phi[k].T).reshape(d, d, n)
+        left = np.bincount(at_left, (val * by_entry[k][b]).ravel(), minlength=d * d * n)
+        left = left.reshape(d, d, n)
         left -= np.einsum("mli,mj->ijl", phi, G.units[:, k])
         res_l = np.maximum(res_l, np.abs(left, out=left).max(initial=0.0))
-        right = phi[k] @ cop
+        right = np.bincount(at_right, (val * by_entry[k][a]).ravel(), minlength=d * n * d)
+        right = right.reshape(d, n, d)
         right -= np.einsum("mi,lmj->ilj", phi[k], G.units)
         res_r = np.maximum(res_r, np.abs(right, out=right).max(initial=0.0))
     out.append(CheckResult("invariance_left", res_l <= tol, float(res_l)))

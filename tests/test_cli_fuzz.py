@@ -114,8 +114,11 @@ def _instance_mutations(draw, doc):
         else:
             doc[names][1] = doc[names][0]
 
+    def repeated_index():
+        doc[tensor].append(row[:3] + [draw(st.sampled_from([row[3], 0.0, 5.0]))])
+
     return [drop_key, wrong_type, wrong_entry_type, bad_index, non_finite, ragged,
-            list_for_name, duplicate_name]
+            list_for_name, duplicate_name, repeated_index]
 
 
 # -- groupoid files: objects, arrows, compose, inverse, identities --------------

@@ -9,6 +9,7 @@ by corner `dense_co2` of tests/test_fd_blocks.py.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,9 +29,13 @@ from pcqg.fdpcqg import (
     cyclic_groupoid,
     from_finite_groupoid_algebra,
     from_finite_groupoid_functions,
+    haar_cesaro,
+    haar_linear_solve,
+    haar_residuals,
     pair_groupoid,
     symmetric_groupoid,
     transitive_groupoid,
+    verify_axioms,
 )
 from test_fd_blocks import INSTANCES as BLOCK_INSTANCES
 from test_fd_blocks import PAIR5, ROTATIONS, ZOO, dense_co2, dense_coeffs
@@ -151,16 +156,14 @@ CASES = _cases()
 def _reps(name):
     """The corepresentations checked on one case: the trivial one, its
     tensor square, and the regular one with its tensor products with the
-    trivial one.  A globally rotated instance is one dense block, so its
-    tensor products are taken up to d = 12."""
+    trivial one."""
     G, R = CASES[name]
     E = trivial_rep(G)
     reps = {"trivial": E, "trivial_x_trivial": (E, E)}
     if R is not None:
         reps["regular"] = R
-        if not name.endswith("_fn_rotated") or G.dim <= 12:
-            reps["regular_x_trivial"] = (R, E)
-            reps["trivial_x_regular"] = (E, R)
+        reps["regular_x_trivial"] = (R, E)
+        reps["trivial_x_regular"] = (E, R)
     return reps
 
 
@@ -183,6 +186,57 @@ def test_coo_path_matches_dense_oracle(name):
         new, ref = verify_rep(rep), dense_verify_rep(rep)
         _assert_same_checks(new, ref)
         assert all(c.passed for c in new), (kind, [str(c) for c in new])
+
+
+# -- one read path ------------------------------------------------------------------
+
+
+def _entries_only(G):
+    """A copy of G whose dense mult and coproduct are gone once its entries
+    are made."""
+    H = replace(G)
+    H.entries
+    object.__setattr__(H, "mult", None)
+    object.__setattr__(H, "coproduct", None)
+    return H
+
+
+def _same_rep(X, Y):
+    assert X.blocks == Y.blocks
+    assert np.array_equal(X.entries[0], Y.entries[0])
+    assert X.entries[1].tobytes() == Y.entries[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "name", ["blocks:union_pair_z2_fn", "blocks:s3x2_fn_corner_rotated", "blocks:raum"]
+)
+def test_instance_is_read_through_its_entries(name):
+    """Every check and construction reads the structure constants through
+    `FinitePQG.entries`: with the dense mult and coproduct gone, each gives
+    what it gives on the intact instance."""
+    G, R = CASES[name]
+    H, H2 = _entries_only(G), _entries_only(G)
+    assert verify_axioms(H) == verify_axioms(G)
+    for route in (haar_cesaro, haar_linear_solve):
+        fam, ref = route(H), route(G)
+        assert fam.diagnostics == ref.diagnostics
+        for km, phi in ref.states.items():
+            assert fam.states[km].grading == phi.grading
+            assert fam.states[km].vector.tobytes() == phi.vector.tobytes()
+        assert haar_residuals(H, fam) == haar_residuals(G, ref)
+    E, ref_E = trivial_rep(H), trivial_rep(G)
+    # a second stripped copy: the tensor product compares the instances
+    reps = {"trivial": (E, ref_E), "trivial_x_trivial": (tensor_reps(E, trivial_rep(H2)),
+                                                         tensor_reps(ref_E, ref_E))}
+    if R is not None:
+        base = name.removeprefix("blocks:").removesuffix("_fn")
+        R_H = regular_rep(H, ZOO[base]) if base in ZOO else replace(R, G=H)
+        reps["regular"] = R_H, R
+        reps["regular_x_trivial"] = tensor_reps(R_H, E), tensor_reps(R, ref_E)
+    for X, ref in reps.values():
+        _same_rep(X, ref)
+        assert verify_rep(X) == verify_rep(ref)
+    assert H.to_json_dict() == G.to_json_dict()
 
 
 # -- single-instance properties ------------------------------------------------

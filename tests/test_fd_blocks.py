@@ -2,10 +2,12 @@
 
 `verify_axioms` contracts the structure constants over their nonzero entries
 and splits the D1 and D2 column spans along the connected components of
-their nonzero pattern; `haar_linear_solve` assembles its system one (k, l)
-row block at a time and drops the all-zero rows.  The dense code both
-replaced is kept here as the oracle: d^4 tensors, one SVD per d^2 x d^2
-column set, one Python call per system row, all-zero rows included.  Both
+their nonzero pattern; `haar_linear_solve` lays its system out from the
+nonzero entries of the corner bases, the coproduct and the unit stack and
+drops the all-zero rows; the corner maps a -> 1^k_m a 1^l_n are joins of the
+unit-stack and mult entries.  The dense code they replaced is kept here as
+the oracle: d^4 tensors, one SVD per d^2 x d^2 column set, one Python call
+per system row, all-zero rows included, and one einsum per corner map.  Both
 Haar solves take one refinement step after their lstsq.  The oracle refuses
 instances past ORACLE_MAX_DIM before allocating anything; past it, function
 forms are checked against the exact uniform Haar states instead.
@@ -30,6 +32,7 @@ from pcqg.fdpcqg import (
     AxiomReport,
     CheckResult,
     FinitePQG,
+    GradedFunctional,
     _haar_system,
     from_finite_groupoid_algebra,
     from_finite_groupoid_functions,
@@ -72,7 +75,7 @@ def _orth_basis(columns):
 
 def dense_sandwich(G, left, right):
     """(left e_i right)_c at [c, i]: the corner map as one contraction over the
-    structure constants, written apart from `FinitePQG.sandwich`."""
+    dense structure constants."""
     return np.einsum("a,aix,b,xbc->ci", left, G.mult, right, G.mult, optimize=True)
 
 
@@ -510,6 +513,54 @@ def test_haar_linear_solve_is_exact_on_function_forms(name):
     assert fam.diagnostics["rank"] == fam.diagnostics["n_unknowns"]
     for km, phi in fam.states.items():
         assert np.abs(phi.vector - exact.states[km].vector).max(initial=0.0) <= TOL
+
+
+# corners of six elements, each span block of its mult wider than one row
+T3_S3 = transitive_groupoid(["a", "b", "c"], symmetric_groupoid(3))
+CORNER_CASES = {
+    **INSTANCES,
+    "transitive3_s3_fn_corner_rotated": _rotated(
+        from_finite_groupoid_functions(T3_S3), _corner_rotation(T3_S3, seed=1)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_CASES))
+def test_corner_entries_match_dense(name):
+    """Every corner map a -> 1^k_m a 1^l_n, one entry per index: bitwise on
+    the 0/1 instances, within TOL on the rotated ones.  The diagonal
+    corners the Haar routes read are the same maps."""
+    G = CORNER_CASES[name]
+    n, d = G.n_objects, G.dim
+    idx, val = G.corner_entries
+    assert len(set(map(tuple, idx.tolist()))) == len(val)
+    got = np.zeros((n**4, d, d))
+    got[tuple(idx.T)] = val
+    want = np.stack([
+        dense_sandwich(G, G.units[k, m], G.units[l, nn]) for k, m, l, nn in np.ndindex((n,) * 4)
+    ])
+    if "rotated" in name:
+        assert np.abs(got - want).max() <= TOL
+    else:
+        assert np.array_equal(got, want)
+    k, m = np.indices((n, n))
+    assert np.array_equal(G.corners, got.reshape((n,) * 4 + (d, d))[k, m, k, m])
+
+
+@pytest.mark.parametrize("name", sorted(n for n, G in INSTANCES.items() if G.n_objects > 1))
+def test_graded_functional_off_diagonal(name):
+    """A dual vector projected onto 1^k_m A 1^l_n with (k, m) != (l, n):
+    the dense corner map's transpose applied to it."""
+    G = INSTANCES[name]
+    vector = np.random.default_rng(0).standard_normal(G.dim)
+    for grading in np.ndindex((G.n_objects,) * 4):
+        k, m, l, nn = grading
+        if (k, m) == (l, nn):
+            continue
+        phi = GradedFunctional.graded(G, vector, grading)
+        want = dense_sandwich(G, G.units[k, m], G.units[l, nn]).T @ vector
+        tol = TOL * np.abs(vector).sum() if "rotated" in name else 0.0
+        assert np.abs(phi.vector - want).max() <= tol, grading
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from pcqg.cli import main
 from pcqg.fdpcqg import (
     AXIOM_LABELS,
     ZERO_TOL,
@@ -307,6 +308,23 @@ def test_instance_json_roundtrip():
     assert back.basis == G.basis
     for fld in ("mult", "star", "units", "coproduct"):
         assert np.abs(getattr(back, fld) - getattr(G, fld)).max() == 0.0
+
+
+@pytest.mark.parametrize("field", ["mult", "coproduct"])
+def test_instance_loader_rejects_repeated_rows(field, tmp_path, capsys):
+    """A structure constant given twice is a malformed file, not the last
+    row's value: the loader names the field and the index, and the command
+    exits 2."""
+    G, _ = INSTANCES["z2_fn"]
+    doc = json.loads(json.dumps(G.to_json_dict()))
+    doc[field].append([0, 0, 0, 5.0])
+    with pytest.raises(ValueError) as exc:
+        FinitePQG.from_json_dict(doc)
+    assert str(exc.value) == f"{field}: repeated index [0, 0, 0]"
+    path = tmp_path / "z2_fn.json"
+    path.write_text(json.dumps(doc))
+    assert main(["fdqg", "check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {field}: repeated index [0, 0, 0]\n"
 
 
 # -- axioms -------------------------------------------------------------------
