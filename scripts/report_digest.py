@@ -5,10 +5,12 @@ pair(5), pair(6), pair(7), transitive(2, S3), transitive(3, S3), and
 transitive(2, S3) again with its arrow list shuffled by a fixed seed, so
 arrow indices differ from the builder's order) into a temporary
 directory, then runs `fdqg check`, `fdqg haar` and `fdqg reps` on
-every file there, in process, from that directory.  Prints one `sha256  argv` line per report,
-with paths relative to that directory, so the output does not depend on
-where the checkout or the directory lives.  Two checkouts produce
-byte-identical reports exactly when their outputs show no diff:
+every file there, in process, from that directory.  Prints one
+`sha256  path` line per input file, so the bytes `fixtures generate`
+writes are pinned too, and one `sha256  argv` line per report, with paths
+relative to that directory, so the output does not depend on where the
+checkout or the directory lives.  Two checkouts write byte-identical files
+and reports exactly when their outputs show no diff:
 
     PYTHONPATH=src python3 scripts/report_digest.py > new.txt
     diff old.txt new.txt
@@ -64,6 +66,8 @@ def main() -> None:
         os.chdir(tmp)
         try:
             for path in write_inputs():
+                with open(path, "rb") as fh:
+                    print(f"{hashlib.sha256(fh.read()).hexdigest()}  {path}")
                 for mode in ("check", "haar", "reps"):
                     argv = ["fdqg", mode, path]
                     digest = hashlib.sha256(run(argv).encode()).hexdigest()
