@@ -11,38 +11,35 @@ Finite groupoids act as the instance generators, in both the function-algebra
 form (commutative, coproduct dual to composition) and the groupoid-algebra
 form (cocommutative, group-like basis).  A groupoid is one set of index
 tables (endpoints, composition, inverse, identities); its names turn into
-indices only when a file is read and back only when one is written, and
-the instances are scatter writes from the tables.
+indices only when a file is read and back only when one is written.
 
-The checks work along the grading by the unit projections 1^k_l, with
-Delta(1^k_l) = sum_m 1^k_m (x) 1^m_l, so their cost follows the nonzero
-structure constants rather than d^4 or d^6.  Every identity of the axiom
-checker is contracted from COO index/value arrays (`coo`) of the structure
-constants, the star and the unit stack, each pairwise contraction one dense
-product per connected block of the operands' nonzero pattern, and the
-contractions of one dependency level one product in all.  The density
-axioms D1 and D2 split their five column sets into the connected components
-of their nonzero pattern and take one SVD per block, with ranks cut
-at RANK_CUTOFF times the largest singular value over all blocks of a set
-(the s_max of one dense SVD).  A dense instance is simply one block.
+An instance stores mult and coproduct as their nonzero entries alone, COO
+index/value arrays (`coo`) in one canonical order, never as (d, d, d)
+arrays; files and the groupoid tables are read into them and files written
+back from them.  The checks work along the grading by the unit projections
+1^k_l, with Delta(1^k_l) = sum_m 1^k_m (x) 1^m_l, so their cost follows
+the nonzero structure constants rather than d^4 or d^6.  Every identity of
+the axiom checker is contracted from the entries of the structure
+constants, the star and the unit stack (`FinitePQG.entries`), each
+pairwise contraction one dense product per connected block of the
+operands' nonzero pattern, and the contractions of one dependency level
+one product in all.  The density axioms D1 and D2 split their five column
+sets into the connected components of their nonzero pattern and take one
+SVD per block, with ranks cut at RANK_CUTOFF times the largest singular
+value over all blocks of a set (the s_max of one dense SVD).
 
-Every stage reads an instance through the nonzeros of mult, coproduct,
-star and the unit stack (`FinitePQG.entries`), taken once.  The Haar states
-phi_km live on the diagonal corners 1^k_m A 1^k_m.  Their linear system is
-built from nonzeros: each nonzero entry of a corner basis is matched with
-the unit-stack entries and coproduct entries it meets, and only the rows
-that receive an entry are laid out, so the cost follows the system's
-nonzeros rather than its d^2 rows per (k, l) block.  The Cesaro
-convolutions and the invariance residuals are sums over the coproduct's
-entries.  The grading is read through the corner maps a -> 1^k_m a 1^l_n,
-built once as their nonzero entries (`FinitePQG.corner_entries`), joins of
-the unit-stack and mult entries, which co2 of `corep.verify_rep` applies;
-the diagonal corners of the graded functionals and both Haar routes
-(`FinitePQG.corners`) are scattered from them.  Intermediates are checked
-for inf and nan before they reach LAPACK (`NonFiniteError`); an overflowing
-structure constant makes the stage that sees it a failed check, never a
-hang or a usage error.  A Cesaro corner with no invariant state stops once
-its averages stop improving.
+The Haar states phi_km live on the diagonal corners 1^k_m A 1^k_m.  Their
+linear system is built from nonzeros: each nonzero entry of a corner basis
+is matched with the unit-stack and coproduct entries it meets, and only the
+rows that receive an entry are laid out.  The Cesaro convolutions and the
+invariance residuals are sums over the coproduct's entries.  The corner
+maps a -> 1^k_m a 1^l_n are built once as their nonzero entries
+(`FinitePQG.corner_entries`), joins of the unit-stack and mult entries; the
+diagonal corners (`FinitePQG.corners`) are scattered from them.
+Intermediates are checked for inf and nan before they reach LAPACK
+(`NonFiniteError`); an overflowing structure constant makes the stage that
+sees it a failed check, never a hang or a usage error.  A Cesaro corner
+with no invariant state stops once its averages stop improving.
 """
 
 from __future__ import annotations
@@ -126,6 +123,8 @@ class FiniteGroupoid:
     identities: np.ndarray
 
     def __post_init__(self):
+        if not self.objects:
+            raise ValueError("objects: expected at least one object")
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("duplicate object names")
         if len(set(self.arrows)) != len(self.arrows):
@@ -374,7 +373,11 @@ def _finite_array(value, field: str, shape=None) -> np.ndarray:
         arr = np.asarray(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{field}: {exc}") from None
-    if arr.dtype.kind not in "iuf":
+    # numpy reads a boolean among numbers as 0 or 1, so the leaves are looked at
+    leaves = value if arr.ndim else ()
+    for _ in range(arr.ndim - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    if arr.dtype.kind not in "iuf" or bool in map(type, leaves):
         raise ValueError(f"{field}: expected numbers")
     arr = arr.astype(float)
     if shape is not None and arr.shape != shape:
@@ -384,24 +387,30 @@ def _finite_array(value, field: str, shape=None) -> np.ndarray:
     return arr
 
 
-def _coo_tensor(rows, dim: int, field: str) -> np.ndarray:
-    """A (dim, dim, dim) tensor from [i, j, k, value] rows, each index at
-    most once."""
+def _coo_rows(rows, field: str) -> tuple:
+    """The index and value columns of [i, j, k, value] rows."""
     arr = _finite_array(rows, field)
     if arr.size and arr.shape[1:] != (4,):
         raise ValueError(f"{field}: rows must be [i, j, k, value]")
-    idx, values = arr.reshape(-1, 4)[:, :3], arr.reshape(-1, 4)[:, 3]
+    return arr.reshape(-1, 4)[:, :3], arr.reshape(-1, 4)[:, 3]
+
+
+def _canonical(entries: tuple, dim: int, field: str) -> tuple:
+    """Entries (idx, val) of a (dim, dim, dim) tensor sorted by raveled index
+    and exact zeros dropped, the order of `coo`; an index outside the tensor
+    or given twice (checked before the zeros go) raises ValueError."""
+    idx, val = entries
+    if np.shape(idx) != (len(val), 3):
+        raise ValueError(f"{field}: entries must be an (nnz, 3) index array and nnz values")
     if ((idx < 0) | (idx >= dim) | (idx != np.floor(idx))).any():
         raise ValueError(f"{field}: index outside 0..{dim - 1}")
-    idx = idx.astype(int)
-    key = np.sort(idx @ [dim * dim, dim, 1])
-    again = key[1:][key[1:] == key[:-1]]
-    if again.size:
-        at = np.unravel_index(again[0], (dim,) * 3)
+    idx = idx.astype(np.intp)
+    key, order, count = np.unique(idx @ [dim * dim, dim, 1], return_index=True, return_counts=True)
+    if (count > 1).any():
+        at = np.unravel_index(key[(count > 1).argmax()], (dim,) * 3)
         raise ValueError(f"{field}: repeated index {[int(x) for x in at]}")
-    out = np.zeros((dim, dim, dim))
-    out[tuple(idx.T)] = values
-    return out
+    keep = order[val[order] != 0]
+    return idx[keep], val[keep]
 
 
 @dataclass(frozen=True)
@@ -411,20 +420,24 @@ class FinitePQG:
     e_i e_j = sum_k mult[i,j,k] e_k,  e_i^* = sum_j star[i,j] e_j,
     Delta(e_i) = sum_{j,k} coproduct[i,j,k] e_j (x) e_k, and
     units[k,l] is the coefficient vector of the unit projection 1^k_l.
-    Structure constants are real; all generated instances fit that.
+    mult and coproduct are their nonzero entries (idx, val), an (nnz, 3)
+    index array and its values, put in canonical form on construction
+    (`_canonical`); star and units are dense.  Structure constants are real.
     """
 
     objects: tuple[str, ...]
     basis: tuple[str, ...]
-    mult: np.ndarray
+    mult: tuple
     star: np.ndarray
     units: np.ndarray
-    coproduct: np.ndarray
+    coproduct: tuple
 
     def __post_init__(self):
         d, n = len(self.basis), len(self.objects)
-        if self.mult.shape != (d, d, d) or self.coproduct.shape != (d, d, d):
-            raise ValueError("mult and coproduct must be (d, d, d)")
+        if not n:
+            raise ValueError("objects: expected at least one object")
+        for f in ("mult", "coproduct"):
+            object.__setattr__(self, f, _canonical(getattr(self, f), d, f))
         if self.star.shape != (d, d):
             raise ValueError("star must be (d, d)")
         if self.units.shape != (n, n, d):
@@ -449,10 +462,10 @@ class FinitePQG:
 
     @cached_property
     def entries(self) -> dict:
-        """The nonzero entries (`coo`) of mult, coproduct, star and the unit
-        stack, made on first use and kept with the instance.  Every check
-        and construction reads the structure constants from here."""
-        return {f: coo(getattr(self, f)) for f in ("mult", "coproduct", "star", "units")}
+        """The nonzero entries of mult, coproduct, star and the unit stack,
+        which every stage reads; star's and the units' are made on first use."""
+        return {"mult": self.mult, "coproduct": self.coproduct,
+                "star": coo(self.star), "units": coo(self.units)}
 
     @cached_property
     def corner_entries(self) -> tuple:
@@ -536,31 +549,32 @@ class FinitePQG:
         return cls(
             objects=objects,
             basis=basis,
-            mult=_coo_tensor(d["mult"], dim, "mult"),
+            mult=_coo_rows(d["mult"], "mult"),
             star=_finite_array(d["star"], "star", (dim, dim)),
             units=units,
-            coproduct=_coo_tensor(d["coproduct"], dim, "coproduct"),
+            coproduct=_coo_rows(d["coproduct"], "coproduct"),
         )
+
+
+def _ones(*idx) -> tuple:
+    """Entries of value 1 at the given index columns."""
+    return np.column_stack(idx), np.ones(len(idx[0]))
 
 
 def from_finite_groupoid_functions(gpd: FiniteGroupoid) -> FinitePQG:
     """Function algebra on a finite groupoid, coproduct dual to composition."""
     d, n = len(gpd.arrows), len(gpd.objects)
     every = np.arange(d)
-    mult = np.zeros((d, d, d))
-    mult[every, every, every] = 1.0
     g, h, gh = gpd.composable()
-    cop = np.zeros((d, d, d))
-    cop[gh, g, h] = 1.0
     units = np.zeros((n, n, d))
     units[gpd.src, gpd.tgt, every] = 1.0
     return FinitePQG(
         objects=gpd.objects,
         basis=gpd.arrows,
-        mult=mult,
+        mult=_ones(every, every, every),
         star=np.eye(d),
         units=units,
-        coproduct=cop,
+        coproduct=_ones(gh, g, h),
     )
 
 
@@ -568,22 +582,15 @@ def from_finite_groupoid_algebra(gpd: FiniteGroupoid) -> FinitePQG:
     """Groupoid algebra: basis theta_g, group-like coproduct, units on the diagonal."""
     d, n = len(gpd.arrows), len(gpd.objects)
     every = np.arange(d)
-    g, h, gh = gpd.composable()
-    mult = np.zeros((d, d, d))
-    mult[g, h, gh] = 1.0
-    star = np.zeros((d, d))
-    star[every, gpd.inverse] = 1.0
-    cop = np.zeros((d, d, d))
-    cop[every, every, every] = 1.0
     units = np.zeros((n, n, d))
     units[np.arange(n), np.arange(n), gpd.identities] = 1.0
     return FinitePQG(
         objects=gpd.objects,
         basis=tuple(f"theta_{g}" for g in gpd.arrows),
-        mult=mult,
-        star=star,
+        mult=_ones(*gpd.composable()),
+        star=np.eye(d)[gpd.inverse],
         units=units,
-        coproduct=cop,
+        coproduct=_ones(every, every, every),
     )
 
 
@@ -594,28 +601,20 @@ def raum_instance() -> FinitePQG:
     vanishes on one side only.  Satisfies everything except the dual-density
     condition; the canonical negative control for the axiom checker.
     """
-    basis = ("id1", "id2", "a")
     d = 3
-    mult = np.zeros((d, d, d))
-    for i in range(d):
-        mult[i, i, i] = 1.0
-    cop = np.zeros((d, d, d))
-    cop[0, 0, 0] = 1.0
-    cop[1, 1, 1] = 1.0
-    # a factors as id1 . a and a . id2
-    cop[2, 0, 2] = 1.0
-    cop[2, 2, 1] = 1.0
+    every = np.arange(d)
     units = np.zeros((2, 2, d))
     units[0, 0, 0] = 1.0
     units[1, 1, 1] = 1.0
     units[0, 1, 2] = 1.0
     return FinitePQG(
         objects=("1", "2"),
-        basis=basis,
-        mult=mult,
+        basis=("id1", "id2", "a"),
+        mult=_ones(every, every, every),
         star=np.eye(d),
         units=units,
-        coproduct=cop,
+        # a factors as id1 . a and a . id2
+        coproduct=_ones([0, 1, 2, 2], [0, 1, 0, 2], [0, 1, 2, 1]),
     )
 
 

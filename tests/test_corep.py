@@ -9,7 +9,6 @@ by corner `dense_co2` of tests/test_fd_blocks.py.
 """
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +37,7 @@ from pcqg.fdpcqg import (
     verify_axioms,
 )
 from test_fd_blocks import INSTANCES as BLOCK_INSTANCES
-from test_fd_blocks import PAIR5, ROTATIONS, ZOO, dense_co2, dense_coeffs
+from test_fd_blocks import PAIR5, ROTATIONS, ZOO, dense, dense_co2, dense_coeffs
 
 PAIR2 = pair_groupoid(["1", "2"])
 Z3 = cyclic_groupoid(3)
@@ -74,13 +73,14 @@ def dense_verify_rep(X, tol=1e-10):
     G = X.G
     coeffs = dense_coeffs(X)
     d, N = G.dim, X.space_dim
+    mult, cop = dense(G, "mult"), dense(G, "coproduct")
     residuals = {}
 
     res = 0.0
     flat = coeffs.reshape(d, N * N)
     for a in range(d):
         # sum_i Delta(e_i)[a, b] X_i, one matrix product over the (d, N^2) view
-        lhs = (G.coproduct[:, a, :].T @ flat).reshape(d, N, N)
+        lhs = (cop[:, a, :].T @ flat).reshape(d, N, N)
         rhs = coeffs[a] @ coeffs
         res = np.maximum(res, np.abs(lhs - rhs).max(initial=0.0))
     residuals["co1"] = float(res)
@@ -90,7 +90,7 @@ def dense_verify_rep(X, tol=1e-10):
     col_grade = np.array([b[1] for b in X.blocks])
     star_slices = np.einsum("ia,iuv->avu", G.star, coeffs.conj())
     slots = np.arange(N)
-    triples = [(*abc, G.mult[abc]) for abc in zip(*np.nonzero(G.mult))]
+    triples = [(*abc, mult[abc]) for abc in zip(*np.nonzero(mult))]
     unitary = []
     for prod, projections, grade in (
         (_algebra_product_slices(triples, star_slices, coeffs), G.units.sum(axis=0), col_grade),
@@ -114,7 +114,9 @@ def dense_tensor_reps(X, Y):
     ]
     blocks = tuple((X.blocks[u][0], Y.blocks[v][1]) for u, v in pairs)
     # Z_c[(u,v),(u',v')] = sum_{a,b} mult[a,b,c] X_a[u,u'] Y_b[v,v']
-    full = np.einsum("abc,auU,bvV->cuvUV", X.G.mult, dense_coeffs(X), dense_coeffs(Y), optimize=True)
+    full = np.einsum(
+        "abc,auU,bvV->cuvUV", dense(X.G, "mult"), dense_coeffs(X), dense_coeffs(Y), optimize=True
+    )
     rows = np.array([p[0] for p in pairs], dtype=int)
     cols = np.array([p[1] for p in pairs], dtype=int)
     return blocks, full[:, rows[:, None], cols[:, None], rows[None, :], cols[None, :]]
@@ -188,55 +190,44 @@ def test_coo_path_matches_dense_oracle(name):
         assert all(c.passed for c in new), (kind, [str(c) for c in new])
 
 
-# -- one read path ------------------------------------------------------------------
+# -- entries as the only storage ---------------------------------------------------
 
 
-def _entries_only(G):
-    """A copy of G whose dense mult and coproduct are gone once its entries
-    are made."""
-    H = replace(G)
-    H.entries
-    object.__setattr__(H, "mult", None)
-    object.__setattr__(H, "coproduct", None)
-    return H
+S4X2 = transitive_groupoid(["a", "b"], symmetric_groupoid(4))
 
 
-def _same_rep(X, Y):
-    assert X.blocks == Y.blocks
-    assert np.array_equal(X.entries[0], Y.entries[0])
-    assert X.entries[1].tobytes() == Y.entries[1].tobytes()
+def _arrays(value):
+    """Every array held in value, through tuples, lists and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for x in value:
+            yield from _arrays(x)
+    elif isinstance(value, dict):
+        for x in value.values():
+            yield from _arrays(x)
 
 
-@pytest.mark.parametrize(
-    "name", ["blocks:union_pair_z2_fn", "blocks:s3x2_fn_corner_rotated", "blocks:raum"]
-)
-def test_instance_is_read_through_its_entries(name):
-    """Every check and construction reads the structure constants through
-    `FinitePQG.entries`: with the dense mult and coproduct gone, each gives
-    what it gives on the intact instance."""
-    G, R = CASES[name]
-    H, H2 = _entries_only(G), _entries_only(G)
-    assert verify_axioms(H) == verify_axioms(G)
+@pytest.mark.parametrize("form", ["fn", "alg"])
+def test_instance_holds_no_d3_array(form):
+    """transitive(2, S4), d = 96: check, haar and reps pass, and neither the
+    instance's fields nor anything it keeps (its entries, its corner maps)
+    is an array of d^3 or more elements."""
+    build = from_finite_groupoid_functions if form == "fn" else from_finite_groupoid_algebra
+    G = build(S4X2)
+    assert G.dim == 96
+    assert verify_axioms(G).passed
     for route in (haar_cesaro, haar_linear_solve):
-        fam, ref = route(H), route(G)
-        assert fam.diagnostics == ref.diagnostics
-        for km, phi in ref.states.items():
-            assert fam.states[km].grading == phi.grading
-            assert fam.states[km].vector.tobytes() == phi.vector.tobytes()
-        assert haar_residuals(H, fam) == haar_residuals(G, ref)
-    E, ref_E = trivial_rep(H), trivial_rep(G)
-    # a second stripped copy: the tensor product compares the instances
-    reps = {"trivial": (E, ref_E), "trivial_x_trivial": (tensor_reps(E, trivial_rep(H2)),
-                                                         tensor_reps(ref_E, ref_E))}
-    if R is not None:
-        base = name.removeprefix("blocks:").removesuffix("_fn")
-        R_H = regular_rep(H, ZOO[base]) if base in ZOO else replace(R, G=H)
-        reps["regular"] = R_H, R
-        reps["regular_x_trivial"] = tensor_reps(R_H, E), tensor_reps(R, ref_E)
-    for X, ref in reps.values():
-        _same_rep(X, ref)
-        assert verify_rep(X) == verify_rep(ref)
-    assert H.to_json_dict() == G.to_json_dict()
+        assert all(c.passed for c in haar_residuals(G, route(G)))
+    E = trivial_rep(G)
+    reps = [E]
+    if form == "fn":
+        R = regular_rep(G, S4X2)
+        reps += [R, tensor_reps(R, E)]
+    for X in reps:
+        _assert_rep_ok(X)
+    # the fields, and the entries and corner maps kept with the instance
+    assert max(a.size for a in _arrays([G.entries, vars(G)])) < G.dim**3
 
 
 # -- single-instance properties ------------------------------------------------

@@ -7,7 +7,9 @@ nonzero entries of the corner bases, the coproduct and the unit stack and
 drops the all-zero rows; the corner maps a -> 1^k_m a 1^l_n are joins of the
 unit-stack and mult entries.  The dense code they replaced is kept here as
 the oracle: d^4 tensors, one SVD per d^2 x d^2 column set, one Python call
-per system row, all-zero rows included, and one einsum per corner map.  Both
+per system row, all-zero rows included, and one einsum per corner map.  It
+contracts mult and coproduct as (d, d, d) arrays scattered from the
+instance's entries (`dense`), the only dense copies of them.  Both
 Haar solves take one refinement step after their lstsq.  The oracle refuses
 instances past ORACLE_MAX_DIM before allocating anything; past it, function
 forms are checked against the exact uniform Haar states instead.
@@ -73,10 +75,24 @@ def _orth_basis(columns):
     return u[:, s > RANK_CUTOFF * s[0]]
 
 
+def scatter(entries, shape):
+    """The dense array of COO entries (idx, val), entries at one index summed."""
+    out = np.zeros(shape, dtype=entries[1].dtype)
+    np.add.at(out, tuple(entries[0].T), entries[1])
+    return out
+
+
+def dense(G, field):
+    """An instance's mult or coproduct as a (d, d, d) array, scattered from
+    its entries: the arrays the dense oracles contract."""
+    return scatter(getattr(G, field), (G.dim,) * 3)
+
+
 def dense_sandwich(G, left, right):
     """(left e_i right)_c at [c, i]: the corner map as one contraction over the
     dense structure constants."""
-    return np.einsum("a,aix,b,xbc->ci", left, G.mult, right, G.mult, optimize=True)
+    mult = dense(G, "mult")
+    return np.einsum("a,aix,b,xbc->ci", left, mult, right, mult, optimize=True)
 
 
 def _span_containment(cols, basis):
@@ -92,7 +108,7 @@ def _span_containment(cols, basis):
 def dense_verify_axioms(G, tol=1e-10):
     _refuse_large(G)
     d, n = G.dim, G.n_objects
-    mult, cop, star, units = G.mult, G.coproduct, G.star, G.units
+    mult, cop, star, units = dense(G, "mult"), dense(G, "coproduct"), G.star, G.units
     checks = []
     add = lambda label, residual, detail="": checks.append(
         CheckResult(label, bool(residual <= tol), float(residual), detail)
@@ -132,7 +148,7 @@ def dense_verify_axioms(G, tol=1e-10):
     for k in range(n):
         for l in range(n):
             target = np.einsum("mj,mk->jk", units[k], units[:, l])
-            res = max(res, np.abs(np.einsum("i,ijk->jk", units[k, l], G.coproduct) - target).max())
+            res = max(res, np.abs(np.einsum("i,ijk->jk", units[k, l], cop) - target).max())
     add("U2", res)
 
     coassoc = np.einsum("ijk,jab->iabk", cop, cop) - np.einsum("iam,mbk->iabk", cop, cop)
@@ -170,7 +186,7 @@ def dense_verify_axioms(G, tol=1e-10):
     pmat = dense_sandwich(G, P, P)
     ranks, witness = [], []
     for leg in (0, 1):
-        cols = [np.einsum("i,ijk->jk", pmat @ np.eye(d)[i], G.coproduct) for i in range(d)]
+        cols = [np.einsum("i,ijk->jk", pmat @ np.eye(d)[i], cop) for i in range(d)]
         basis = _orth_basis(np.concatenate([c if leg == 1 else c.T for c in cols], axis=0).T)
         ranks.append(basis.shape[1])
         if basis.shape[1] < d:
@@ -199,6 +215,7 @@ def dense_haar_system(G, side="both"):
     """(M, b, corner_basis, offsets): one row per call, all-zero rows included."""
     _refuse_large(G)
     n, d = G.n_objects, G.dim
+    cop = dense(G, "coproduct")
     nonzero = [(k, m) for k in range(n) for m in range(n) if np.any(np.abs(G.units[k, m]) > ZERO_TOL)]
     corner_basis, offsets, total = {}, {}, 0
     for k, m in nonzero:
@@ -223,13 +240,13 @@ def dense_haar_system(G, side="both"):
                 e = np.eye(d)[i]
                 if side in ("left", "both"):
                     for j in range(d):
-                        coeffs = {(k, l): G.coproduct[i, j, :].copy()}
+                        coeffs = {(k, l): cop[i, j, :].copy()}
                         for m in range(n):
                             coeffs[(m, l)] = coeffs.get((m, l), np.zeros(d)) - G.units[m, k, j] * e
                         add_row(coeffs, 0.0)
                 if side in ("right", "both"):
                     for j in range(d):
-                        coeffs = {(k, l): G.coproduct[i, :, j].copy()}
+                        coeffs = {(k, l): cop[i, :, j].copy()}
                         for m in range(n):
                             coeffs[(k, m)] = coeffs.get((k, m), np.zeros(d)) - G.units[l, m, j] * e
                         add_row(coeffs, 0.0)
@@ -253,15 +270,16 @@ def dense_haar_linear_solve(G, side="both"):
 
 def dense_invariance(G, fam):
     n, d = G.n_objects, G.dim
+    cop = dense(G, "coproduct")
     res_l = res_r = 0.0
     for k in range(n):
         for l in range(n):
             phi = fam.phi(k, l)
             for i in range(d):
                 rhs = sum(fam.phi(m, l).vector[i] * G.units[m, k] for m in range(n))
-                res_l = max(res_l, np.abs(G.coproduct[i] @ phi.vector - rhs).max(initial=0.0))
+                res_l = max(res_l, np.abs(cop[i] @ phi.vector - rhs).max(initial=0.0))
                 rhs = sum(fam.phi(k, m).vector[i] * G.units[l, m] for m in range(n))
-                res_r = max(res_r, np.abs(G.coproduct[i].T @ phi.vector - rhs).max(initial=0.0))
+                res_r = max(res_r, np.abs(cop[i].T @ phi.vector - rhs).max(initial=0.0))
     return res_l, res_r
 
 
@@ -271,9 +289,7 @@ def dense_coeffs(X):
     shape = (X.G.dim, X.space_dim, X.space_dim)
     if np.prod(shape) > MAX_DENSE_ENTRIES:
         raise ValueError(f"dense coefficients of shape {shape} exceed {MAX_DENSE_ENTRIES} entries")
-    out = np.zeros(shape, dtype=X.entries[1].dtype)
-    np.add.at(out, tuple(X.entries[0].T), X.entries[1])
-    return out
+    return scatter(X.entries, shape)
 
 
 def dense_co2(X):
@@ -391,13 +407,14 @@ def _checked_product(monkeypatch):
 
 def _rotated(G, Q):
     """The same instance in the orthonormal basis f_i = sum_a Q[i, a] e_a."""
+    mult, cop = dense(G, "mult"), dense(G, "coproduct")
     return FinitePQG(
         objects=G.objects,
         basis=G.basis,
-        mult=np.einsum("ia,jb,abc,kc->ijk", Q, Q, G.mult, Q, optimize=True),
+        mult=coo(np.einsum("ia,jb,abc,kc->ijk", Q, Q, mult, Q, optimize=True)),
         star=Q @ G.star @ Q.T,
         units=G.units @ Q.T,
-        coproduct=np.einsum("ia,abc,jb,kc->ijk", Q, G.coproduct, Q, Q, optimize=True),
+        coproduct=coo(np.einsum("ia,abc,jb,kc->ijk", Q, cop, Q, Q, optimize=True)),
     )
 
 

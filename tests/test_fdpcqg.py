@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from pcqg.fdpcqg import (
     uniform_haar_oracle,
     verify_axioms,
 )
+from test_fd_blocks import dense
 
 
 def _zoo():
@@ -147,6 +149,9 @@ def _set_entry(table, key, value):
 # ValueError text, whether the text is exact or a prefix)
 LOADER_ERRORS = {
     "lacks_compose": ("pair2", lambda d: d.pop("compose"), "groupoid file lacks compose", True),
+    "no_objects": (
+        "pair2", lambda d: d.update(objects=[]), "objects: expected at least one object", True,
+    ),
     "objects_not_list": (
         "pair2", lambda d: d.update(objects="12"), "objects: expected a list of names", True,
     ),
@@ -253,8 +258,8 @@ def test_shuffled_arrow_order():
     G, ref = from_finite_groupoid_functions(shuffled), from_finite_groupoid_functions(g)
     assert G.objects == ref.objects
     assert G.basis == tuple(ref.basis[p] for p in perm)
-    assert np.array_equal(G.mult, ref.mult[np.ix_(perm, perm, perm)])
-    assert np.array_equal(G.coproduct, ref.coproduct[np.ix_(perm, perm, perm)])
+    for fld in ("mult", "coproduct"):
+        assert np.array_equal(dense(G, fld), dense(ref, fld)[np.ix_(perm, perm, perm)])
     assert np.array_equal(G.star, ref.star[np.ix_(perm, perm)])
     assert np.array_equal(G.units, ref.units[:, :, perm])
 
@@ -279,7 +284,8 @@ def test_function_algebra_basics():
         for l in range(2):
             assert np.count_nonzero(G.units[k, l]) == 1
     # commutative, pointwise product
-    assert np.abs(G.mult - np.transpose(G.mult, (1, 0, 2))).max() == 0.0
+    mult = dense(G, "mult")
+    assert np.abs(mult - np.transpose(mult, (1, 0, 2))).max() == 0.0
 
 
 def test_groupoid_algebra_basics():
@@ -287,7 +293,7 @@ def test_groupoid_algebra_basics():
     assert G.dim == 2
     # group-like coproduct
     for i in range(2):
-        m = G.coproduct[i]
+        m = dense(G, "coproduct")[i]
         assert m[i, i] == 1.0 and np.count_nonzero(m) == 1
     Gp, _ = INSTANCES["pair2_alg"]
     for k in range(2):
@@ -307,7 +313,8 @@ def test_instance_json_roundtrip():
     back = FinitePQG.from_json_dict(json.loads(json.dumps(G.to_json_dict())))
     assert back.basis == G.basis
     for fld in ("mult", "star", "units", "coproduct"):
-        assert np.abs(getattr(back, fld) - getattr(G, fld)).max() == 0.0
+        for a, b in zip(back.entries[fld], G.entries[fld]):
+            assert np.array_equal(a, b), fld
 
 
 @pytest.mark.parametrize("field", ["mult", "coproduct"])
@@ -325,6 +332,92 @@ def test_instance_loader_rejects_repeated_rows(field, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["fdqg", "check", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {field}: repeated index [0, 0, 0]\n"
+
+
+def _run(argv, capsys):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# (field, where a boolean replaces a number): an index and a value of a row,
+# an entry of a star row and of a unit vector
+BOOLEAN_ENTRIES = {
+    "mult_index": ("mult", lambda doc: doc["mult"][0].__setitem__(0, True)),
+    "mult_value": ("mult", lambda doc: doc["mult"][0].__setitem__(3, True)),
+    "coproduct_index": ("coproduct", lambda doc: doc["coproduct"][-1].__setitem__(2, False)),
+    "coproduct_value": ("coproduct", lambda doc: doc["coproduct"][-1].__setitem__(3, True)),
+    "star": ("star", lambda doc: doc["star"][1].__setitem__(1, True)),
+    "units": ("units['1|1']", lambda doc: doc["units"]["1|1"].__setitem__(0, True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOLEAN_ENTRIES))
+def test_instance_loader_rejects_booleans(case, tmp_path, capsys):
+    """JSON true and false are not numbers: numpy would read them as 1 and
+    0, so pair2_fn with `true` in place of a 1.0 would pass its checks."""
+    field, mutate = BOOLEAN_ENTRIES[case]
+    G, _ = INSTANCES["pair2_fn"]
+    doc = json.loads(json.dumps(G.to_json_dict()))
+    mutate(doc)
+    with pytest.raises(ValueError) as exc:
+        FinitePQG.from_json_dict(doc)
+    assert str(exc.value) == f"{field}: expected numbers"
+    path = tmp_path / "pair2_fn.json"
+    path.write_text(json.dumps(doc))
+    for mode in ("check", "haar", "reps"):
+        result = _run(["fdqg", mode, str(path)], capsys)
+        assert result == (2, "", f"error: {field}: expected numbers\n")
+
+
+# a groupoid file and an instance file, each with a basis, that name no object
+NO_OBJECTS = {
+    "groupoid": {"objects": [], "arrows": [], "compose": [], "inverse": {}, "identities": {}},
+    "instance": {
+        "objects": [], "basis": ["e"], "mult": [[0, 0, 0, 1.0]], "star": [[1.0]], "units": {},
+        "coproduct": [[0, 0, 0, 1.0]],
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ["check", "haar", "reps"])
+@pytest.mark.parametrize("kind", sorted(NO_OBJECTS))
+def test_files_without_objects_are_rejected(kind, mode, tmp_path, capsys):
+    """Nothing to check is a malformed file, not a pass (check, reps) or
+    numpy's error from stacking no states (haar)."""
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(NO_OBJECTS[kind]))
+    message = "error: objects: expected at least one object\n"
+    assert _run(["fdqg", mode, str(path)], capsys) == (2, "", message)
+
+
+def test_instance_rows_in_any_order(tmp_path, monkeypatch, capsys):
+    """A file with its mult and coproduct rows shuffled and explicit 0.0 and
+    -0.0 rows added loads to the canonical file's entries, gives its reports
+    byte for byte, and is written back as the canonical file."""
+    G, _ = INSTANCES["s3x2_alg"]
+    doc = json.loads(json.dumps(G.to_json_dict()))
+    messy = json.loads(json.dumps(doc))
+    for fld in ("mult", "coproduct"):
+        taken = {tuple(row[:3]) for row in messy[fld]}
+        free = [ijk for ijk in np.ndindex((G.dim,) * 3) if ijk not in taken][:: G.dim**2][:4]
+        messy[fld] += [[*ijk, zero] for ijk, zero in zip(free, (0.0, -0.0, -0.0, 0.0))]
+        random.Random(fld).shuffle(messy[fld])
+        assert messy[fld][: len(doc[fld])] != doc[fld]
+    back = FinitePQG.from_json_dict(messy)
+    for fld in ("mult", "coproduct", "star", "units"):
+        for a, b in zip(back.entries[fld], G.entries[fld]):
+            assert a.dtype == b.dtype and np.array_equal(a, b), fld
+    assert back.to_json_dict() == doc
+    reports = []
+    for name, content in (("canonical", doc), ("messy", messy)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "s3x2_alg.json").write_text(json.dumps(content))
+        monkeypatch.chdir(tmp_path / name)
+        reports.append([_run(["fdqg", m, "s3x2_alg.json"], capsys) for m in ("check", "haar")])
+    assert reports[0] == reports[1]
+    assert [code for code, _, _ in reports[0]] == [0, 0]
 
 
 # -- axioms -------------------------------------------------------------------
