@@ -1,7 +1,7 @@
 """SHA-256 digests of every finite-strand report, to compare two checkouts.
 
-Writes the `fixtures generate` zoo and seven generated groupoids (pair(4),
-pair(5), pair(6), pair(7), transitive(2, S3), transitive(3, S3), and
+Writes the `fixtures generate` zoo and eight generated groupoids (pair(4),
+pair(5), pair(6), pair(7), pair(12), transitive(2, S3), transitive(3, S3), and
 transitive(2, S3) again with its arrow list shuffled by a fixed seed, so
 arrow indices differ from the builder's order) into a temporary
 directory, then runs `fdqg check`, `fdqg haar` and `fdqg reps` on
@@ -32,6 +32,7 @@ GENERATED = {
     "pair5": pair_groupoid(list("abcde")),
     "pair6": pair_groupoid(list("abcdef")),
     "pair7": pair_groupoid(list("abcdefg")),
+    "pair12": pair_groupoid(list("abcdefghijkl")),
     "transitive2_s3": transitive_groupoid(["a", "b"], symmetric_groupoid(3)),
     "transitive3_s3": transitive_groupoid(["a", "b", "c"], symmetric_groupoid(3)),
 }
