@@ -3,8 +3,9 @@
 Every subcommand prints one JSON report to stdout with sorted keys, fixed
 indentation and no timestamps, so identical invocations produce identical
 bytes.  Exit code 0 means every check in the report passed, 1 means some
-check failed, 2 means the invocation itself was malformed.  Reports embed
-the parsed configuration and the tolerance of every check.
+check failed, 2 means the invocation itself was malformed, and 3 means the
+program failed with no verdict (one `error: <Type>: <message>` line).
+Reports embed the parsed configuration and the tolerance of every check.
 
 CSV output (--format csv) is available only for subcommands whose payload
 is a flat table.
@@ -70,6 +71,7 @@ __all__ = ["RunConfig", "main"]
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 # two independent Haar constructions must agree to this absolute tolerance
 HAAR_AGREEMENT_TOL = 1e-8
@@ -736,12 +738,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:  # a crash must not read as a failed check
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -292,7 +292,7 @@ def coo_einsum(*contractions, dim: int) -> list:
         # and the offsets of each use: a running result's (row, key), a
         # next operand's (key, column)
         if sum(a * b * c for _, _, (a, b, c), _ in plans) >= 2**62:
-            raise ValueError("contraction keys overflow int64; lower dim or the letters kept")
+            raise OverflowError("contraction keys overflow int64; lower dim or the letters kept")
         start = np.zeros((len(live) + 1, 3), dtype=np.int64)
         np.cumsum([sizes for _, _, sizes, _ in plans], axis=0, out=start[1:])
         offsets = start.tolist()

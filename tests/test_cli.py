@@ -461,6 +461,20 @@ def test_linalg_error_is_a_failed_check(fixture_dir, capsys, monkeypatch, argv, 
         assert failed[label]["detail"] == "LinAlgError: SVD did not converge"
 
 
+def test_crash_exits_3_with_one_line(fixture_dir, capsys, monkeypatch):
+    # an exception that is neither a check's failure nor bad input (out of
+    # memory, say) must not read as a failed check (exit 1)
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 30.5 GiB")
+
+    monkeypatch.setattr(cli, "verify_axioms", out_of_memory)
+    code = main(["fdqg", "check", str(fixture_dir / "pair2_fn.json")])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 3
+    assert captured.out == ""
+    assert captured.err == "error: MemoryError: Unable to allocate 30.5 GiB\n"
+
+
 def _set_mult_index(d):
     d["mult"][0][0] = 7
 

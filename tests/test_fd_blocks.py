@@ -704,6 +704,15 @@ def test_batched_coo_einsum_is_each_contraction_alone(density):
     assert batched[-1][0].shape == (0,)
 
 
+def test_coo_einsum_key_overflow_is_an_overflow_error():
+    """Keys raveled in base dim over six letters pass 2^62 at dim = 2000,
+    however few the entries: an arithmetic limit, not malformed input."""
+    a = (np.array([[0, 1, 2]]), np.array([1.0]))
+    b = (np.array([[2, 0, 1, 3]]), np.array([2.0]))
+    with pytest.raises(OverflowError, match="overflow int64"):
+        coo_einsum(("ijx,xklm->ijklm", a, b), dim=2000)
+
+
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_verify_axioms_takes_one_product_per_level(monkeypatch, name):
     """Two sparse products per check, whatever the instance: the products of
