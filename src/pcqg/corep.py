@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BigradedRep:
     """X = sum_i e_i (x) X_i on a space with one (k, l) grade per slot.
 

@@ -413,7 +413,7 @@ def _canonical(entries: tuple, dim: int, field: str) -> tuple:
     return idx[keep], val[keep]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinitePQG:
     """Structure constants of a finite-dimensional instance.
 
@@ -922,7 +922,7 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
 # -- graded functionals and convolution ---------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradedFunctional:
     """Functional omega(e_i) = vector[i] supported on 1^k_m A 1^l_n."""
 
@@ -992,12 +992,12 @@ def _corner_trace(G: FinitePQG, k: int, m: int, trace: np.ndarray) -> Optional[G
 # -- Haar families -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HaarFamily:
     """States phi_{km}, one per object pair, zero where the unit vanishes."""
 
     states: dict
-    diagnostics: dict = field(default_factory=dict, compare=False)
+    diagnostics: dict = field(default_factory=dict)
 
     def phi(self, k: int, m: int) -> GradedFunctional:
         return self.states[(k, m)]

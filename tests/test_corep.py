@@ -230,6 +230,28 @@ def test_instance_holds_no_d3_array(form):
     assert max(a.size for a in _arrays([G.entries, vars(G)])) < G.dim**3
 
 
+def _twice(build):
+    """Two objects of one class, built alike from pair(2)."""
+    G, H = (from_finite_groupoid_functions(PAIR2) for _ in range(2))
+    return build(G), build(H)
+
+
+@pytest.mark.parametrize("build", [
+    lambda G: G,
+    lambda G: haar_linear_solve(G).phi(0, 0),
+    haar_linear_solve,
+    trivial_rep,
+], ids=["FinitePQG", "GradedFunctional", "HaarFamily", "BigradedRep"])
+def test_finite_objects_compare_by_identity(build):
+    """Array fields cannot give a content `==` or a hash: two objects built
+    alike are unequal without raising, and each is equal to itself and
+    hashable.  `corep._same_instance` is the content comparison."""
+    a, b = _twice(build)
+    assert (a == b) is False
+    assert (a == a) is True
+    assert len({a, a, b}) == 2
+
+
 # -- single-instance properties ------------------------------------------------
 
 
