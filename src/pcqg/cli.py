@@ -414,6 +414,12 @@ def cmd_fdqg_check(args) -> int:
     return _finish(args, "fdqg check", payload, checks=report.checks, tolerances={"tol": args.tol})
 
 
+def _state_gap(a, b) -> float:
+    """The largest difference between the states of two Haar families."""
+    return np.max([np.abs(phi.vector - b.phi(*km).vector).max(initial=0.0)
+                   for km, phi in a.states.items()])
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_fdqg_haar(args) -> int:
     G, gpd = _load_instance(args)
@@ -455,26 +461,11 @@ def cmd_fdqg_haar(args) -> int:
         for r in haar_residuals(G, fam, tol=args.tol):
             checks.append(replace(r, label=f"{name}::{r.label}"))
     if len(families) == 2:
-        diff = np.max([
-            np.abs(
-                families["cesaro"].phi(k, m).vector - families["solve"].phi(k, m).vector
-            ).max(initial=0.0)
-            for k in range(G.n_objects)
-            for m in range(G.n_objects)
-        ])
-        ok = diff <= HAAR_AGREEMENT_TOL
-        checks.append(CheckResult(label="routes_agree", passed=ok, residual=float(diff)))
+        diff = _state_gap(families["cesaro"], families["solve"])
+        checks.append(CheckResult("routes_agree", diff <= HAAR_AGREEMENT_TOL, float(diff)))
     if gpd is not None and args.form == "functions":
-        oracle = uniform_haar_oracle(G, gpd)
-        base = families.get("solve") or families["cesaro"]
-        diff = np.max([
-            np.abs(base.phi(k, m).vector - oracle.phi(k, m).vector).max(initial=0.0)
-            for k in range(G.n_objects)
-            for m in range(G.n_objects)
-        ])
-        checks.append(
-            CheckResult(label="uniform_oracle", passed=diff <= args.tol, residual=float(diff))
-        )
+        diff = _state_gap(families.get("solve") or families["cesaro"], uniform_haar_oracle(G, gpd))
+        checks.append(CheckResult("uniform_oracle", diff <= args.tol, float(diff)))
     tolerances = {"tol": args.tol, "agreement_tol": HAAR_AGREEMENT_TOL}
     return _finish(args, "fdqg haar", payload, checks=checks, tolerances=tolerances)
 

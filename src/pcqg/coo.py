@@ -25,9 +25,9 @@ per step, and every block is the one the contraction alone would multiply.
 Outputs are raveled keys, which `coo_max_diffs` compares for many pairs of
 outputs in one sorted pass.
 
-The span of a COO column set is split the same way (`split_spans`): its
-rows fall into the connected components of the sets' nonzero pattern, and
-each block takes one SVD, blocks of one shape batched.
+Column sets are split the same way (`split_blocks`), one SVD per block,
+blocks of one shape batched: the density spans (`split_spans`) and the
+bases of the Haar corners read these blocks.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ __all__ = [
     "coo_product",
     "coo_einsum",
     "coo_max_diffs",
+    "split_blocks",
     "split_spans",
     "RANK_CUTOFF",
 ]
@@ -380,33 +381,25 @@ def coo_max_diffs(pairs: list) -> np.ndarray:
     return out
 
 
-def split_spans(col_sets: list, pairs: tuple) -> tuple:
-    """Ranks of several column sets, their worst span containment, and how
-    much of each row their spans cover.
+def split_blocks(col_sets: list) -> tuple:
+    """SVDs of the blocks of several column sets over one row space.
 
-    col_sets holds (rows, cols, vals) COO matrices over one row space, their
-    values finite (LAPACK may not return on inf or nan).  The rows split
-    into the connected components of the joint nonzero pattern; every
-    column lies inside one component, so each span is the direct sum of its
-    blocks.  Components with equal row counts are stacked (columns
-    zero-padded to the widest block of any set), and the nonempty blocks of
-    one width go through one batched SVD without their padding.  Ranks cut
-    singular values at RANK_CUTOFF times the largest over all blocks of the
-    set, the s_max of the dense SVD.  For each (x, y) in `pairs` the
-    containment is the largest relative distance of a set-x column from
-    span(set y).
-
-    Returns (ranks, worst, rows, cover): `rows` the distinct row ids in
-    increasing order and cover[s, q] the squared norm of row rows[q] of set
-    s's basis, the diagonal of the projection onto its span.
+    col_sets holds (rows, cols, vals) COO matrices, values finite (LAPACK
+    may not return on inf or nan).  The rows split into the connected
+    components of the sets' joint nonzero pattern, so each span is the sum
+    of its blocks, a component's rows and one set's columns there.  Blocks
+    of one height are stacked, columns zero-padded, and those of one width
+    take one batched SVD.  Returns the distinct row ids, increasing, and
+    per height, increasing, (rows, blocks, u, sv): rows[b] the positions in
+    row_ids of component b's rows, blocks[b, s] set s's block, and u[b, s],
+    sv[b, s] its SVD, largest first, zero-padded.
     """
     n_sets = len(col_sets)
     which = np.repeat(np.arange(n_sets), [len(s[0]) for s in col_sets])
     vals = np.concatenate([s[2] for s in col_sets])
     row_ids, r = _relabel(np.concatenate([s[0] for s in col_sets]))
-    cover = np.zeros((n_sets, row_ids.size))
     if vals.size == 0:
-        return [0] * n_sets, 0.0, row_ids, cover
+        return row_ids, []
     _, c = _relabel(np.concatenate([s[1] for s in col_sets]) * n_sets + which)
     comp = components(r, c)
     # rows listed by component, and each row's and column's place in its block
@@ -421,8 +414,7 @@ def split_spans(col_sets: list, pairs: tuple) -> tuple:
     width = np.bincount(col_group, minlength=height.size * n_sets).reshape(-1, n_sets)
     entry_comp = comp[r]
 
-    stacks = []  # per height: (members, blocks, bases, singular values)
-    s_max = np.zeros(n_sets)
+    stacks = []
     by_height = height.argsort(kind="stable")
     hs = height[by_height]
     edges = [0, *((hs[1:] != hs[:-1]).nonzero()[0] + 1).tolist(), hs.size]
@@ -443,15 +435,32 @@ def split_spans(col_sets: list, pairs: tuple) -> tuple:
         for w in set(wide[wide > 0].tolist()):
             at, k = wide == w, min(h, w)
             u[at, :, :k], sv[at, :k], _ = np.linalg.svd(blocks[at][:, :, :w], full_matrices=False)
-        s_max = np.maximum(s_max, sv.max(axis=(0, 2)))
-        stacks.append((members, blocks, u, sv))
-    ranks = np.zeros(n_sets, dtype=int)
-    worst = 0.0
-    for members, blocks, u, sv in stacks:
+        rows = by_comp[row_start[members][:, None] + np.arange(h)]
+        stacks.append((rows, blocks, u, sv))
+    return row_ids, stacks
+
+
+def split_spans(col_sets: list, pairs: tuple) -> tuple:
+    """Ranks of several column sets, their worst span containment, and how
+    much of each row their spans cover.
+
+    The blocks of the (rows, cols, vals) sets and their SVDs come from
+    `split_blocks`.  Ranks cut singular values at RANK_CUTOFF times the
+    largest over all blocks of the set, the s_max of the dense SVD.  For
+    each (x, y) in `pairs` the containment is the largest relative distance
+    of a set-x column from span(set y).  Returns (ranks, worst, rows,
+    cover): `rows` the distinct row ids, increasing, and cover[s, q] the
+    squared norm of row rows[q] of set s's basis, the diagonal of the
+    projection onto its span.
+    """
+    row_ids, stacks = split_blocks(col_sets)
+    cover = np.zeros((len(col_sets), row_ids.size))
+    s_max = np.max([sv.max(axis=(0, 2)) for *_, sv in stacks], axis=0, initial=0.0)
+    ranks, worst = np.zeros(len(col_sets), dtype=int), 0.0
+    for rows, blocks, u, sv in stacks:
         keep = sv > RANK_CUTOFF * s_max[:, None]
         ranks += keep.sum(axis=(0, 2))
         u *= keep[:, :, None, :]
-        rows = by_comp[row_start[members][:, None] + np.arange(u.shape[2])]
         cover[:, rows] = np.square(u).sum(axis=3).transpose(1, 0, 2)
         for x, y in pairs:  # one pair at a time: a dense block is d^2 x d^2
             cols, basis = blocks[:, x], u[:, y]

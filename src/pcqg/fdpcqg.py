@@ -28,14 +28,14 @@ sets into the connected components of their nonzero pattern and take one
 SVD per block, with ranks cut at RANK_CUTOFF times the largest singular
 value over all blocks of a set (the s_max of one dense SVD).
 
-The Haar states phi_km live on the diagonal corners 1^k_m A 1^k_m.  Their
-linear system is built from nonzeros: each nonzero entry of a corner basis
-is matched with the unit-stack and coproduct entries it meets, and only the
-rows that receive an entry are laid out.  The Cesaro convolutions and the
-invariance residuals are sums over the coproduct's entries.  The corner
-maps a -> 1^k_m a 1^l_n are built once as their nonzero entries
-(`FinitePQG.corner_entries`), joins of the unit-stack and mult entries; the
-diagonal corners (`FinitePQG.corners`) are scattered from them.
+The Haar states phi_km live on the diagonal corners 1^k_m A 1^k_m.  The
+corner maps a -> 1^k_m a 1^l_n are held only as their nonzero entries
+(`FinitePQG.corner_entries`), sorted by grading, and read a run at a time.
+The corner bases come from one block-split SVD of all diagonal corners
+(`coo.split_blocks`), and each basis entry is matched with the unit-stack
+and coproduct entries it meets, so only the system's rows that receive an
+entry are laid out.  The Cesaro convolutions and the invariance residuals
+are sums over the coproduct's entries.
 Intermediates are checked for inf and nan before they reach LAPACK
 (`NonFiniteError`); an overflowing structure constant makes the stage that
 sees it a failed check, never a hang or a usage error.  A Cesaro corner
@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coo import (RANK_CUTOFF, columns, coo, coo_einsum, coo_max_diffs, matches,
-                  split_spans, summed)
+                  split_blocks, split_spans, summed)
 
 __all__ = [
     "AXIOM_LABELS",
@@ -472,10 +472,10 @@ class FinitePQG:
         """The nonzero entries of every corner map a -> 1^k_m a 1^l_n.
 
         Entry (g, c, i) with value v says (1^k_m e_i 1^l_n)_c = v, for the
-        grading g = ravel(k, m, l, n), one per index.  The factors
-        (1^k_m e_i)_x and (e_x 1^l_n)_c are joins of the unit-stack and mult
-        entries and the maps their join on x, each summed per index; made
-        on first use and kept with the instance.
+        grading g = ravel(k, m, l, n), one per index, sorted by (g, c, i).
+        The factors (1^k_m e_i)_x and (e_x 1^l_n)_c are joins of the
+        unit-stack and mult entries and the maps their join on x, each
+        summed per index; made on first use and kept with the instance.
         """
         n, d = self.n_objects, self.dim
         k, m, u, uval = columns(self.entries["units"])
@@ -487,21 +487,7 @@ class FinitePQG:
         p, q = matches(left // d % d, right // (n * n * d))
         km, i = left[p] // (d * d), left[p] % d
         key, val = summed((km * (n * n * d) + right[q] % (n * n * d)) * d + i, rval[q] * lval[p])
-        return np.array(np.unravel_index(key, (n**4, d, d))).T.copy(), val
-
-    @cached_property
-    def corners(self) -> np.ndarray:
-        """The diagonal corner maps, (1^k_m e_i 1^k_m)_c at [k, m, c, i],
-        scattered from `corner_entries` on first use and kept with the
-        instance: the Haar routes and the graded functionals read them here.
-        """
-        n, d = self.n_objects, self.dim
-        g, c, i, val = columns(self.corner_entries)
-        km, ln = np.divmod(g, n * n)
-        diagonal = km == ln
-        out = np.zeros((n * n, d, d))
-        out[km[diagonal], c[diagonal], i[diagonal]] = val[diagonal]
-        return out.reshape(n, n, d, d)
+        return np.array(np.unravel_index(key, (n**4, d, d))).T, val  # columns contiguous
 
     def to_json_dict(self) -> dict:
         sparse = lambda f: [
@@ -681,17 +667,6 @@ def _unsolved_detail(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _orth_bases(stack: np.ndarray) -> list:
-    """Orthonormal bases of the column spans of a (count, rows, cols) stack,
-    each rank-cut at RANK_CUTOFF times its largest singular value; one
-    batched SVD."""
-    count, rows, _ = stack.shape
-    if stack.size == 0:
-        return [np.zeros((rows, 0))] * count
-    u, s, _ = np.linalg.svd(_finite(stack), full_matrices=False)
-    return [u[q][:, s[q] > RANK_CUTOFF * s[q, 0]] for q in range(count)]
-
-
 def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     """Check the defining axioms by finite linear algebra.
 
@@ -741,6 +716,10 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     checks = []
     add = lambda label, residual, detail="": checks.append(
         CheckResult(label, bool(residual <= tol), float(residual), detail)
+    )
+    # a fact rather than a residual: 0 when it holds, 1 and the detail when not
+    fact = lambda label, ok, detail: checks.append(
+        CheckResult(label, ok, 0.0 if ok else 1.0, "" if ok else detail)
     )
 
     # every contraction of the structure constants, batched by dependency
@@ -857,24 +836,12 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
                 spans[label] = _unsolved_detail(exc)
     del col_sets
 
-    add("assoc", diff["assoc"])
-    add("star_involution", diff["star_involution"])
-    add("star_antimult", diff["star_antimult"])
-    add("delta_multiplicative", diff["delta_multiplicative"])
-    add("delta_star", diff["delta_star"])
-    add("U1", diff["U1"])
-    add("U2", diff["U2"])
-    add("C", diff["C"])
+    for label in ("assoc", "star_involution", "star_antimult", "delta_multiplicative",
+                  "delta_star", "U1", "U2", "C"):
+        add(label, diff[label])
 
     missing = [G.objects[k] for k in range(n) if not np.any(np.abs(units[k, k]) > ZERO_TOL)]
-    checks.append(
-        CheckResult(
-            "U3",
-            not missing,
-            0.0 if not missing else 1.0,
-            f"vanishing diagonal units at {missing}" if missing else "",
-        )
-    )
+    fact("U3", not missing, f"vanishing diagonal units at {missing}")
 
     unsolved = lambda label, detail: CheckResult(label, False, np.inf, detail)
     # (D1): (A (x) A) Delta(1) = span (A (x) 1) Delta(A) = span (1 (x) A) Delta(A)
@@ -906,15 +873,8 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     reflexive = all(nz[k, k] for k in range(n))
     symmetric = bool(np.all(nz == nz.T))
     transitive = bool(np.all(~((nz @ nz) > 0) | nz))
-    ok = reflexive and symmetric and transitive
-    checks.append(
-        CheckResult(
-            "unit_equivalence_relation",
-            ok,
-            0.0 if ok else 1.0,
-            "" if ok else f"reflexive={reflexive} symmetric={symmetric} transitive={transitive}",
-        )
-    )
+    fact("unit_equivalence_relation", reflexive and symmetric and transitive,
+         f"reflexive={reflexive} symmetric={symmetric} transitive={transitive}")
 
     return AxiomReport(checks=tuple(checks))
 
@@ -943,15 +903,36 @@ class GradedFunctional:
         return float(np.abs(self.vector - projected).max(initial=0.0))
 
 
-def _project(G: FinitePQG, vector: np.ndarray, grading: tuple) -> np.ndarray:
-    """A dual vector restricted to 1^k_m A 1^l_n, through the kept corner
-    map when the grading is diagonal and the corner map's entries otherwise."""
-    k, m, l, n = grading
-    if (k, m) == (l, n):
-        return G.corners[k, m].T @ vector
+def _corner_map(G: FinitePQG, grading: tuple) -> tuple:
+    """The entries (c, i, value) of one corner map, (1^k_m e_i 1^l_n)_c =
+    value: its grading's run of the sorted `FinitePQG.corner_entries`."""
     g, c, i, val = columns(G.corner_entries)
-    at = g == np.ravel_multi_index(grading, (G.n_objects,) * 4)
-    return np.bincount(i[at], val[at] * vector[c[at]], minlength=G.dim)
+    at = np.ravel_multi_index(grading, (G.n_objects,) * 4)
+    lo, hi = g.searchsorted([at, at + 1])
+    return c[lo:hi], i[lo:hi], val[lo:hi]
+
+
+def _runs(G: FinitePQG, gradings: np.ndarray) -> tuple:
+    """`_corner_map` of many raveled gradings as entries (run, c, i, value)."""
+    g, c, i, val = columns(G.corner_entries)
+    lo, hi = g.searchsorted(gradings), g.searchsorted(gradings, side="right")
+    count = hi - lo
+    at = np.arange(count.sum()) + np.repeat(lo - count.cumsum() + count, count)
+    return np.repeat(np.arange(count.size), count), c[at], i[at], val[at]
+
+
+def _project(G: FinitePQG, vector: np.ndarray, grading: tuple) -> np.ndarray:
+    """A dual vector restricted to 1^k_m A 1^l_n: the transpose of the corner
+    map applied to it, summed over the map's entries."""
+    c, i, val = _corner_map(G, grading)
+    return np.bincount(i, val * vector[c], minlength=G.dim)
+
+
+def _projections(G: FinitePQG, vectors: np.ndarray, gradings: np.ndarray) -> np.ndarray:
+    """`_project` of many dual vectors, one row per raveled grading, in one sum."""
+    run, c, i, val = _runs(G, gradings)
+    out = np.bincount(run * G.dim + i, val * vectors[run, c], minlength=vectors.size)
+    return out.reshape(vectors.shape)
 
 
 def convolve(G: FinitePQG, chi: GradedFunctional, omega: GradedFunctional) -> GradedFunctional:
@@ -972,9 +953,9 @@ def _zero_state(G: FinitePQG, k: int, m: int) -> GradedFunctional:
     return GradedFunctional(vector=np.zeros(G.dim), grading=(k, m, k, m))
 
 
-def _corner_trace(G: FinitePQG, k: int, m: int, trace: np.ndarray) -> Optional[GradedFunctional]:
-    """Normalized left-regular trace (`trace`, G.trace_vector()) restricted
-    to the (k, m) corner.
+def _corner_trace(G: FinitePQG, k: int, m: int, traces: np.ndarray) -> Optional[GradedFunctional]:
+    """Normalized left-regular trace restricted to the (k, m) corner, from
+    `traces`, G.trace_vector() projected onto every corner [k, m].
 
     None when the trace has no positive mass on the corner's unit, which a
     well-formed instance that breaks the axioms can produce.
@@ -982,7 +963,7 @@ def _corner_trace(G: FinitePQG, k: int, m: int, trace: np.ndarray) -> Optional[G
     u = G.units[k, m]
     if not np.any(np.abs(u) > ZERO_TOL):
         return _zero_state(G, k, m)
-    vec = G.corners[k, m].T @ trace
+    vec = traces[k, m]
     norm = vec @ u
     if norm <= ZERO_TOL:
         return None
@@ -1012,8 +993,10 @@ def _corner_invariance_residual(G: FinitePQG, k: int, h: GradedFunctional) -> fl
     once per side over the coproduct's entries.
     """
     d = G.dim
-    rows = G.corners[k, k]
-    chi = rows[~(np.abs(rows).max(axis=1, initial=0.0) <= ZERO_TOL)]
+    c, i, val = _corner_map(G, (k, k, k, k))
+    chi = np.zeros((d, d))
+    chi[c, i] = val
+    chi = chi[~(np.abs(chi).max(axis=1, initial=0.0) <= ZERO_TOL)]
     mass = (chi @ G.units[k, k])[:, None] * h.vector
     i, a, b, val = columns(G.entries["coproduct"])
     # (chi * h)(e_i) = chi . Delta(e_i) h at [a, i], and h . Delta(e_i) chi at [b, i]
@@ -1042,11 +1025,11 @@ def haar_cesaro(
     `diagnostics["errors"]` names the corner.  Malformed `seed_states`
     raise.
     """
-    n = G.n_objects
-    regular_trace = G.trace_vector()
-    diagnostics = {}
-    errors = []
-    diag = {}
+    n, d = G.n_objects, G.dim
+    gradings = np.arange(n * n) * (n * n + 1)  # (k, m, k, m), raveled
+    traces = _projections(G, np.broadcast_to(G.trace_vector(), (n * n, d)), gradings)
+    traces = traces.reshape(n, n, d)
+    diagnostics, errors, diag = {}, [], {}
     for k in range(n):
         if seed_states is not None:
             seed = seed_states[k]
@@ -1055,7 +1038,7 @@ def haar_cesaro(
             if seed.support_residual(G) > 1e-12:
                 raise ValueError(f"seed state for corner {k} is not corner-supported")
         else:
-            seed = _corner_trace(G, k, k, regular_trace)
+            seed = _corner_trace(G, k, k, traces)
             if seed is None or seed.support_residual(G) > 1e-12:
                 fault = "degenerate" if seed is None else "not corner-supported"
                 errors.append(f"corner trace is {fault} at ({k}, {k})")
@@ -1095,7 +1078,7 @@ def haar_cesaro(
             if r == m:
                 states[(r, m)] = diag[r]
             elif np.any(np.abs(G.units[r, m]) > ZERO_TOL):
-                theta = _corner_trace(G, r, m, regular_trace)
+                theta = _corner_trace(G, r, m, traces)
                 if theta is None:
                     errors.append(f"corner trace is degenerate at ({r}, {m})")
                     states[(r, m)] = _zero_state(G, r, m)
@@ -1109,15 +1092,42 @@ def haar_cesaro(
     return HaarFamily(states=states, diagnostics=out)
 
 
+def _corner_bases(G: FinitePQG, corners: np.ndarray) -> tuple:
+    """Orthonormal bases of the rows of the corner maps of the diagonal
+    corners q = k n + m given, as entries (q d + i, j, value).
+
+    All corners are one matrix, row q d + i and column q d + c, so every
+    block of `split_blocks` lies in one corner; each corner is rank-cut at
+    RANK_CUTOFF times its own largest singular value, as its dense SVD
+    would be.  Vectors j run by block height, block and singular value.
+    """
+    n, d = G.n_objects, G.dim
+    run, c, i, val = _runs(G, corners * (n * n + 1))  # (k, m, k, m) raveled is q (n^2 + 1)
+    q = corners[run]
+    row_ids, stacks = split_blocks([(q * d + i, q * d + c, _finite(val))])
+    top = np.zeros(n * n)  # each corner's largest singular value
+    for rows, _, _, sv in stacks:
+        np.maximum.at(top, row_ids[rows[:, 0]] // d, sv[:, 0, 0])
+    row, col, value, total = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)], 0
+    for rows, _, u, sv in stacks:
+        ids = row_ids[rows]
+        b, j = np.nonzero(sv[:, 0] > RANK_CUTOFF * top[ids[:, 0] // d, None])
+        row.append(ids[b].ravel())
+        col.append((total + np.arange(b.size)).repeat(rows.shape[1]))
+        value.append(u[:, 0][b, :, j].ravel())
+        total += b.size
+    return np.concatenate(row), np.concatenate(col), np.concatenate(value)
+
+
 def _haar_system(G: FinitePQG, side: str) -> tuple:
-    """The invariance system without its all-zero rows: (M, rhs, bases, segs).
+    """The invariance system without its all-zero rows: (M, rhs, bases).
 
     Unknowns are the coefficients of each phi_{km} in an orthonormal basis of
-    its corner, `bases[km]`, in the columns `segs[km]`; the bases come from
-    one batched SVD of the diagonal corner maps (`FinitePQG.corners`).  The
-    full system has one row per (k, l, i, side, j), in that order, each the
-    dual vectors applied to the phi_{ml} it involves, times that corner's
-    basis:
+    its corner; `bases` holds the basis entries (row, column, value), with
+    the row (k n + m) d + i and the column that of the unknown
+    (`_corner_bases`).  The full system has one row per (k, l, i, side, j),
+    in that order, each the dual vectors applied to the phi_{ml} it
+    involves, times that corner's basis:
       left  (id (x) phi_kl) Delta(e_i) = sum_m phi_ml(e_i) 1^m_k, at e_j:
             Delta(e_i)[j, :] on phi_kl, -units[m, k, j] e_i on phi_ml;
       right (phi_kl (x) id) Delta(e_i) = sum_m phi_km(e_i) 1^l_m, at e_j:
@@ -1131,21 +1141,14 @@ def _haar_system(G: FinitePQG, side: str) -> tuple:
     last.
     """
     n, d = G.n_objects, G.dim
-    ka, kb = (np.abs(G.units) > ZERO_TOL).any(axis=2).nonzero()
-    nonzero = list(zip(ka.tolist(), kb.tolist()))
-    found = _orth_bases(np.swapaxes(G.corners[ka, kb], 1, 2))
-    widths = [b.shape[1] for b in found]
-    bases = dict(zip(nonzero, found))
-    ends = list(itertools.accumulate(widths))
-    segs = {km: slice(end - w, end) for km, w, end in zip(nonzero, widths, ends)}
-    total = ends[-1] if ends else 0
+    live = np.flatnonzero((np.abs(G.units) > ZERO_TOL).any(axis=2))
     # every basis entry: its corner (ba, bb), row bp, column bc and value
-    stacked = np.concatenate([np.zeros((d, 0)), *found], axis=1)
-    bp, bc = stacked.nonzero()
-    bval = stacked[bp, bc]
-    owner = np.arange(len(nonzero)).repeat(widths)  # the corner of each column
-    corner = owner[bc]
-    ba, bb = ka[corner], kb[corner]
+    row, bc, bval = bases = _corner_bases(G, live)
+    corner, bp = np.divmod(row, d)
+    ba, bb = np.divmod(corner, n)
+    total = int(bc.max(initial=-1)) + 1
+    owner = np.zeros(total, dtype=np.intp)  # the normalization row of each column
+    owner[bc] = live.searchsorted(corner)
     ux, uy, uj, uval = columns(G.entries["units"])
     ci, cj, ck, cval = columns(G.entries["coproduct"])
     legs = {"left": ("left",), "right": ("right",), "both": ("left", "right")}[side]
@@ -1180,21 +1183,21 @@ def _haar_system(G: FinitePQG, side: str) -> tuple:
     a %= bp.size
     rows = np.unique(key)
     # entries summed into their rows, with the unit normalizations below them
-    height = rows.size + len(nonzero)
-    norm = [G.units[km] @ bases[km] for km in nonzero]
+    height = rows.size + live.size
+    norm = np.bincount(bc, bval * G.units.reshape(-1)[row], minlength=total)
     at = np.concatenate([
         rows.searchsorted(key) * total + bc[a],
         (rows.size + owner) * total + np.arange(total),
     ])
-    val = np.concatenate([factor * bval[a], *norm])
+    val = np.concatenate([factor * bval[a], norm])
     M = np.bincount(at, val, minlength=height * total).reshape(height, total)
     keep = (M != 0.0).any(axis=1)
     keep[rows.size :] = True
     if not keep.all():  # rows whose entries cancelled
         M = M[keep]
     rhs = np.zeros(M.shape[0])
-    rhs[M.shape[0] - len(nonzero) :] = 1.0
-    return M, rhs, bases, segs
+    rhs[M.shape[0] - live.size :] = 1.0
+    return M, rhs, bases
 
 
 def haar_linear_solve(G: FinitePQG, side: str = "both", tol: float = 1e-10) -> HaarFamily:
@@ -1214,29 +1217,23 @@ def haar_linear_solve(G: FinitePQG, side: str = "both", tol: float = 1e-10) -> H
     """
     if side not in ("left", "right", "both"):
         raise ValueError("side must be left, right, or both")
+    n, d = G.n_objects, G.dim
     try:
-        M, rhs, bases, segs = _haar_system(G, side)
+        M, rhs, (row, col, val) = _haar_system(G, side)
         x, _, rank, _ = np.linalg.lstsq(_finite(M), rhs, rcond=RANK_CUTOFF)
         x += np.linalg.lstsq(M, _finite(rhs - M @ x), rcond=RANK_CUTOFF)[0]
     except (NonFiniteError, np.linalg.LinAlgError) as exc:
-        n = G.n_objects
-        if isinstance(exc, NonFiniteError):
-            reason = {"non_finite": "invariance system"}
-        else:
-            reason = {"linalg_error": str(exc)}
+        non_finite = isinstance(exc, NonFiniteError)
+        reason = {"non_finite": "invariance system"} if non_finite else {"linalg_error": str(exc)}
         return HaarFamily(
             states={(k, m): _zero_state(G, k, m) for k in range(n) for m in range(n)},
             diagnostics={"method": "linear_solve", "side": side, **reason, "solvable": False},
         )
     residual = float(np.abs(M @ x - rhs).max(initial=0.0))
-    states = {}
-    for k in range(G.n_objects):
-        for m in range(G.n_objects):
-            km = (k, m)
-            vec = bases[km] @ x[segs[km]] if km in bases else np.zeros(G.dim)
-            states[km] = GradedFunctional(vector=vec, grading=(k, m, k, m))
+    vectors = np.bincount(row, val * x[col], minlength=n * n * d).reshape(n, n, d)
     return HaarFamily(
-        states=states,
+        states={(k, m): GradedFunctional(vector=vectors[k, m], grading=(k, m, k, m))
+                for k in range(n) for m in range(n)},
         diagnostics={
             "method": "linear_solve",
             "side": side,
@@ -1265,18 +1262,19 @@ def haar_residuals(G: FinitePQG, fam: HaarFamily, tol: float = 1e-10) -> list:
                 res = np.maximum(res, np.abs(phi.vector).max(initial=0.0))
     out.append(CheckResult("I1", res <= tol, float(res)))
 
-    res = 0.0
-    for k in range(n):
-        for m in range(n):
-            res = np.maximum(res, fam.phi(k, m).support_residual(G))
+    # every state against its own grading's projection, in one sum
+    d = G.dim
+    phi = np.stack([[fam.phi(k, m).vector for m in range(n)] for k in range(n)])
+    gradings = np.array([fam.phi(k, m).grading for k in range(n) for m in range(n)])
+    flat = phi.reshape(n * n, d)
+    res = np.abs(flat - _projections(G, flat, np.ravel_multi_index(gradings.T, (n,) * 4)))
+    res = res.max(initial=0.0)
     out.append(CheckResult("support", res <= tol, float(res)))
 
     # left: Delta(e_i)[j, :] . phi_kl = sum_m phi_ml(e_i) units[m, k, j]
     # right: Delta(e_i)[:, j] . phi_kl = sum_m phi_km(e_i) units[l, m, j]
     # one row k of states at a time, the coproduct sides summed from its
     # entries at [i, j, l] and [i, l, j], the defects taken in place
-    d = G.dim
-    phi = np.stack([[fam.phi(k, m).vector for m in range(n)] for k in range(n)])
     by_entry = phi.transpose(0, 2, 1)  # [k, c, l]
     i, a, b, val = columns(G.entries["coproduct"])
     val, every = val[:, None], np.arange(n)

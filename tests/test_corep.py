@@ -230,6 +230,21 @@ def test_instance_holds_no_d3_array(form):
     assert max(a.size for a in _arrays([G.entries, vars(G)])) < G.dim**3
 
 
+PAIR8 = pair_groupoid(list("abcdefgh"))
+
+
+@pytest.mark.parametrize("form", ["fn", "alg"])
+def test_haar_holds_no_corner_stack(form):
+    """pair(8), n = 8 and d = 64: after both Haar routes and their
+    residuals, nothing the instance holds has n^2 d^2 or more elements,
+    the size of a dense stack of its diagonal corner maps."""
+    build = from_finite_groupoid_functions if form == "fn" else from_finite_groupoid_algebra
+    G = build(PAIR8)
+    for route in (haar_cesaro, haar_linear_solve):
+        assert all(c.passed for c in haar_residuals(G, route(G)))
+    assert max(a.size for a in _arrays(vars(G))) < (G.n_objects * G.dim) ** 2
+
+
 def _twice(build):
     """Two objects of one class, built alike from pair(2)."""
     G, H = (from_finite_groupoid_functions(PAIR2) for _ in range(2))

@@ -35,6 +35,7 @@ from pcqg.fdpcqg import (
     CheckResult,
     FinitePQG,
     GradedFunctional,
+    _corner_bases,
     _haar_system,
     from_finite_groupoid_algebra,
     from_finite_groupoid_functions,
@@ -492,18 +493,55 @@ def test_haar_linear_solve_matches_dense(name):
         assert abs(checks["invariance_right"] - res_r) <= TOL
 
 
+def _dense_bases(G, bases):
+    """The basis entries (row, column, value) of `_corner_bases` as one
+    (n^2, d, columns) array: each corner's basis vectors, zero elsewhere."""
+    row, col, val = bases
+    shape = (G.n_objects**2 * G.dim, int(col.max(initial=-1)) + 1)
+    return scatter((np.column_stack([row, col]), val), shape).reshape(G.n_objects**2, G.dim, -1)
+
+
 @pytest.mark.parametrize("name", sorted(n for n in INSTANCES if "rotated" not in n))
 def test_haar_system_is_the_dense_one_without_zero_rows(name):
-    """Entry for entry: every entry of an unrotated system is one product, or
-    the sum of two, so the order of summation cannot show."""
+    """Corner by corner, the system times its basis, M[:, corner] B^T, is the
+    dense system's, entry for entry, whichever orthonormal basis each
+    corner gets: every entry of an unrotated system is one product, or the
+    sum of two, so the order of summation cannot show."""
     G = INSTANCES[name]
     for side in ("both", "left", "right") if G.dim < 25 else ("both",):
-        M, rhs, _, _ = _haar_system(G, side)
-        ref, ref_rhs, _, _ = dense_haar_system(G, side)
+        M, rhs, bases = _haar_system(G, side)
+        ref, ref_rhs, ref_bases, offsets = dense_haar_system(G, side)
         keep = np.any(ref != 0.0, axis=1)
         assert M.shape == ref[keep].shape
-        assert np.array_equal(M, ref[keep])
         assert np.array_equal(rhs, ref_rhs[keep])
+        basis = _dense_bases(G, bases)
+        for (k, m), ref_basis in ref_bases.items():
+            mine = basis[k * G.n_objects + m]
+            cols = mine.any(axis=0)
+            want = ref[keep][:, offsets[k, m] : offsets[k, m] + ref_basis.shape[1]] @ ref_basis.T
+            assert np.array_equal(M[:, cols] @ mine[:, cols].T, want), (k, m)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_corner_bases_span_the_dense_ones(name):
+    """The block-split basis of each diagonal corner is orthonormal, to the
+    d ulps of an SVD's vectors (the dense SVD's own reach 8.9e-16 at d =
+    24), and its projector is the dense SVD's within TOL, on blocks of one
+    element and on the rotated instances' single dense block alike."""
+    G = INSTANCES[name]
+    n = G.n_objects
+    live = np.flatnonzero((np.abs(G.units) > ZERO_TOL).any(axis=2))
+    basis = _dense_bases(G, _corner_bases(G, live))
+    # every basis vector lies in one corner
+    assert np.array_equal(basis.any(axis=1).sum(axis=0), np.ones(basis.shape[2]))
+    for q in live:
+        u = G.units[divmod(q, n)]
+        mine = basis[q][:, basis[q].any(axis=0)]
+        ref = _orth_basis(dense_sandwich(G, u, u).T)
+        assert mine.shape == ref.shape
+        gram = mine.T @ mine - np.eye(mine.shape[1])
+        assert np.abs(gram).max(initial=0.0) <= G.dim * np.finfo(float).eps
+        assert np.abs(mine @ mine.T - ref @ ref.T).max() <= TOL
 
 
 def test_haar_linear_solve_without_unit_corners():
@@ -545,8 +583,7 @@ CORNER_CASES = {
 @pytest.mark.parametrize("name", sorted(CORNER_CASES))
 def test_corner_entries_match_dense(name):
     """Every corner map a -> 1^k_m a 1^l_n, one entry per index: bitwise on
-    the 0/1 instances, within TOL on the rotated ones.  The diagonal
-    corners the Haar routes read are the same maps."""
+    the 0/1 instances, within TOL on the rotated ones."""
     G = CORNER_CASES[name]
     n, d = G.n_objects, G.dim
     idx, val = G.corner_entries
@@ -560,8 +597,6 @@ def test_corner_entries_match_dense(name):
         assert np.abs(got - want).max() <= TOL
     else:
         assert np.array_equal(got, want)
-    k, m = np.indices((n, n))
-    assert np.array_equal(G.corners, got.reshape((n,) * 4 + (d, d))[k, m, k, m])
 
 
 @pytest.mark.parametrize("name", sorted(n for n, G in INSTANCES.items() if G.n_objects > 1))
