@@ -487,7 +487,7 @@ class FinitePQG:
         p, q = matches(left // d % d, right // (n * n * d))
         km, i = left[p] // (d * d), left[p] % d
         key, val = summed((km * (n * n * d) + right[q] % (n * n * d)) * d + i, rval[q] * lval[p])
-        return np.array(np.unravel_index(key, (n**4, d, d))).T, val  # columns contiguous
+        return np.array(np.unravel_index(key, (n**4, d, d))).T, val  # contiguous columns
 
     def to_json_dict(self) -> dict:
         sparse = lambda f: [
