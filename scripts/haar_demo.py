@@ -35,8 +35,8 @@ def family_diff(G, a, b):
 
 def skewed_seeds(G, skew, rng):
     seeds = {}
-    for k in range(G.n_objects):
-        unit = G.units[k, k]
+    diagonal = np.arange(G.n_objects) * (G.n_objects + 1)  # (k, k) raveled
+    for k, unit in enumerate(G.unit_vectors(diagonal)):
         w = np.where(np.abs(unit) > 0, 1.0 + skew * rng.random(G.dim), 0.0)
         # normalize as a corner state and project onto the corner grading
         vec = w / (w @ unit)

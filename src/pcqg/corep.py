@@ -8,16 +8,15 @@ corepresentation of a groupoid is a partial permutation, d times a hom-set's
 size in all, where dense slices would hold d N^2 numbers.
 
 Everything is made from entries, and the instance is read through its own
-(`FinitePQG.entries`, `FinitePQG.corner_entries`).  The trivial
-corepresentation is the unit stack's entries, the regular one has one entry
-per composable pair of arrows, and the middle-matched tensor product joins
-its factors' entries through the nonzero structure constants, on keys that
-carry the slots' grades, so only matched slots are ever paired.  The checks
-of `verify_rep` are joins of entries on one (raveled) key (`coo.matches`,
-the join the Haar system and the corner maps are built with), and their
-four (lhs, rhs) pairs are compared in one `coo_max_diffs` pass, so no step
-forms a dense slice and the cost follows the entries and the instance's
-nonzeros.
+(its fields and `FinitePQG.corner_entries`).  The trivial corepresentation
+is the unit entries, the regular one has one entry per composable pair of
+arrows, and the middle-matched tensor product joins its factors' entries
+through the nonzero structure constants, on keys that carry the slots'
+grades, so only matched slots are ever paired.  The checks of `verify_rep`
+are joins of entries on one (raveled) key (`coo.matches`, the join the Haar
+system and the corner maps are built with), and their four (lhs, rhs) pairs
+are compared in one `coo_max_diffs` pass, so no step forms a dense slice and
+the cost follows the entries and the instance's nonzeros.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coo import columns, coo, coo_max_diffs, matches, summed
+from .coo import columns, coo_max_diffs, matches, summed
 from .fdpcqg import CheckResult, FiniteGroupoid, FinitePQG
 
 __all__ = [
@@ -74,7 +73,7 @@ class BigradedRep:
 def trivial_rep(G: FinitePQG) -> BigradedRep:
     """One slot per object with diagonal grade; X_i[k, l] is the e_i
     coefficient of the unit projection 1^k_l."""
-    k, l, i, val = columns(G.entries["units"])
+    k, l, i, val = columns(G.units)
     blocks = tuple((k, k) for k in range(G.n_objects))
     return BigradedRep(G=G, blocks=blocks, entries=(np.column_stack([i, k, l]), val))
 
@@ -99,8 +98,8 @@ def _same_instance(G: FinitePQG, H: FinitePQG) -> bool:
     if G.objects != H.objects or G.basis != H.basis:
         return False
     return all(
-        all(np.array_equal(a, b) for a, b in zip(G.entries[f], H.entries[f]))
-        for f in G.entries
+        all(np.array_equal(a, b) for a, b in zip(getattr(G, f), getattr(H, f)))
+        for f in ("mult", "star", "units", "coproduct")
     )
 
 
@@ -118,7 +117,7 @@ def tensor_reps(X: BigradedRep, Y: BigradedRep) -> BigradedRep:
     u, v = matches(x_col, y_row)  # the matched slots, in (u, v) order
     pair_key = u * Y.space_dim + v
     blocks = tuple(zip(x_row[u].tolist(), y_col[v].tolist()))
-    a, b, c, m = columns(X.G.entries["mult"])
+    a, b, c, m = columns(X.G.mult)
     xi, xu, xv, xval = columns(X.entries)
     yi, yu, yv, yval = columns(Y.entries)
     n = X.G.n_objects
@@ -174,7 +173,7 @@ def verify_rep(X: BigradedRep, tol: float = 1e-10) -> list:
     i, u, v, x = columns(X.entries)
     row, col = X.grades()
 
-    ci, ca, cb, cval = columns(G.entries["coproduct"])
+    ci, ca, cb, cval = columns(G.coproduct)
     p, q = matches(ci, i)
     co1 = (((ca[p] * d + cb[p]) * N + u[q]) * N + v[q], cval[p] * x[q])
     p, q = matches(v, u)  # X_a[u, w] X_b[w, v]
@@ -190,19 +189,20 @@ def verify_rep(X: BigradedRep, tol: float = 1e-10) -> list:
     )
 
     # X^* = sum_j e_j (x) S_j with S_j = sum_a star[a, j] X_a^*, one entry per index
-    sa, sj, sval = columns(G.entries["star"])
+    sa, sj, sval = columns(G.star)
     p, q = matches(sa, i)
     key, val = summed((sj[p] * N + v[q]) * N + u[q], sval[p] * x[q].conj())
     S = (*np.unravel_index(key, (d, N, N)), val)
-    mult = columns(G.entries["mult"])
+    mult, (uk, ul, uc, uval) = columns(G.mult), columns(G.units)
     unitary = []
-    for prod, projections, grade in (
-        (_product(mult, S, (i, u, v, x), d, N), G.units.sum(axis=0), col),
-        (_product(mult, (i, u, v, x), S, d, N), G.units.sum(axis=1), row),
+    for prod, obj, grade in (
+        (_product(mult, S, (i, u, v, x), d, N), ul, col),
+        (_product(mult, (i, u, v, x), S, d, N), uk, row),
     ):
-        l, c, pv = columns(coo(projections))
-        p, q = matches(l, grade)
-        unitary.append((prod, ((c[p] * N + q) * N + q, pv[p])))
+        # target projections sum_k 1^k_l, source ones sum_l 1^k_l, at (object, c)
+        key, pv = summed(obj * d + uc, uval)
+        p, q = matches(key // d, grade)
+        unitary.append((prod, ((key[p] % d * N + q) * N + q, pv[p])))
 
     res = coo_max_diffs([co1, co2, *unitary]).tolist()
     res[2:] = [np.max(res[2:])]  # nan-propagating

@@ -13,29 +13,28 @@ form (cocommutative, group-like basis).  A groupoid is one set of index
 tables (endpoints, composition, inverse, identities); its names turn into
 indices only when a file is read and back only when one is written.
 
-An instance stores mult and coproduct as their nonzero entries alone, COO
-index/value arrays (`coo`) in one canonical order, never as (d, d, d)
-arrays; files and the groupoid tables are read into them and files written
-back from them.  The checks work along the grading by the unit projections
-1^k_l, with Delta(1^k_l) = sum_m 1^k_m (x) 1^m_l, so their cost follows
-the nonzero structure constants rather than d^4 or d^6.  Every identity of
-the axiom checker is contracted from the entries of the structure
-constants, the star and the unit stack (`FinitePQG.entries`), each
-pairwise contraction one dense product per connected block of the
-operands' nonzero pattern, and the contractions of one dependency level
-one product in all.  The density axioms D1 and D2 split their five column
-sets into the connected components of their nonzero pattern and take one
-SVD per block, with ranks cut at RANK_CUTOFF times the largest singular
-value over all blocks of a set (the s_max of one dense SVD).
+An instance holds mult, star, units and coproduct as their nonzero entries
+alone, COO index/value arrays in one canonical order.  A file's dense star
+rows and unit vectors become entries when it is read (`coo`) and are dense
+again only in the file written back.  The checks work along the grading by
+the unit projections 1^k_l, with Delta(1^k_l) = sum_m 1^k_m (x) 1^m_l, so
+their cost follows the nonzero entries rather than d^4 or d^6.  Every
+identity of the axiom checker, Delta(1) included, is contracted from the
+entries, each pairwise contraction one dense product per connected block of
+the operands' nonzero pattern, and the contractions of one dependency level
+one product in all.  The density axioms D1 and D2 take one SVD per
+connected block of their five column sets, with ranks cut at RANK_CUTOFF
+times the largest singular value over all blocks of a set (the s_max of one
+dense SVD).  One rule tells a vanishing unit (`FinitePQG.unit_runs`).
 
 The Haar states phi_km live on the diagonal corners 1^k_m A 1^k_m.  The
-corner maps a -> 1^k_m a 1^l_n are held only as their nonzero entries
+corner maps a -> 1^k_m a 1^l_n are held as their nonzero entries
 (`FinitePQG.corner_entries`), sorted by grading, and read a run at a time.
 The corner bases come from one block-split SVD of all diagonal corners
-(`coo.split_blocks`), and each basis entry is matched with the unit-stack
-and coproduct entries it meets, so only the system's rows that receive an
+(`coo.split_blocks`), and each basis entry is matched with the unit and
+coproduct entries it meets, so only the system's rows that receive an
 entry are laid out.  The Cesaro convolutions and the invariance residuals
-are sums over the coproduct's entries.
+are sums over the coproduct's and the units' entries.
 Intermediates are checked for inf and nan before they reach LAPACK
 (`NonFiniteError`); an overflowing structure constant makes the stage that
 sees it a failed check, never a hang or a usage error.  A Cesaro corner
@@ -47,7 +46,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -395,19 +394,22 @@ def _coo_rows(rows, field: str) -> tuple:
     return arr.reshape(-1, 4)[:, :3], arr.reshape(-1, 4)[:, 3]
 
 
-def _canonical(entries: tuple, dim: int, field: str) -> tuple:
-    """Entries (idx, val) of a (dim, dim, dim) tensor sorted by raveled index
-    and exact zeros dropped, the order of `coo`; an index outside the tensor
-    or given twice (checked before the zeros go) raises ValueError."""
+def _canonical(entries: tuple, shape: tuple, field: str) -> tuple:
+    """Entries (idx, val) of a tensor of the given shape sorted by raveled
+    index and exact zeros dropped, the order of `coo`; an index outside the
+    tensor or given twice (checked before the zeros go) raises ValueError."""
     idx, val = entries
-    if np.shape(idx) != (len(val), 3):
-        raise ValueError(f"{field}: entries must be an (nnz, 3) index array and nnz values")
-    if ((idx < 0) | (idx >= dim) | (idx != np.floor(idx))).any():
-        raise ValueError(f"{field}: index outside 0..{dim - 1}")
+    if np.shape(idx) != (len(val), len(shape)):
+        raise ValueError(f"{field}: expected an (nnz, {len(shape)}) index array and nnz values")
+    if ((idx < 0) | (idx >= shape) | (idx != np.floor(idx))).any():
+        raise ValueError(f"{field}: index outside shape {shape}")
     idx = idx.astype(np.intp)
-    key, order, count = np.unique(idx @ [dim * dim, dim, 1], return_index=True, return_counts=True)
-    if (count > 1).any():
-        at = np.unravel_index(key[(count > 1).argmax()], (dim,) * 3)
+    key = np.ravel_multi_index(idx.T, shape)
+    order = key.argsort(kind="stable")
+    key = key[order]
+    repeated = key[1:] == key[:-1]
+    if repeated.any():
+        at = np.unravel_index(key[1:][repeated.argmax()], shape)
         raise ValueError(f"{field}: repeated index {[int(x) for x in at]}")
     keep = order[val[order] != 0]
     return idx[keep], val[keep]
@@ -418,30 +420,31 @@ class FinitePQG:
     """Structure constants of a finite-dimensional instance.
 
     e_i e_j = sum_k mult[i,j,k] e_k,  e_i^* = sum_j star[i,j] e_j,
-    Delta(e_i) = sum_{j,k} coproduct[i,j,k] e_j (x) e_k, and
-    units[k,l] is the coefficient vector of the unit projection 1^k_l.
-    mult and coproduct are their nonzero entries (idx, val), an (nnz, 3)
-    index array and its values, put in canonical form on construction
-    (`_canonical`); star and units are dense.  Structure constants are real.
+    Delta(e_i) = sum_{j,k} coproduct[i,j,k] e_j (x) e_k, and units[k,l,i]
+    is the e_i coefficient of the unit projection 1^k_l.  Every field is its
+    nonzero entries (idx, val), an (nnz, ndim) index array and its values,
+    put in canonical form on construction (`_canonical`).  Structure
+    constants are real.  An object name may not contain '|', which joins
+    the two objects of a unit's key in the file format.
     """
 
     objects: tuple[str, ...]
     basis: tuple[str, ...]
     mult: tuple
-    star: np.ndarray
-    units: np.ndarray
+    star: tuple
+    units: tuple
     coproduct: tuple
 
     def __post_init__(self):
         d, n = len(self.basis), len(self.objects)
         if not n:
             raise ValueError("objects: expected at least one object")
-        for f in ("mult", "coproduct"):
-            object.__setattr__(self, f, _canonical(getattr(self, f), d, f))
-        if self.star.shape != (d, d):
-            raise ValueError("star must be (d, d)")
-        if self.units.shape != (n, n, d):
-            raise ValueError("units must be (n_objects, n_objects, d)")
+        for name in self.objects:
+            if "|" in name:
+                raise ValueError(f"objects: name {name!r} contains '|', the unit key separator")
+        shapes = {"mult": (d, d, d), "star": (d, d), "units": (n, n, d), "coproduct": (d, d, d)}
+        for f, shape in shapes.items():
+            object.__setattr__(self, f, _canonical(getattr(self, f), shape, f))
 
     @property
     def dim(self) -> int:
@@ -452,20 +455,37 @@ class FinitePQG:
         return len(self.objects)
 
     def algebra_unit(self) -> np.ndarray:
-        return self.units.sum(axis=(0, 1))
+        _, _, i, val = columns(self.units)
+        return np.bincount(i, val, minlength=self.dim)
+
+    @cached_property
+    def unit_runs(self) -> tuple:
+        """(live, runs) over the raveled object pairs q = k n + l: the entries
+        of 1^k_l are units[runs[q]:runs[q + 1]], and live[q] says one exceeds
+        ZERO_TOL in magnitude, the one rule by which every check tells a
+        vanishing unit.  Made on first use and kept with the instance."""
+        n, (k, l, _, val) = self.n_objects, columns(self.units)
+        kl, live = k * n + l, np.zeros(n * n, dtype=bool)
+        live[kl[np.abs(val) > ZERO_TOL]] = True
+        live.flags.writeable = False  # shared by every reader
+        return live, kl.searchsorted(np.arange(n * n + 1)).tolist()
+
+    def unit_vectors(self, q: Iterable[int]) -> Iterator[np.ndarray]:
+        """The coefficient vector of 1^k_l for each raveled pair k n + l in q,
+        one at a time, scattered from its run of the unit entries."""
+        _, _, i, val = columns(self.units)
+        runs = self.unit_runs[1]
+        for p in q:
+            lo, hi = runs[p], runs[p + 1]
+            vec = np.zeros(self.dim)
+            vec[i[lo:hi]] = val[lo:hi]
+            yield vec
 
     def trace_vector(self) -> np.ndarray:
         """Trace of left multiplication, as a functional vector."""
-        i, j, k, val = columns(self.entries["mult"])
+        i, j, k, val = columns(self.mult)
         diagonal = j == k
         return np.bincount(i[diagonal], val[diagonal], minlength=self.dim)
-
-    @cached_property
-    def entries(self) -> dict:
-        """The nonzero entries of mult, coproduct, star and the unit stack,
-        which every stage reads; star's and the units' are made on first use."""
-        return {"mult": self.mult, "coproduct": self.coproduct,
-                "star": coo(self.star), "units": coo(self.units)}
 
     @cached_property
     def corner_entries(self) -> tuple:
@@ -474,12 +494,12 @@ class FinitePQG:
         Entry (g, c, i) with value v says (1^k_m e_i 1^l_n)_c = v, for the
         grading g = ravel(k, m, l, n), one per index, sorted by (g, c, i).
         The factors (1^k_m e_i)_x and (e_x 1^l_n)_c are joins of the
-        unit-stack and mult entries and the maps their join on x, each
-        summed per index; made on first use and kept with the instance.
+        unit and mult entries and the maps their join on x, each summed per
+        index; made on first use and kept with the instance.
         """
         n, d = self.n_objects, self.dim
-        k, m, u, uval = columns(self.entries["units"])
-        a, b, c, mval = columns(self.entries["mult"])
+        k, m, u, uval = columns(self.units)
+        a, b, c, mval = columns(self.mult)
         p, q = matches(u, a)  # 1^k_m e_i at (km, x, i)
         left, lval = summed(((k[p] * n + m[p]) * d + c[q]) * d + b[q], uval[p] * mval[q])
         p, q = matches(u, b)  # e_x 1^l_n at (x, ln, c)
@@ -490,26 +510,25 @@ class FinitePQG:
         return np.array(np.unravel_index(key, (n**4, d, d))).T, val  # contiguous columns
 
     def to_json_dict(self) -> dict:
-        sparse = lambda f: [
-            [*idx, val] for idx, val in zip(*(x.tolist() for x in self.entries[f]))
-        ]
+        """The file form, the only place where star and units are dense."""
+        sparse = lambda f: [[*i, v] for i, v in zip(*(x.tolist() for x in getattr(self, f)))]
+        star = np.zeros((self.dim, self.dim))
+        star[tuple(self.star[0].T)] = self.star[1]
+        n, pairs = self.n_objects, np.flatnonzero(np.diff(self.unit_runs[1]))
         return {
             "objects": list(self.objects),
             "basis": list(self.basis),
             "mult": sparse("mult"),
-            "star": [[float(x) for x in row] for row in self.star],
-            "units": {
-                f"{self.objects[k]}|{self.objects[l]}": [float(x) for x in self.units[k, l]]
-                for k in range(self.n_objects)
-                for l in range(self.n_objects)
-                if np.any(self.units[k, l])
-            },
+            "star": star.tolist(),
+            "units": {f"{self.objects[kl // n]}|{self.objects[kl % n]}": vec.tolist()
+                      for kl, vec in zip(pairs.tolist(), self.unit_vectors(pairs))},
             "coproduct": sparse("coproduct"),
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FinitePQG":
-        """Load an instance dump, rejecting malformed fields with ValueError."""
+        """Load an instance dump, rejecting malformed fields with ValueError;
+        the dense star rows and unit vectors are kept as their entries."""
         fields = ("objects", "basis", "mult", "star", "units", "coproduct")
         missing = [k for k in fields if k not in d]
         if missing:
@@ -522,22 +541,23 @@ class FinitePQG:
                 raise ValueError(f"{key}: duplicate names")
         objects = tuple(d["objects"])
         basis = tuple(d["basis"])
-        dim, n = len(basis), len(objects)
+        dim = len(basis)
         obj_index = {o: i for i, o in enumerate(objects)}
-        units = np.zeros((n, n, dim))
         if not isinstance(d["units"], dict):
             raise ValueError("units: expected an object keyed by 'k|l'")
+        units = [(np.zeros((0, 3), dtype=np.intp), np.zeros(0))]
         for key, vec in d["units"].items():
             k, _, l = key.partition("|")
             if k not in obj_index or l not in obj_index:
                 raise ValueError(f"units: key {key!r} does not name two known objects")
-            units[obj_index[k], obj_index[l]] = _finite_array(vec, f"units[{key!r}]", (dim,))
+            idx, val = coo(_finite_array(vec, f"units[{key!r}]", (dim,)).reshape(1, 1, dim))
+            units.append((idx + [obj_index[k], obj_index[l], 0], val))
         return cls(
             objects=objects,
             basis=basis,
             mult=_coo_rows(d["mult"], "mult"),
-            star=_finite_array(d["star"], "star", (dim, dim)),
-            units=units,
+            star=coo(_finite_array(d["star"], "star", (dim, dim))),
+            units=tuple(np.concatenate(x) for x in zip(*units)),
             coproduct=_coo_rows(d["coproduct"], "coproduct"),
         )
 
@@ -549,33 +569,27 @@ def _ones(*idx) -> tuple:
 
 def from_finite_groupoid_functions(gpd: FiniteGroupoid) -> FinitePQG:
     """Function algebra on a finite groupoid, coproduct dual to composition."""
-    d, n = len(gpd.arrows), len(gpd.objects)
-    every = np.arange(d)
+    every = np.arange(len(gpd.arrows))
     g, h, gh = gpd.composable()
-    units = np.zeros((n, n, d))
-    units[gpd.src, gpd.tgt, every] = 1.0
     return FinitePQG(
         objects=gpd.objects,
         basis=gpd.arrows,
         mult=_ones(every, every, every),
-        star=np.eye(d),
-        units=units,
+        star=_ones(every, every),
+        units=_ones(gpd.src, gpd.tgt, every),
         coproduct=_ones(gh, g, h),
     )
 
 
 def from_finite_groupoid_algebra(gpd: FiniteGroupoid) -> FinitePQG:
     """Groupoid algebra: basis theta_g, group-like coproduct, units on the diagonal."""
-    d, n = len(gpd.arrows), len(gpd.objects)
-    every = np.arange(d)
-    units = np.zeros((n, n, d))
-    units[np.arange(n), np.arange(n), gpd.identities] = 1.0
+    every, objects = np.arange(len(gpd.arrows)), np.arange(len(gpd.objects))
     return FinitePQG(
         objects=gpd.objects,
         basis=tuple(f"theta_{g}" for g in gpd.arrows),
         mult=_ones(*gpd.composable()),
-        star=np.eye(d)[gpd.inverse],
-        units=units,
+        star=_ones(every, gpd.inverse),
+        units=_ones(objects, objects, gpd.identities),
         coproduct=_ones(every, every, every),
     )
 
@@ -587,18 +601,13 @@ def raum_instance() -> FinitePQG:
     vanishes on one side only.  Satisfies everything except the dual-density
     condition; the canonical negative control for the axiom checker.
     """
-    d = 3
-    every = np.arange(d)
-    units = np.zeros((2, 2, d))
-    units[0, 0, 0] = 1.0
-    units[1, 1, 1] = 1.0
-    units[0, 1, 2] = 1.0
+    every = np.arange(3)
     return FinitePQG(
         objects=("1", "2"),
         basis=("id1", "id2", "a"),
         mult=_ones(every, every, every),
-        star=np.eye(d),
-        units=units,
+        star=_ones(every, every),
+        units=_ones([0, 1, 0], [0, 1, 1], [0, 1, 2]),
         # a factors as id1 . a and a . id2
         coproduct=_ones([0, 1, 2, 2], [0, 1, 0, 2], [0, 1, 2, 1]),
     )
@@ -676,38 +685,39 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     nonvanishing of the unit projections is an equivalence relation is
     reported as a separate fact, never inferred from the other checks.
 
-    Every check reads from a fixed number of passes over the nonzero
-    structure constants, the star and the unit stack (`coo`), whatever the
-    instance: one batched sparse contraction per dependency level
-    (`coo_einsum`, one `coo_product` for all its contractions, two in all:
-    products of two constants, then products of a first product with a
-    third factor), one comparison of all (lhs, rhs) pairs (`coo_max_diffs`),
-    and one block-split span pass (`split_spans`) for the three column sets
-    of D1 and the two of D2.  Products with a vector (the algebra unit, and
-    D2's P = sum_k 1^k_k) scale the entries of mult instead.  Dense
-    constants make a single block, as large as the dense contraction's
-    intermediates.  The span pass splits each row space along the
-    connected components of the sets' joint nonzero pattern -- for a
-    groupoid the unit grading makes every block a single row -- and takes
-    one SVD per block, cutting ranks at RANK_CUTOFF times the largest
-    singular value over all blocks of a set, as the dense SVD of the whole
-    set would.  The reported ranks are block sums, and D2's
-    missing directions are the rows its span covers least.  A density check
-    whose column sets hold inf or nan (an overflowing structure constant)
-    fails with a detail saying so, before any SVD, and so does one whose
-    SVD raises LinAlgError; the other density check keeps its result.
+    Every check reads from a fixed number of passes over the instance's
+    entries, whatever the instance: one batched sparse contraction per
+    dependency level (`coo_einsum`, one `coo_product` for all its
+    contractions, two in all: products of two constants, then products of a
+    first product with a third factor), one comparison of all (lhs, rhs)
+    pairs (`coo_max_diffs`), and one block-split span pass (`split_spans`)
+    for the three column sets of D1 and the two of D2.  Products with a
+    vector (the algebra unit, and D2's P = sum_k 1^k_k) scale the entries of
+    mult instead.  Dense constants make a single block, as large as the
+    dense contraction's intermediates.  The span pass splits each row space
+    along the connected components of the sets' joint nonzero pattern --
+    for a groupoid the unit grading makes every block a single row -- and
+    cuts ranks as the dense SVD of the whole set would.  The reported ranks
+    are block sums, and D2's missing directions are the rows its span
+    covers least.  A density check whose column sets hold inf or nan (an
+    overflowing structure constant) fails with a detail saying so, before
+    any SVD, and so does one whose SVD raises LinAlgError; the other
+    density check keeps its result.
     """
     d, n = G.dim, G.n_objects
     dim = max(d, n)  # letters range over basis elements and objects
-    units = G.units
-    m, c, s, u = (G.entries[f] for f in ("mult", "coproduct", "star", "units"))
-    delta_one = coo(units.sum(axis=0).T @ units.sum(axis=1))  # Delta(1)
+    m, c, s, u = G.mult, G.coproduct, G.star, G.units
+    # Delta(1) = sum 1^k_m (x) 1^m_l, the unit entries joined on the middle object
+    uk, ul, ui, uval = columns(u)
+    p, q = matches(ul, uk)
+    key, val = summed(ui[p] * d + ui[q], uval[p] * uval[q])
+    delta_one = np.column_stack(np.divmod(key, d)), val
     # the products with a vector are the entries scaled by it: e_i 1 and
     # 1 e_i (summed over the dropped letter when compared), and the left
     # and right factors P e_i, e_x P of D2's slices Delta(P e_i P), for
     # P = sum_k 1^k_k
     one = G.algebra_unit()
-    proj = units[np.arange(n), np.arange(n)].sum(axis=0)
+    proj = np.bincount(ui[uk == ul], uval[uk == ul], minlength=d)
     i, j, k, val = columns(m)
     times_one = (i * dim + k, val * one[j]), (j * dim + k, val * one[i])
     p_left, p_right = (
@@ -840,7 +850,8 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
                   "delta_star", "U1", "U2", "C"):
         add(label, diff[label])
 
-    missing = [G.objects[k] for k in range(n) if not np.any(np.abs(units[k, k]) > ZERO_TOL)]
+    nz = G.unit_runs[0].reshape(n, n)
+    missing = [G.objects[k] for k in range(n) if not nz[k, k]]
     fact("U3", not missing, f"vanishing diagonal units at {missing}")
 
     unsolved = lambda label, detail: CheckResult(label, False, np.inf, detail)
@@ -869,8 +880,7 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
         checks.append(CheckResult("D2", full, 0.0 if full else float(d - min(ranks)), detail))
 
     # Lemma-level fact, reported independently of (D2)
-    nz = np.linalg.norm(units, axis=2) > ZERO_TOL
-    reflexive = all(nz[k, k] for k in range(n))
+    reflexive = bool(nz.diagonal().all())
     symmetric = bool(np.all(nz == nz.T))
     transitive = bool(np.all(~((nz @ nz) > 0) | nz))
     fact("unit_equivalence_relation", reflexive and symmetric and transitive,
@@ -942,7 +952,7 @@ def convolve(G: FinitePQG, chi: GradedFunctional, omega: GradedFunctional) -> Gr
     indices disagree the computed vector is zero for any properly graded
     inputs on a well-formed instance.
     """
-    i, j, k, val = columns(G.entries["coproduct"])
+    i, j, k, val = columns(G.coproduct)
     vec = np.bincount(i, val * chi.vector[j] * omega.vector[k], minlength=G.dim)
     k, _, l, _ = chi.grading
     _, p, _, q = omega.grading
@@ -953,15 +963,14 @@ def _zero_state(G: FinitePQG, k: int, m: int) -> GradedFunctional:
     return GradedFunctional(vector=np.zeros(G.dim), grading=(k, m, k, m))
 
 
-def _corner_trace(G: FinitePQG, k: int, m: int, traces: np.ndarray) -> Optional[GradedFunctional]:
+def _corner_trace(G: FinitePQG, k: int, m: int, traces, u) -> Optional[GradedFunctional]:
     """Normalized left-regular trace restricted to the (k, m) corner, from
-    `traces`, G.trace_vector() projected onto every corner [k, m].
+    `traces`, G.trace_vector() projected onto every corner [k, m], and its unit u.
 
     None when the trace has no positive mass on the corner's unit, which a
     well-formed instance that breaks the axioms can produce.
     """
-    u = G.units[k, m]
-    if not np.any(np.abs(u) > ZERO_TOL):
+    if not G.unit_runs[0][k * G.n_objects + m]:
         return _zero_state(G, k, m)
     vec = traces[k, m]
     norm = vec @ u
@@ -984,21 +993,21 @@ class HaarFamily:
         return self.states[(k, m)]
 
 
-def _corner_invariance_residual(G: FinitePQG, k: int, h: GradedFunctional) -> float:
+def _corner_invariance_residual(G: FinitePQG, k: int, h: GradedFunctional, unit) -> float:
     """Two-sided invariance defect of h against the corner's spanning set.
 
     The set is the dual basis projected onto the (k, k) corner, zero
     functionals dropped: the rows chi of the corner map.  Every chi * h and
     h * chi is one row of a matrix product, with Delta contracted against h
-    once per side over the coproduct's entries.
+    once per side over the coproduct's entries.  `unit` is 1^k_k.
     """
     d = G.dim
     c, i, val = _corner_map(G, (k, k, k, k))
     chi = np.zeros((d, d))
     chi[c, i] = val
     chi = chi[~(np.abs(chi).max(axis=1, initial=0.0) <= ZERO_TOL)]
-    mass = (chi @ G.units[k, k])[:, None] * h.vector
-    i, a, b, val = columns(G.entries["coproduct"])
+    mass = (chi @ unit)[:, None] * h.vector
+    i, a, b, val = columns(G.coproduct)
     # (chi * h)(e_i) = chi . Delta(e_i) h at [a, i], and h . Delta(e_i) chi at [b, i]
     left = chi @ np.bincount(a * d + i, val * h.vector[b], minlength=d * d).reshape(d, d) - mass
     right = chi @ np.bincount(b * d + i, val * h.vector[a], minlength=d * d).reshape(d, d) - mass
@@ -1030,7 +1039,7 @@ def haar_cesaro(
     traces = _projections(G, np.broadcast_to(G.trace_vector(), (n * n, d)), gradings)
     traces = traces.reshape(n, n, d)
     diagnostics, errors, diag = {}, [], {}
-    for k in range(n):
+    for k, unit in enumerate(G.unit_vectors(range(0, n * n, n + 1))):
         if seed_states is not None:
             seed = seed_states[k]
             if seed.grading != (k, k, k, k):
@@ -1038,17 +1047,15 @@ def haar_cesaro(
             if seed.support_residual(G) > 1e-12:
                 raise ValueError(f"seed state for corner {k} is not corner-supported")
         else:
-            seed = _corner_trace(G, k, k, traces)
+            seed = _corner_trace(G, k, k, traces, unit)
             if seed is None or seed.support_residual(G) > 1e-12:
                 fault = "degenerate" if seed is None else "not corner-supported"
                 errors.append(f"corner trace is {fault} at ({k}, {k})")
                 diag[k] = _zero_state(G, k, k)
                 diagnostics[k] = {"iterations": 0, "converged": False}
                 continue
-        h = seed
-        used = 0
-        stalled = False
-        trace = [float(_corner_invariance_residual(G, k, h))]
+        h, used, stalled = seed, 0, False
+        trace = [float(_corner_invariance_residual(G, k, h, unit))]
         while trace[-1] > tol and used < CESARO_ITERATIONS and not stalled:
             acc = np.zeros(G.dim)
             cur = h
@@ -1056,11 +1063,11 @@ def haar_cesaro(
                 acc += cur.vector
                 cur = convolve(G, cur, h)
                 used += 1
-            norm = acc @ G.units[k, k]
+            norm = acc @ unit
             if norm <= ZERO_TOL:
                 break  # averaged mass collapsed; leave the last iterate and report
             h = GradedFunctional(vector=acc / norm, grading=h.grading)
-            trace.append(float(_corner_invariance_residual(G, k, h)))
+            trace.append(float(_corner_invariance_residual(G, k, h, unit)))
             recent, before = trace[-CESARO_STALL:], trace[:-CESARO_STALL]
             stalled = bool(before) and not min(recent) < min(before)
         diag[k] = h
@@ -1072,20 +1079,16 @@ def haar_cesaro(
         }
         if stalled:
             diagnostics[k]["stalled"] = True
-    states = {}
-    for r in range(n):
-        for m in range(n):
-            if r == m:
-                states[(r, m)] = diag[r]
-            elif np.any(np.abs(G.units[r, m]) > ZERO_TOL):
-                theta = _corner_trace(G, r, m, traces)
-                if theta is None:
-                    errors.append(f"corner trace is degenerate at ({r}, {m})")
-                    states[(r, m)] = _zero_state(G, r, m)
-                else:
-                    states[(r, m)] = convolve(G, theta, diag[m])
-            else:
-                states[(r, m)] = _zero_state(G, r, m)
+    states = {(r, m): diag[r] if r == m else _zero_state(G, r, m)
+              for r in range(n) for m in range(n)}
+    cross = [q for q in np.flatnonzero(G.unit_runs[0]).tolist() if q % (n + 1)]  # off the diagonal
+    for q, unit in zip(cross, G.unit_vectors(cross)):
+        r, m = divmod(q, n)
+        theta = _corner_trace(G, r, m, traces, unit)
+        if theta is None:
+            errors.append(f"corner trace is degenerate at ({r}, {m})")
+        else:
+            states[(r, m)] = convolve(G, theta, diag[m])
     out = {"corners": diagnostics, "method": "cesaro"}
     if errors:
         out["errors"] = errors
@@ -1133,15 +1136,14 @@ def _haar_system(G: FinitePQG, side: str) -> tuple:
       right (phi_kl (x) id) Delta(e_i) = sum_m phi_km(e_i) 1^l_m, at e_j:
             Delta(e_i)[:, j] on phi_kl, -units[l, m, j] e_i on phi_km.
     Its entries are made from nonzeros alone: each nonzero basis entry is
-    matched with the coproduct entries that share its row and with the
-    unit-stack entries that share its corner's first (left) or second
-    (right) object.  Only the rows that receive an entry are laid out, and
-    those whose entries cancel are dropped, so M is the full system without
-    its all-zero rows, in the same order.  The unit normalizations come
-    last.
+    matched with the coproduct entries that share its row and with the unit
+    entries that share its corner's first (left) or second (right) object.
+    Only the rows that receive an entry are laid out, and those whose
+    entries cancel are dropped, so M is the full system without its all-zero
+    rows, in the same order.  The unit normalizations come last.
     """
     n, d = G.n_objects, G.dim
-    live = np.flatnonzero((np.abs(G.units) > ZERO_TOL).any(axis=2))
+    live = np.flatnonzero(G.unit_runs[0])
     # every basis entry: its corner (ba, bb), row bp, column bc and value
     row, bc, bval = bases = _corner_bases(G, live)
     corner, bp = np.divmod(row, d)
@@ -1149,8 +1151,8 @@ def _haar_system(G: FinitePQG, side: str) -> tuple:
     total = int(bc.max(initial=-1)) + 1
     owner = np.zeros(total, dtype=np.intp)  # the normalization row of each column
     owner[bc] = live.searchsorted(corner)
-    ux, uy, uj, uval = columns(G.entries["units"])
-    ci, cj, ck, cval = columns(G.entries["coproduct"])
+    ux, uy, uj, uval = columns(G.units)
+    ci, cj, ck, cval = columns(G.coproduct)
     legs = {"left": ("left",), "right": ("right",), "both": ("left", "right")}[side]
     # The row key of (k, l, i, side, j) is k wk + l wl + i wi + side d + j,
     # so each entry of a pair adds the part of the indices it gives.  The
@@ -1184,7 +1186,9 @@ def _haar_system(G: FinitePQG, side: str) -> tuple:
     rows = np.unique(key)
     # entries summed into their rows, with the unit normalizations below them
     height = rows.size + live.size
-    norm = np.bincount(bc, bval * G.units.reshape(-1)[row], minlength=total)
+    ukey = (ux * n + uy) * d + uj
+    hit = np.minimum(ukey.searchsorted(row), ukey.size - 1)
+    norm = np.bincount(bc, bval * np.where(ukey[hit] == row, uval[hit], 0.0), minlength=total)
     at = np.concatenate([
         rows.searchsorted(key) * total + bc[a],
         (rows.size + owner) * total + np.arange(total),
@@ -1248,48 +1252,38 @@ def haar_linear_solve(G: FinitePQG, side: str = "both", tol: float = 1e-10) -> H
 
 def haar_residuals(G: FinitePQG, fam: HaarFamily, tol: float = 1e-10) -> list:
     """Defects of a candidate family: normalization, support, both invariances."""
-    n = G.n_objects
-    out = []
-
-    live = (np.abs(G.units) > ZERO_TOL).any(axis=2)
-    res = 0.0
-    for k in range(n):
-        for m in range(n):
-            phi = fam.phi(k, m)
-            if live[k, m]:
-                res = np.maximum(res, abs(phi(G.units[k, m]) - 1.0))
-            else:
-                res = np.maximum(res, np.abs(phi.vector).max(initial=0.0))
+    n, d, out = G.n_objects, G.dim, []
+    phi = np.stack([[fam.phi(k, m).vector for m in range(n)] for k in range(n)])
+    flat, live = phi.reshape(n * n, d), G.unit_runs[0]
+    q = np.flatnonzero(live).tolist()
+    res = np.abs(flat[~live]).max(initial=0.0)
+    for p, unit in zip(q, G.unit_vectors(q)):
+        res = np.maximum(res, abs(flat[p] @ unit - 1.0))
     out.append(CheckResult("I1", res <= tol, float(res)))
 
     # every state against its own grading's projection, in one sum
-    d = G.dim
-    phi = np.stack([[fam.phi(k, m).vector for m in range(n)] for k in range(n)])
     gradings = np.array([fam.phi(k, m).grading for k in range(n) for m in range(n)])
-    flat = phi.reshape(n * n, d)
     res = np.abs(flat - _projections(G, flat, np.ravel_multi_index(gradings.T, (n,) * 4)))
     res = res.max(initial=0.0)
     out.append(CheckResult("support", res <= tol, float(res)))
 
-    # left: Delta(e_i)[j, :] . phi_kl = sum_m phi_ml(e_i) units[m, k, j]
-    # right: Delta(e_i)[:, j] . phi_kl = sum_m phi_km(e_i) units[l, m, j]
-    # one row k of states at a time, the coproduct sides summed from its
-    # entries at [i, j, l] and [i, l, j], the defects taken in place
-    by_entry = phi.transpose(0, 2, 1)  # [k, c, l]
-    i, a, b, val = columns(G.entries["coproduct"])
-    val, every = val[:, None], np.arange(n)
-    at_left = (((i * d + a) * n)[:, None] + every).ravel()
-    at_right = ((i * n * d + b)[:, None] + every * d).ravel()
+    # left: Delta(e_i)[j, :] . phi_kl = sum_m phi_ml(e_i) units[m, k, j] at [k, i, j], per
+    # column l; right: Delta(e_i)[:, j] . phi_kl = sum_m phi_km(e_i) units[l, m, j] at
+    # [i, l, j], per row k; each one sum over the coproduct's entries, then the units'
+    i, a, b, val = columns(G.coproduct)
+    uk, ul, uj, uval = columns(G.units)
+    uval, every, rows = -uval, np.arange(n)[:, None], np.arange(d)[:, None]
+    at_left = np.concatenate([((every * d + i) * d + a).ravel(),
+                              ((ul * d + rows) * d + uj).ravel()])
+    at_right = np.concatenate([(every * d + i * n * d + b).ravel(),
+                               ((rows * n + uk) * d + uj).ravel()])
+    worst = lambda side: np.abs(side, out=side).max(initial=0.0)  # one side alive at a time
     res_l = res_r = 0.0
-    for k in range(n):
-        left = np.bincount(at_left, (val * by_entry[k][b]).ravel(), minlength=d * d * n)
-        left = left.reshape(d, d, n)
-        left -= np.einsum("mli,mj->ijl", phi, G.units[:, k])
-        res_l = np.maximum(res_l, np.abs(left, out=left).max(initial=0.0))
-        right = np.bincount(at_right, (val * by_entry[k][a]).ravel(), minlength=d * n * d)
-        right = right.reshape(d, n, d)
-        right -= np.einsum("mi,lmj->ilj", phi[k], G.units)
-        res_r = np.maximum(res_r, np.abs(right, out=right).max(initial=0.0))
+    for s in range(n):
+        w = np.concatenate([(phi[:, s][:, b] * val).ravel(), (phi[uk, s].T * uval).ravel()])
+        res_l = np.maximum(res_l, worst(np.bincount(at_left, w, minlength=n * d * d)))
+        w = np.concatenate([(phi[s][:, a] * val).ravel(), (phi[s][ul].T * uval).ravel()])
+        res_r = np.maximum(res_r, worst(np.bincount(at_right, w, minlength=d * n * d)))
     out.append(CheckResult("invariance_left", res_l <= tol, float(res_l)))
     out.append(CheckResult("invariance_right", res_r <= tol, float(res_r)))
     return out

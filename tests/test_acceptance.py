@@ -45,9 +45,10 @@ from pcqg.fdpcqg import (
     verify_axioms,
 )
 from pcqg.lattice import tau
-from pcqg.uqsu11 import build_pi_T, casimir_op, compatible_sets, verify_uqsu11_relations
+from pcqg.uqsu11 import build_pi_T, compatible_sets, verify_uqsu11_relations
 from pcqg.windowed import WindowedOperator, relation_residual
 from pcqg.words import LETTERS, STARRED
+from uqsu11_helpers import casimir_op
 
 
 # collected by the conftest terminal-summary hook so the lines survive

@@ -13,7 +13,8 @@ import pytest
 from pcqg.cset import SetKind
 from pcqg.decoupling import build_pi_ST, enumerate_irreps
 from pcqg.dynsu2 import DynParams, build_delta_images, build_pi_c, default_window
-from pcqg.uqsu11 import build_pi_T, build_verma, compatible_sets
+from pcqg.uqsu11 import build_pi_T, compatible_sets
+from uqsu11_helpers import build_verma
 
 Q = 0.5
 

@@ -528,8 +528,20 @@ def _drop_arrow_src(d):
     del d["arrows"][1]["src"]
 
 
+def _separator_in_object_name(d):
+    """Object "1" renamed "x|y": a valid groupoid, but no instance file could
+    key its units."""
+    rename = lambda o: "x|y" if o == "1" else o
+    d["objects"] = [rename(o) for o in d["objects"]]
+    for arrow in d["arrows"]:
+        arrow["src"], arrow["tgt"] = rename(arrow["src"]), rename(arrow["tgt"])
+    d["identities"] = {rename(o): g for o, g in d["identities"].items()}
+
+
 # these mutate the groupoid file, the others the instance dump
-GROUPOID_MUTATIONS = (_drop_inverse, _drop_compose, _drop_arrow_id, _drop_arrow_src)
+GROUPOID_MUTATIONS = (
+    _drop_inverse, _drop_compose, _drop_arrow_id, _drop_arrow_src, _separator_in_object_name,
+)
 
 
 @pytest.mark.parametrize("mode", ["check", "haar"])
@@ -549,6 +561,7 @@ GROUPOID_MUTATIONS = (_drop_inverse, _drop_compose, _drop_arrow_id, _drop_arrow_
         (_drop_compose, "compose"),
         (_drop_arrow_id, "'id'"),
         (_drop_arrow_src, "'src'"),
+        (_separator_in_object_name, "'x|y'"),
     ],
 )
 def test_malformed_instance_is_usage_error(fixture_dir, tmp_path, capsys, mode, mutate, field):

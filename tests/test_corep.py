@@ -25,6 +25,7 @@ from pcqg.corep import (
 )
 from pcqg.fdpcqg import (
     CheckResult,
+    FinitePQG,
     cyclic_groupoid,
     from_finite_groupoid_algebra,
     from_finite_groupoid_functions,
@@ -73,7 +74,7 @@ def dense_verify_rep(X, tol=1e-10):
     G = X.G
     coeffs = dense_coeffs(X)
     d, N = G.dim, X.space_dim
-    mult, cop = dense(G, "mult"), dense(G, "coproduct")
+    mult, cop, star, units = (dense(G, f) for f in ("mult", "coproduct", "star", "units"))
     residuals = {}
 
     res = 0.0
@@ -88,13 +89,13 @@ def dense_verify_rep(X, tol=1e-10):
 
     row_grade = np.array([b[0] for b in X.blocks])
     col_grade = np.array([b[1] for b in X.blocks])
-    star_slices = np.einsum("ia,iuv->avu", G.star, coeffs.conj())
+    star_slices = np.einsum("ia,iuv->avu", star, coeffs.conj())
     slots = np.arange(N)
     triples = [(*abc, mult[abc]) for abc in zip(*np.nonzero(mult))]
     unitary = []
     for prod, projections, grade in (
-        (_algebra_product_slices(triples, star_slices, coeffs), G.units.sum(axis=0), col_grade),
-        (_algebra_product_slices(triples, coeffs, star_slices), G.units.sum(axis=1), row_grade),
+        (_algebra_product_slices(triples, star_slices, coeffs), units.sum(axis=0), col_grade),
+        (_algebra_product_slices(triples, coeffs, star_slices), units.sum(axis=1), row_grade),
     ):
         target = np.zeros_like(prod)
         target[:, slots, slots] = projections[grade].T
@@ -226,23 +227,28 @@ def test_instance_holds_no_d3_array(form):
         reps += [R, tensor_reps(R, E)]
     for X in reps:
         _assert_rep_ok(X)
-    # the fields, and the entries and corner maps kept with the instance
-    assert max(a.size for a in _arrays([G.entries, vars(G)])) < G.dim**3
+    # the fields, and the corner maps kept with the instance
+    assert max(a.size for a in _arrays(vars(G))) < G.dim**3
 
 
 PAIR8 = pair_groupoid(list("abcdefgh"))
 
 
 @pytest.mark.parametrize("form", ["fn", "alg"])
-def test_haar_holds_no_corner_stack(form):
-    """pair(8), n = 8 and d = 64: after both Haar routes and their
-    residuals, nothing the instance holds has n^2 d^2 or more elements,
-    the size of a dense stack of its diagonal corner maps."""
+def test_instance_holds_entries_only(form):
+    """pair(8), n = 8 and d = 64: after the axiom check, both Haar routes
+    with their residuals and the trivial corepresentation's check, nothing
+    the instance holds has d^2 or more elements -- no dense star (d^2), no
+    dense unit stack (n^2 d, as many here), no stack of its diagonal corner
+    maps (n^2 d^2) -- built or read back from its file form."""
     build = from_finite_groupoid_functions if form == "fn" else from_finite_groupoid_algebra
     G = build(PAIR8)
-    for route in (haar_cesaro, haar_linear_solve):
-        assert all(c.passed for c in haar_residuals(G, route(G)))
-    assert max(a.size for a in _arrays(vars(G))) < (G.n_objects * G.dim) ** 2
+    for H in (G, FinitePQG.from_json_dict(G.to_json_dict())):
+        assert verify_axioms(H).passed
+        for route in (haar_cesaro, haar_linear_solve):
+            assert all(c.passed for c in haar_residuals(H, route(H)))
+        _assert_rep_ok(trivial_rep(H))
+        assert max(a.size for a in _arrays(vars(H))) < H.dim**2
 
 
 def _twice(build):

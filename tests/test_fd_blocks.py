@@ -9,7 +9,8 @@ unit-stack and mult entries.  The dense code they replaced is kept here as
 the oracle: d^4 tensors, one SVD per d^2 x d^2 column set, one Python call
 per system row, all-zero rows included, and one einsum per corner map.  It
 contracts mult and coproduct as (d, d, d) arrays scattered from the
-instance's entries (`dense`), the only dense copies of them.  Both
+instance's entries (`dense`), the only dense copies of them; the star and
+the unit stack are scattered the same way.  Both
 Haar solves take one refinement step after their lstsq.  The oracle refuses
 instances past ORACLE_MAX_DIM before allocating anything; past it, function
 forms are checked against the exact uniform Haar states instead.
@@ -84,9 +85,12 @@ def scatter(entries, shape):
 
 
 def dense(G, field):
-    """An instance's mult or coproduct as a (d, d, d) array, scattered from
-    its entries: the arrays the dense oracles contract."""
-    return scatter(getattr(G, field), (G.dim,) * 3)
+    """An instance's field scattered from its entries: mult and coproduct
+    as (d, d, d) arrays, star as (d, d) and the unit stack as (n, n, d), the
+    arrays the dense oracles contract."""
+    d, n = G.dim, G.n_objects
+    shape = {"star": (d, d), "units": (n, n, d)}.get(field, (d, d, d))
+    return scatter(getattr(G, field), shape)
 
 
 def dense_sandwich(G, left, right):
@@ -109,7 +113,7 @@ def _span_containment(cols, basis):
 def dense_verify_axioms(G, tol=1e-10):
     _refuse_large(G)
     d, n = G.dim, G.n_objects
-    mult, cop, star, units = dense(G, "mult"), dense(G, "coproduct"), G.star, G.units
+    mult, cop, star, units = (dense(G, f) for f in ("mult", "coproduct", "star", "units"))
     checks = []
     add = lambda label, residual, detail="": checks.append(
         CheckResult(label, bool(residual <= tol), float(residual), detail)
@@ -216,11 +220,11 @@ def dense_haar_system(G, side="both"):
     """(M, b, corner_basis, offsets): one row per call, all-zero rows included."""
     _refuse_large(G)
     n, d = G.n_objects, G.dim
-    cop = dense(G, "coproduct")
-    nonzero = [(k, m) for k in range(n) for m in range(n) if np.any(np.abs(G.units[k, m]) > ZERO_TOL)]
+    cop, units = dense(G, "coproduct"), dense(G, "units")
+    nonzero = [(k, m) for k in range(n) for m in range(n) if np.any(np.abs(units[k, m]) > ZERO_TOL)]
     corner_basis, offsets, total = {}, {}, 0
     for k, m in nonzero:
-        u = G.units[k, m]
+        u = units[k, m]
         corner_basis[(k, m)] = _orth_basis(dense_sandwich(G, u, u).T)
         offsets[(k, m)] = total
         total += corner_basis[(k, m)].shape[1]
@@ -243,16 +247,16 @@ def dense_haar_system(G, side="both"):
                     for j in range(d):
                         coeffs = {(k, l): cop[i, j, :].copy()}
                         for m in range(n):
-                            coeffs[(m, l)] = coeffs.get((m, l), np.zeros(d)) - G.units[m, k, j] * e
+                            coeffs[(m, l)] = coeffs.get((m, l), np.zeros(d)) - units[m, k, j] * e
                         add_row(coeffs, 0.0)
                 if side in ("right", "both"):
                     for j in range(d):
                         coeffs = {(k, l): cop[i, :, j].copy()}
                         for m in range(n):
-                            coeffs[(k, m)] = coeffs.get((k, m), np.zeros(d)) - G.units[l, m, j] * e
+                            coeffs[(k, m)] = coeffs.get((k, m), np.zeros(d)) - units[l, m, j] * e
                         add_row(coeffs, 0.0)
     for km in nonzero:
-        add_row({km: G.units[km]}, 1.0)
+        add_row({km: units[km]}, 1.0)
     return np.stack(rows), np.asarray(rhs), corner_basis, offsets
 
 
@@ -271,15 +275,15 @@ def dense_haar_linear_solve(G, side="both"):
 
 def dense_invariance(G, fam):
     n, d = G.n_objects, G.dim
-    cop = dense(G, "coproduct")
+    cop, units = dense(G, "coproduct"), dense(G, "units")
     res_l = res_r = 0.0
     for k in range(n):
         for l in range(n):
             phi = fam.phi(k, l)
             for i in range(d):
-                rhs = sum(fam.phi(m, l).vector[i] * G.units[m, k] for m in range(n))
+                rhs = sum(fam.phi(m, l).vector[i] * units[m, k] for m in range(n))
                 res_l = max(res_l, np.abs(cop[i] @ phi.vector - rhs).max(initial=0.0))
-                rhs = sum(fam.phi(k, m).vector[i] * G.units[l, m] for m in range(n))
+                rhs = sum(fam.phi(k, m).vector[i] * units[l, m] for m in range(n))
                 res_r = max(res_r, np.abs(cop[i].T @ phi.vector - rhs).max(initial=0.0))
     return res_l, res_r
 
@@ -295,7 +299,7 @@ def dense_coeffs(X):
 
 def dense_co2(X):
     G, n = X.G, X.G.n_objects
-    coeffs = dense_coeffs(X)
+    coeffs, units = dense_coeffs(X), dense(X.G, "units")
     row_grade = np.array([b[0] for b in X.blocks])
     col_grade = np.array([b[1] for b in X.blocks])
     res = 0.0
@@ -303,7 +307,7 @@ def dense_co2(X):
         for m in range(n):
             for l in range(n):
                 for nn in range(n):
-                    proj = dense_sandwich(G, G.units[k, m], G.units[l, nn])
+                    proj = dense_sandwich(G, units[k, m], units[l, nn])
                     left = np.einsum("ci,iuv->cuv", proj, coeffs)
                     rmask = (row_grade == k) & (col_grade == l)
                     cmask = (row_grade == m) & (col_grade == nn)
@@ -413,8 +417,8 @@ def _rotated(G, Q):
         objects=G.objects,
         basis=G.basis,
         mult=coo(np.einsum("ia,jb,abc,kc->ijk", Q, Q, mult, Q, optimize=True)),
-        star=Q @ G.star @ Q.T,
-        units=G.units @ Q.T,
+        star=coo(Q @ dense(G, "star") @ Q.T),
+        units=coo(dense(G, "units") @ Q.T),
         coproduct=coo(np.einsum("ia,abc,jb,kc->ijk", Q, cop, Q, Q, optimize=True)),
     )
 
@@ -530,12 +534,13 @@ def test_corner_bases_span_the_dense_ones(name):
     element and on the rotated instances' single dense block alike."""
     G = INSTANCES[name]
     n = G.n_objects
-    live = np.flatnonzero((np.abs(G.units) > ZERO_TOL).any(axis=2))
+    units = dense(G, "units")
+    live = np.flatnonzero((np.abs(units) > ZERO_TOL).any(axis=2))
     basis = _dense_bases(G, _corner_bases(G, live))
     # every basis vector lies in one corner
     assert np.array_equal(basis.any(axis=1).sum(axis=0), np.ones(basis.shape[2]))
     for q in live:
-        u = G.units[divmod(q, n)]
+        u = units[divmod(q, n)]
         mine = basis[q][:, basis[q].any(axis=0)]
         ref = _orth_basis(dense_sandwich(G, u, u).T)
         assert mine.shape == ref.shape
@@ -546,7 +551,7 @@ def test_corner_bases_span_the_dense_ones(name):
 
 def test_haar_linear_solve_without_unit_corners():
     """Every unit vanishing: no unknowns, no rows kept, zero states."""
-    G = replace(INSTANCES["z3_alg"], units=np.zeros_like(INSTANCES["z3_alg"].units))
+    G = replace(INSTANCES["z3_alg"], units=(np.zeros((0, 3), dtype=np.intp), np.zeros(0)))
     fam = haar_linear_solve(G)
     assert (fam.diagnostics["rank"], fam.diagnostics["n_unknowns"]) == (0, 0)
     assert not any(phi.vector.any() for phi in fam.states.values())
@@ -590,8 +595,9 @@ def test_corner_entries_match_dense(name):
     assert len(set(map(tuple, idx.tolist()))) == len(val)
     got = np.zeros((n**4, d, d))
     got[tuple(idx.T)] = val
+    units = dense(G, "units")
     want = np.stack([
-        dense_sandwich(G, G.units[k, m], G.units[l, nn]) for k, m, l, nn in np.ndindex((n,) * 4)
+        dense_sandwich(G, units[k, m], units[l, nn]) for k, m, l, nn in np.ndindex((n,) * 4)
     ])
     if "rotated" in name:
         assert np.abs(got - want).max() <= TOL
@@ -604,13 +610,13 @@ def test_graded_functional_off_diagonal(name):
     """A dual vector projected onto 1^k_m A 1^l_n with (k, m) != (l, n):
     the dense corner map's transpose applied to it."""
     G = INSTANCES[name]
-    vector = np.random.default_rng(0).standard_normal(G.dim)
+    vector, units = np.random.default_rng(0).standard_normal(G.dim), dense(G, "units")
     for grading in np.ndindex((G.n_objects,) * 4):
         k, m, l, nn = grading
         if (k, m) == (l, nn):
             continue
         phi = GradedFunctional.graded(G, vector, grading)
-        want = dense_sandwich(G, G.units[k, m], G.units[l, nn]).T @ vector
+        want = dense_sandwich(G, units[k, m], units[l, nn]).T @ vector
         tol = TOL * np.abs(vector).sum() if "rotated" in name else 0.0
         assert np.abs(phi.vector - want).max() <= tol, grading
 

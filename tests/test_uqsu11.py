@@ -7,15 +7,9 @@ from hypothesis import strategies as st
 
 from pcqg.cset import SetKind
 from pcqg.lattice import tau
-from pcqg.uqsu11 import (
-    build_pi_T,
-    build_verma,
-    casimir_op,
-    compatible_sets,
-    relation_conditioning,
-    verify_uqsu11_relations,
-)
+from pcqg.uqsu11 import build_pi_T, compatible_sets, verify_uqsu11_relations
 from pcqg.windowed import op_norm_bound, relation_residual
+from uqsu11_helpers import build_verma, casimir_op, relation_conditioning
 
 
 def find(sets, kind):
