@@ -697,12 +697,13 @@ def verify_axioms(G: FinitePQG, tol: float = 1e-10) -> AxiomReport:
     dense contraction's intermediates.  The span pass splits each row space
     along the connected components of the sets' joint nonzero pattern --
     for a groupoid the unit grading makes every block a single row -- and
-    cuts ranks as the dense SVD of the whole set would.  The reported ranks
-    are block sums, and D2's missing directions are the rows its span
-    covers least.  A density check whose column sets hold inf or nan (an
-    overflowing structure constant) fails with a detail saying so, before
-    any SVD, and so does one whose SVD raises LinAlgError; the other
-    density check keeps its result.
+    takes one SVD per block, cutting ranks at RANK_CUTOFF times the largest
+    singular value over all blocks of a set, as the dense SVD of the whole
+    set would.  The reported ranks are block sums, and D2's missing
+    directions are the rows its span covers least.  A density check whose
+    column sets hold inf or nan (an overflowing structure constant) fails
+    with a detail saying so, before any SVD, and so does one whose SVD
+    raises LinAlgError; the other density check keeps its result.
     """
     d, n = G.dim, G.n_objects
     dim = max(d, n)  # letters range over basis elements and objects
