@@ -17,9 +17,14 @@ before coefficient evaluation was shared between terms and oracles: the
 six-star word b'a'd'a'd'g', the heaviest job of the rewriter benchmark,
 and the six-star word a'b'g'd'b'a' at (q, x) = (0.6, 1.1).  The two
 P(i,j) reports were regenerated when `dyn reduce` began reducing the
-projections it parses; before, it reduced the bare letters.  A backend
-change must reproduce every report byte for byte; a residual that moves
-fails here.
+projections it parses; before, it reduced the bare letters.  The sizes
+the windowed benchmark runs past window 13 and `--half 2` were added before
+the shift slices, operator metadata and starred letters were computed once:
+`dyn verify` at window 21 (full suite) and 25, `dyn antipode` at window 17,
+`dyn coproduct --half 3`, `dyn xsym` at window 21, `irreps build
+--truncation 12`, `spectrum compare --grid 150` and `csets compare
+--window 24`.  A backend change must reproduce every report byte for byte;
+a residual that moves fails here.
 """
 
 import contextlib
