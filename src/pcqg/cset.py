@@ -15,7 +15,7 @@ a finite orbit window and knows nothing about the classification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .lattice import EXPONENT_REL_TOL, LatticeSpec, tau
@@ -182,7 +182,7 @@ def _restrict(descs: list[CSetDescriptor], lat: LatticeSpec) -> list[CSetDescrip
         if key in seen:
             return
         seen.add(key)
-        out.append(replace(d, z=lat.value(n), z_exponent=n, lattice=lat))
+        out.append(CSetDescriptor(d.kind, d.c, d.q, lat.value(n), d.z_range, n, lat))
 
     for d in descs:
         if d.kind is SetKind.FULL_ORBIT and d.z is None:

@@ -134,8 +134,8 @@ def build_pi_c(params: DynParams, window: Optional[Window] = None) -> PiCBundle:
 
 def letter_operator(ch: str, b) -> WindowedOperator:
     """The bundle's operator for one letter, starred letters as adjoints."""
-    op = b.u(LETTER_TO_NAME[ch[0]])
-    return op.adjoint() if ch.endswith("*") else op
+    name = LETTER_TO_NAME[ch[0]]
+    return b.u_star(name) if ch.endswith("*") else b.u(name)
 
 
 def defining_relations(q: float) -> dict[str, list[tuple[complex, Term]]]:

@@ -18,7 +18,10 @@ name, its exact ends, and margins derived from them.
 Every operator is a finite sum of weighted shifts, stored as a dict
 {displacement: weight grid of the window's shape}.  A product shifts one
 grid and multiplies it with the other: O(#shifts * n) time and O(n) memory
-per shift on a basis of size n.  The dense n x n matrix is a view built on
+per shift on a basis of size n, and little else.  Shift slices are computed
+once per displacement and shape, shift metadata once per key set (memos of
+integer geometry, never of grids), and the results of @, +, * and adjoint
+skip the constructor's checks.  The dense n x n matrix is a view built on
 request, for the multi-shift norm bound and tests; no operator is built
 from one.
 
@@ -31,8 +34,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -140,7 +143,8 @@ def window_1d(spec: LatticeSpec, n_min: int, n_max: int) -> Window:
     return Window((WindowAxis(spec, n_min, n_max),))
 
 
-def _region(d: Sequence[int], shape: Sequence[int], margin: int = 0) -> tuple[slice, ...]:
+@lru_cache(maxsize=1024)
+def _region(d: tuple[int, ...], shape: tuple[int, ...], margin: int = 0) -> tuple[slice, ...]:
     """Slices of the points p with p and p + d both `margin` inside the window."""
     return tuple(
         slice(margin + max(0, -k), max(0, n - margin - max(0, k)))
@@ -148,17 +152,34 @@ def _region(d: Sequence[int], shape: Sequence[int], margin: int = 0) -> tuple[sl
     )
 
 
+@lru_cache(maxsize=1024)
+def _shift_slices(d: tuple[int, ...], shape: tuple[int, ...]) -> tuple[tuple[slice, ...], ...]:
+    """(destination, source) slices of a shift by d: out[dst] = grid[src]."""
+    return _region(d, shape), _region(tuple(-k for k in d), shape)
+
+
+@lru_cache(maxsize=1024)
+def _key_geometry(keys: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple]:
+    """(shift_degree, displacement) of an operator whose grids have these keys."""
+    axes = tuple(zip(*keys))
+    degree = tuple(max(abs(k) for k in ks) for ks in axes)
+    return degree, tuple(ks[0] if len(set(ks)) == 1 else None for ks in axes)
+
+
 def _positions(d: Sequence[int], window: Window):
     """Dense (row, column) indices of a displacement-d grid, and its slices."""
     idx = np.arange(window.size).reshape(window.shape)
-    src = _region(d, window.shape)
-    return (idx[_region(tuple(-k for k in d), window.shape)], idx[src]), src
+    cols, rows = _shift_slices(d, window.shape)
+    return (idx[rows], idx[cols]), cols
 
 
-def _shifted(grid: np.ndarray, d: Sequence[int]) -> np.ndarray:
-    """out[p] = grid[p + d], zero where p + d leaves the window."""
+def _shifted(grid: np.ndarray, d: tuple[int, ...]) -> np.ndarray:
+    """out[p] = grid[p + d], zero where p + d leaves the window (grid itself if d = 0)."""
+    if not any(d):
+        return grid
+    dst, src = _shift_slices(d, grid.shape)
     out = np.zeros_like(grid)
-    out[_region(d, grid.shape)] = grid[_region(tuple(-k for k in d), grid.shape)]
+    out[dst] = grid[src]
     return out
 
 
@@ -171,8 +192,8 @@ class WindowedOperator:
 
     shift_degree[a] is the largest |d[a]| over the stored displacements;
     displacement[a] is the d[a] they all share, else None.  Margin
-    validation reads both to track a word's excursions.  Both are derived
-    from the stored displacements; there is no dense constructor.
+    validation reads both to track a word's excursions, derived once per
+    key set from the stored displacements; there is no dense constructor.
     """
 
     def __init__(self, window: Window, grids: dict):
@@ -184,15 +205,20 @@ class WindowedOperator:
             if len(d) != window.dim or g.shape != window.shape:
                 raise ValueError("grid does not match the window")
 
+    @classmethod
+    def _built(cls, window: Window, grids: dict) -> "WindowedOperator":
+        """An algebra result, whose grids are valid by construction: no checks."""
+        op = cls.__new__(cls)
+        op.window, op.grids = window, grids
+        return op
+
     @property
     def shift_degree(self) -> tuple[int, ...]:
-        keys = list(self.grids) or [(0,) * self.window.dim]
-        return tuple(max(abs(k) for k in ks) for ks in zip(*keys))
+        return _key_geometry(tuple(self.grids) or ((0,) * self.window.dim,))[0]
 
     @property
     def displacement(self) -> tuple[Optional[int], ...]:
-        keys = list(self.grids) or [(0,) * self.window.dim]
-        return tuple(ks[0] if len(set(ks)) == 1 else None for ks in zip(*keys))
+        return _key_geometry(tuple(self.grids) or ((0,) * self.window.dim,))[1]
 
     # -- algebra ---------------------------------------------------------
 
@@ -204,31 +230,31 @@ class WindowedOperator:
                 d = tuple(a + b for a, b in zip(da, db))
                 g = gb * _shifted(ga, db)
                 out[d] = out[d] + g if d in out else g
-        return WindowedOperator(self.window, out)
+        return WindowedOperator._built(self.window, out)
 
     def __add__(self, other: "WindowedOperator") -> "WindowedOperator":
         self._check_window(other)
-        out = dict(self.grids)
+        out = {d: g.copy() for d, g in self.grids.items()}  # shares no operand array
         for d, g in other.grids.items():
-            out[d] = out[d] + g if d in out else g
-        return WindowedOperator(self.window, out)
+            out[d] = np.add(out[d], g, out=out[d]) if d in out else g.copy()
+        return WindowedOperator._built(self.window, out)
 
     def __sub__(self, other: "WindowedOperator") -> "WindowedOperator":
         return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "WindowedOperator":
-        return WindowedOperator(self.window, {d: g * scalar for d, g in self.grids.items()})
+        return WindowedOperator._built(self.window, {d: g * scalar for d, g in self.grids.items()})
 
     __rmul__ = __mul__
 
     def adjoint(self) -> "WindowedOperator":
         flipped = {tuple(-k for k in d): g for d, g in self.grids.items()}
-        return WindowedOperator(
+        return WindowedOperator._built(
             self.window, {d: _shifted(g.conj(), d) for d, g in flipped.items()}
         )
 
     def _check_window(self, other: "WindowedOperator"):
-        if self.window != other.window:
+        if self.window is not other.window and self.window != other.window:
             raise ValueError("operators live on different windows")
 
     def max_abs(self, margin: int = 0) -> float:
@@ -255,10 +281,6 @@ class WindowedOperator:
 
 def identity_op(window: Window) -> WindowedOperator:
     return WindowedOperator(window, {(0,) * window.dim: np.ones(window.shape)})
-
-
-def zero_op(window: Window) -> WindowedOperator:
-    return WindowedOperator(window, {(0,) * window.dim: np.zeros(window.shape)})
 
 
 def mul_op(f: Callable[..., np.ndarray], window: Window) -> WindowedOperator:
@@ -312,6 +334,7 @@ class Bundle:
     passes them through.  exact_boundaries holds the (axis, side) ends,
     sides "low" and "high", where every generator terminates.  margins()
     is derived from it: 0 on an exact end and pad on every other end.
+    u_star(name) is the adjoint of u(name), built on first use and kept.
     """
 
     q: float
@@ -320,9 +343,15 @@ class Bundle:
     coords: Callable[..., tuple] = lambda *grids: grids
     exact_boundaries: frozenset = frozenset()
     pad: int = 2
+    _adjoints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def u(self, name: str) -> WindowedOperator:
         return self.ops[name]
+
+    def u_star(self, name: str) -> WindowedOperator:
+        if name not in self._adjoints:
+            self._adjoints[name] = self.ops[name].adjoint()
+        return self._adjoints[name]
 
     def mul_fn(self, f: Callable[..., np.ndarray]) -> WindowedOperator:
         """Diagonal operator of an array function of the coordinates."""
@@ -427,7 +456,7 @@ def relation_residual(
     window = terms[0][1][0].window
     for _, word in terms:
         for op in word:
-            if op.window != window:
+            if op.window is not window and op.window != window:
                 raise ValueError("operators live on different windows")
 
     req = required_margins(terms, window)

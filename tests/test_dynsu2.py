@@ -39,9 +39,9 @@ from pcqg.windowed import (
     identity_op,
     required_margins,
     tensor_op,
-    zero_op,
 )
 from pcqg.words import CoeffFn, dirac_projection
+from windowed_helpers import zero_op
 
 
 def bundle(q=0.5, x=1.0, c=0.0, half=10):

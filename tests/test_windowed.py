@@ -15,8 +15,8 @@ from pcqg.windowed import (
     required_margins,
     shift_op,
     window_1d,
-    zero_op,
 )
+from windowed_helpers import zero_op
 
 SPEC = LatticeSpec(q=0.5, base=1.0)
 
