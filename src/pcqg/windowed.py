@@ -178,7 +178,7 @@ def _shifted(grid: np.ndarray, d: tuple[int, ...]) -> np.ndarray:
     if not any(d):
         return grid
     dst, src = _shift_slices(d, grid.shape)
-    out = np.zeros_like(grid)
+    out = np.zeros(grid.shape, dtype=grid.dtype)
     out[dst] = grid[src]
     return out
 
